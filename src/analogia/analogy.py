@@ -25,12 +25,17 @@ by direction (true here but false there, false here but true there)
 and pairs every sentence with its image, which is what the numeric
 score consumes: p = n / (n + r + s + 1) with n matching positives, r
 and s the two negative counts, computed in exact rational arithmetic.
+
+All of these read one translation table per analogy (TranslationTables):
+each working sentence is translated, evaluated and checked once per op,
+and closure derives a combination's table from its parents' tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -366,47 +371,7 @@ def classify(amap: AnalogyMap, formulas: Sequence[Formula]) -> SupportReport:
     an error, they are simply reported outside the partition.
     """
 
-    for f in formulas:
-        check_formula(f, amap.source.signature)
-
-    positive: list[Formula] = []
-    negative: list[Formula] = []
-    open_: list[Formula] = []
-    not_applicable: list[Formula] = []
-    untranslatable: list[Formula] = []
-    conjectures: dict[Formula, TruthValue] = {}
-    images: dict[Formula, Formula] = {}
-
-    for f in formulas:
-        try:
-            image = translate(amap, f)
-        except TranslationError:
-            untranslatable.append(f)
-            continue
-        images[f] = image
-        vs = evaluate(f, amap.source).value
-        vt = evaluate(image, amap.target).value
-        if not vs.known:
-            not_applicable.append(f)
-        elif not vt.known:
-            open_.append(f)
-            conjectures[f] = vs
-        elif vs is vt:
-            positive.append(f)
-        else:
-            negative.append(f)
-
-    return SupportReport(
-        analogy=amap,
-        formulas=tuple(formulas),
-        positive=tuple(positive),
-        negative=tuple(negative),
-        open=tuple(open_),
-        not_applicable=tuple(not_applicable),
-        untranslatable=tuple(untranslatable),
-        conjectures=conjectures,
-        images=images,
-    )
+    return TranslationTables(amap.source, amap.target, formulas).classify(amap)
 
 
 def check_injective_on(amap: AnalogyMap, formulas: Sequence[Formula]) -> None:
@@ -417,18 +382,277 @@ def check_injective_on(amap: AnalogyMap, formulas: Sequence[Formula]) -> None:
     the translation itself to be injective on the working set.
     """
 
-    seen: dict[Formula, Formula] = {}
-    for f in dict.fromkeys(formulas):
+    TranslationTables(amap.source, amap.target, formulas).preimages(amap)
+
+
+# ====================================================================
+# Translation tables
+# ====================================================================
+
+_PENDING = object()  # a row entry whose translation has not been made yet
+
+
+@dataclass
+class _Table:
+    """One analogy's translation of the working set.
+
+    images[i] is the image id of the i-th distinct sentence, or None
+    when the analogy cannot carry it over; preimages maps each image id
+    back to its sentence index once the table is known to be injective.
+    The analogy is held so that its id keys the table while it lives.
+    """
+
+    analogy: AnalogyMap
+    images: tuple[int | None, ...]
+    preimages: dict[int, int] | None = None
+
+
+class TranslationTables:
+    """Every analogy's translation of one working set, made once per op.
+
+    The working set is checked to be sentences over the source
+    signature once, here. Each distinct sentence is translated at most
+    once per symbol map: an analogy's pieces route sentences by the
+    constants they mention, and pieces that carry the same symbol map,
+    as closure combinations carry their parents', share one row of
+    translations. Images are interned, so a table holds image ids.
+    Source values are evaluated once per sentence and target values
+    once per image, each on first use. Every analogy given to one
+    instance must run between its source and target.
+    """
+
+    def __init__(
+        self,
+        source: KnowledgeDomain,
+        target: KnowledgeDomain,
+        formulas: Sequence[Formula],
+    ):
+        self.source = source
+        self.target = target
+        self.formulas = tuple(formulas)
+        self.sentences = tuple(dict.fromkeys(self.formulas))
+        for f in self.sentences:
+            check_formula(f, source.signature)
+        self._index = {f: i for i, f in enumerate(self.sentences)}
+        self._positions = tuple(self._index[f] for f in self.formulas)
+        self._source_values: list[TruthValue | None] = [None] * len(self.sentences)
+        self._images: list[Formula] = []
+        self._image_ids: dict[Formula, int] = {}
+        self._target_values: list[TruthValue | None] = []
+        self._rows: dict[frozenset[tuple[str, str]], list] = {}
+        self._covers: dict[frozenset[str], tuple[int, ...]] = {}
+        self._tables: dict[int, _Table] = {}
+
+    @cached_property
+    def _constants(self) -> tuple[frozenset[str], ...]:
+        return tuple(mentioned_constants(f) for f in self.sentences)
+
+    def _table(self, amap: AnalogyMap) -> _Table:
+        table = self._tables.get(id(amap))
+        if table is None:
+            if amap.source != self.source or amap.target != self.target:
+                raise AnalogyError(
+                    f"analogy {amap.name!r} does not run between the working "
+                    "set's domains"
+                )
+            table = self._tables[id(amap)] = _Table(amap, self._translate(amap))
+        return table
+
+    def _translate(self, amap: AnalogyMap) -> tuple[int | None, ...]:
+        # Guards are disjoint, so each sentence is covered by at most one
+        # piece and the order of pieces does not matter.
+        ids: list[int | None] = [None] * len(self.sentences)
+        for piece in amap.pieces:
+            row = self._row(piece.mapping)
+            for i in self._covered(piece.guard.constants):
+                if row[i] is _PENDING:
+                    row[i] = self._intern(amap, self.sentences[i])
+                ids[i] = row[i]
+        return tuple(ids)
+
+    def _covered(self, guard: frozenset[str] | None) -> Sequence[int]:
+        """Indices of the sentences a guard matches, as Guard.matches decides."""
+
+        if guard is None:
+            return range(len(self.sentences))
+        covered = self._covers.get(guard)
+        if covered is None:
+            covered = self._covers[guard] = tuple(
+                i for i, cs in enumerate(self._constants) if cs and cs <= guard
+            )
+        return covered
+
+    def _row(self, mapping: dict[str, str]) -> list:
+        key = frozenset(mapping.items())
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [_PENDING] * len(self.sentences)
+        return row
+
+    def _intern(self, amap: AnalogyMap, f: Formula) -> int | None:
         try:
             image = translate(amap, f)
         except TranslationError:
-            continue
-        if image in seen:
-            raise AnalogyError(
-                f"analogy {amap.name!r}: translation is not injective on the "
-                f"working set ({seen[image]} and {f} share an image)"
-            )
-        seen[image] = f
+            return None
+        image_id = self._image_ids.get(image)
+        if image_id is None:
+            image_id = self._image_ids[image] = len(self._images)
+            self._images.append(image)
+            self._target_values.append(None)
+        return image_id
+
+    def _injective(self, name: str, ids: tuple[int | None, ...]) -> dict[int, int]:
+        seen: dict[int, int] = {}
+        for i, image in enumerate(ids):
+            if image is None:
+                continue
+            if image in seen:
+                raise AnalogyError(
+                    f"analogy {name!r}: translation is not injective on the "
+                    f"working set ({self.sentences[seen[image]]} and "
+                    f"{self.sentences[i]} share an image)"
+                )
+            seen[image] = i
+        return seen
+
+    def preimages(self, amap: AnalogyMap) -> dict[int, int]:
+        """Image id to sentence index; raises AnalogyError on a collision."""
+
+        table = self._table(amap)
+        if table.preimages is None:
+            table.preimages = self._injective(amap.name, table.images)
+        return table.preimages
+
+    def source_value(self, i: int) -> TruthValue:
+        value = self._source_values[i]
+        if value is None:
+            value = evaluate(self.sentences[i], self.source).value
+            self._source_values[i] = value
+        return value
+
+    def _target_value(self, image: int) -> TruthValue:
+        value = self._target_values[image]
+        if value is None:
+            value = evaluate(self._images[image], self.target).value
+            self._target_values[image] = value
+        return value
+
+    def classify(self, amap: AnalogyMap) -> SupportReport:
+        ids = self._table(amap).images
+        positive: list[Formula] = []
+        negative: list[Formula] = []
+        open_: list[Formula] = []
+        not_applicable: list[Formula] = []
+        untranslatable: list[Formula] = []
+        conjectures: dict[Formula, TruthValue] = {}
+        for f, i in zip(self.formulas, self._positions):
+            image = ids[i]
+            if image is None:
+                untranslatable.append(f)
+                continue
+            vs = self.source_value(i)
+            if not vs.known:
+                not_applicable.append(f)
+                continue
+            vt = self._target_value(image)
+            if not vt.known:
+                open_.append(f)
+                conjectures[f] = vs
+            elif vs is vt:
+                positive.append(f)
+            else:
+                negative.append(f)
+
+        return SupportReport(
+            analogy=amap,
+            formulas=self.formulas,
+            positive=tuple(positive),
+            negative=tuple(negative),
+            open=tuple(open_),
+            not_applicable=tuple(not_applicable),
+            untranslatable=tuple(untranslatable),
+            conjectures=conjectures,
+            images={
+                f: self._images[image]
+                for f, image in zip(self.sentences, ids)
+                if image is not None
+            },
+        )
+
+    def augmented_report(self, amap: AnalogyMap) -> AugmentedReport:
+        report = self.classify(amap)
+        neg_true: list[tuple[Formula, Formula]] = []
+        neg_false: list[tuple[Formula, Formula]] = []
+        for f in report.negative:
+            if self.source_value(self._index[f]) is TruthValue.TRUE:
+                neg_true.append((f, report.images[f]))
+            else:
+                neg_false.append((f, report.images[f]))
+        return AugmentedReport(
+            analogy=amap,
+            positive_pairs=tuple((f, report.images[f]) for f in report.positive),
+            negative_source_true=tuple(neg_true),
+            negative_source_false=tuple(neg_false),
+            plausible=tuple(
+                (f, report.images[f], report.conjectures[f]) for f in report.open
+            ),
+        )
+
+    def conjecture(self, amap: AnalogyMap, query: Formula) -> TruthValue | None:
+        """The source value of query's preimage under amap, when known."""
+
+        image = self._image_ids.get(query)
+        i = None if image is None else self.preimages(amap).get(image)
+        if i is None:
+            return None
+        value = self.source_value(i)
+        return value if value.known else None
+
+    def close(self, analogies: Sequence[AnalogyMap]) -> tuple[AnalogyMap, ...]:
+        """close_under_combination, deriving each candidate's table from its
+        parents' tables instead of translating again.
+
+        The candidate a+b@c follows a on the sentences that mention
+        exactly c and b on those whose constants are a nonempty set
+        without c; no piece covers the others. That holds for piecewise
+        parents too, since their guards are disjoint and a translation
+        depends only on the piece's symbol map, the sentence and the
+        target signature.
+        """
+
+        out = list(analogies)
+        constants = self.source.signature.constants
+        images = [self._table(a).images for a in analogies]
+        splits = {
+            c: [(cs == {c}, bool(cs) and c not in cs) for cs in self._constants]
+            for c in constants
+        }
+        taken = {a.name for a in analogies}
+        for a, a_images in zip(analogies, images):
+            for b, b_images in zip(analogies, images):
+                if a.name == b.name:
+                    continue
+                for c in constants:
+                    rest = frozenset(constants) - {c}
+                    if not rest:
+                        continue
+                    name = f"{a.name}+{b.name}@{c}"
+                    if name in taken:
+                        continue
+                    ids = tuple(
+                        a_images[i] if only_c else b_images[i] if without_c else None
+                        for i, (only_c, without_c) in enumerate(splits[c])
+                    )
+                    try:
+                        self._injective(name, ids)
+                        combo = combine(
+                            a, b, Guard.mentions({c}), Guard.mentions(rest), name=name
+                        )
+                    except AnalogyError:
+                        continue
+                    out.append(combo)
+                    taken.add(name)
+        return tuple(out)
 
 
 # ====================================================================
@@ -496,35 +720,14 @@ def close_under_combination(
     formulas mentioning only c and the second elsewhere is added,
     provided it stays injective on the working set. Existing analogies
     come first in the result, generated ones after, in deterministic
-    order. The round is not iterated.
+    order. The round is not iterated. All analogies must run between
+    the same two domains.
     """
 
-    out = list(analogies)
     if not analogies:
-        return tuple(out)
-    constants = analogies[0].source.signature.constants
-    taken = {a.name for a in analogies}
-    for a in analogies:
-        for b in analogies:
-            if a.name == b.name:
-                continue
-            for c in constants:
-                rest = frozenset(constants) - {c}
-                if not rest:
-                    continue
-                name = f"{a.name}+{b.name}@{c}"
-                if name in taken:
-                    continue
-                try:
-                    combo = combine(
-                        a, b, Guard.mentions({c}), Guard.mentions(rest), name=name
-                    )
-                    check_injective_on(combo, working_set)
-                except AnalogyError:
-                    continue
-                out.append(combo)
-                taken.add(name)
-    return tuple(out)
+        return ()
+    tables = TranslationTables(analogies[0].source, analogies[0].target, working_set)
+    return tables.close(analogies)
 
 
 # ====================================================================
@@ -574,24 +777,7 @@ class AugmentedReport:
 def augmented_report(amap: AnalogyMap, formulas: Sequence[Formula]) -> AugmentedReport:
     """Classify and pair every formula with its image, splitting negatives."""
 
-    report = classify(amap, formulas)
-    neg_true: list[tuple[Formula, Formula]] = []
-    neg_false: list[tuple[Formula, Formula]] = []
-    for f in report.negative:
-        vs = evaluate(f, amap.source).value
-        if vs is TruthValue.TRUE:
-            neg_true.append((f, report.images[f]))
-        else:
-            neg_false.append((f, report.images[f]))
-    return AugmentedReport(
-        analogy=amap,
-        positive_pairs=tuple((f, report.images[f]) for f in report.positive),
-        negative_source_true=tuple(neg_true),
-        negative_source_false=tuple(neg_false),
-        plausible=tuple(
-            (f, report.images[f], report.conjectures[f]) for f in report.open
-        ),
-    )
+    return TranslationTables(amap.source, amap.target, formulas).augmented_report(amap)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ is known, and a definite verdict needs all speakers to agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .analogy import AnalogyMap, check_injective_on, translate
-from .errors import AnalogyError, EntailmentError, TranslationError
+from .analogy import AnalogyMap, TranslationTables
+from .errors import AnalogyError, EntailmentError
 from .formula import Formula, check_formula, evaluate
 from .kb import KnowledgeDomain, TruthValue
 from .preference import PreferenceRelation, undominated
@@ -41,6 +41,8 @@ class AnalogySpace:
     each analogy must translate the working set injectively so that a
     target sentence has at most one preimage per analogy. The
     preference carrier must be exactly the set of analogy names.
+    tables holds every analogy's translation of the working set, made
+    once here and read by each query.
     """
 
     source: KnowledgeDomain
@@ -48,6 +50,7 @@ class AnalogySpace:
     working_set: tuple[Formula, ...]
     analogies: tuple[AnalogyMap, ...]
     preference: PreferenceRelation
+    tables: TranslationTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "working_set", tuple(self.working_set))
@@ -60,13 +63,13 @@ class AnalogySpace:
                 raise EntailmentError(f"analogy {a.name!r} runs from a different source domain")
             if a.target != self.target:
                 raise EntailmentError(f"analogy {a.name!r} runs to a different target domain")
-        for f in self.working_set:
-            check_formula(f, self.source.signature)
+        tables = TranslationTables(self.source, self.target, self.working_set)
         for a in self.analogies:
             try:
-                check_injective_on(a, self.working_set)
+                tables.preimages(a)
             except AnalogyError as err:
                 raise EntailmentError(str(err)) from err
+        object.__setattr__(self, "tables", tables)
         if set(self.preference.carrier) != set(names) or len(
             self.preference.carrier
         ) != len(names):
@@ -96,16 +99,7 @@ def conjecture_for(
     the preimage unique when it exists.
     """
 
-    a = space.analogy(analogy_name)
-    for f in space.working_set:
-        try:
-            image = translate(a, f)
-        except TranslationError:
-            continue
-        if image == query:
-            v = evaluate(f, space.source)
-            return v.value if v.known else None
-    return None
+    return space.tables.conjecture(space.analogy(analogy_name), query)
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,7 @@ from .analogy import (
     AnalogyMap,
     AnalogyPiece,
     Guard,
-    augmented_report,
-    classify,
+    TranslationTables,
     close_under_combination,
     straight_rule,
 )
@@ -642,15 +641,21 @@ def session_preference(
             carrier=tuple(a.name for a in maps),
             edges=frozenset(session.explicit_edges),
         )
-    reports = [classify(a, session.working_set) for a in maps]
+    tables = TranslationTables(session.source, session.target, session.working_set)
+    reports = [tables.classify(a) for a in maps]
     if session.preference_kind == "counts":
         wp, wn = session.count_weights or (Fraction(1), Fraction(1))
         return count_preference(reports, wp, wn)
     return dominance_preference(reports)
 
 
-def resolve_space(session: Session) -> AnalogySpace:
-    maps = resolve_maps(session)
+def resolve_space(
+    session: Session, maps: Sequence[AnalogyMap] | None = None
+) -> AnalogySpace:
+    """The space best and entail answer over; maps default to resolve_maps."""
+
+    if maps is None:
+        maps = resolve_maps(session)
     return AnalogySpace(
         source=session.source,
         target=session.target,
@@ -696,46 +701,42 @@ def run(
         }
 
     maps = resolve_maps(session)
+    if command in ("best", "entail"):
+        space = resolve_space(session, maps)
+        if command == "best":
+            return {
+                "command": "best",
+                "carrier": list(space.preference.carrier),
+                "edges": [list(e) for e in sorted(space.preference.edges)],
+                "best": sorted(best_names(space)),
+            }
+        verdicts = [entail(space, q).to_json_dict() for q in session.queries]
+        return {"command": "entail", "verdicts": verdicts}
+
+    tables = TranslationTables(session.source, session.target, session.working_set)
     if command == "classify":
         return {
             "command": "classify",
-            "reports": [classify(a, session.working_set).to_json_dict() for a in maps],
+            "reports": [tables.classify(a).to_json_dict() for a in maps],
         }
     if command == "report":
         return {
             "command": "report",
-            "reports": [
-                augmented_report(a, session.working_set).to_json_dict() for a in maps
-            ],
+            "reports": [tables.augmented_report(a).to_json_dict() for a in maps],
         }
-    if command == "score":
-        scores = []
-        for a in maps:
-            ar = augmented_report(a, session.working_set)
-            n_pos = len(ar.positive_pairs)
-            n_r = len(ar.negative_source_true)
-            n_s = len(ar.negative_source_false)
-            if n_pos == 0:
-                scores.append(
-                    {"analogy": a.name, "n": 0, "r": n_r, "s": n_s, "p": None}
-                )
-            else:
-                entry = {"analogy": a.name}
-                entry.update(straight_rule(n_pos, n_r, n_s).to_json_dict())
-                scores.append(entry)
-        return {"command": "score", "scores": scores}
-
-    space = resolve_space(session)
-    if command == "best":
-        chosen = best_names(space)
-        return {
-            "command": "best",
-            "carrier": list(space.preference.carrier),
-            "edges": [list(e) for e in sorted(space.preference.edges)],
-            "best": sorted(chosen),
-        }
-    verdicts = [entail(space, q).to_json_dict() for q in session.queries]
-    return {"command": "entail", "verdicts": verdicts}
+    scores = []
+    for a in maps:
+        ar = tables.augmented_report(a)
+        n_pos = len(ar.positive_pairs)
+        n_r = len(ar.negative_source_true)
+        n_s = len(ar.negative_source_false)
+        if n_pos == 0:
+            scores.append({"analogy": a.name, "n": 0, "r": n_r, "s": n_s, "p": None})
+        else:
+            entry = {"analogy": a.name}
+            entry.update(straight_rule(n_pos, n_r, n_s).to_json_dict())
+            scores.append(entry)
+    return {"command": "score", "scores": scores}
 
 
 def _run_repcheck(n: int | None, relation_class: str, mode: str) -> dict:
