@@ -344,6 +344,21 @@ class TestResolution:
         space = resolve_space(parse_session((SESSIONS_DIR / "combi.ana").read_text()))
         assert best(space) == {"mixed"}
 
+    @pytest.mark.parametrize("command", ["best", "entail"])
+    def test_run_builds_the_closure_once(self, monkeypatch, command):
+        import analogia.session
+
+        calls = []
+        close = analogia.session.close_under_combination
+
+        def counting(*args):
+            calls.append(args)
+            return close(*args)
+
+        monkeypatch.setattr(analogia.session, "close_under_combination", counting)
+        run(parse_session((SESSIONS_DIR / "closure.ana").read_text()), command)
+        assert len(calls) == 1
+
 
 # ====================================================================
 # Commands
