@@ -523,7 +523,7 @@ class TranslationTables:
             table.preimages = self._injective(amap.name, table.images)
         return table.preimages
 
-    def source_value(self, i: int) -> TruthValue:
+    def _source_value(self, i: int) -> TruthValue:
         value = self._source_values[i]
         if value is None:
             value = evaluate(self.sentences[i], self.source).value
@@ -550,7 +550,7 @@ class TranslationTables:
             if image is None:
                 untranslatable.append(f)
                 continue
-            vs = self.source_value(i)
+            vs = self._source_value(i)
             if not vs.known:
                 not_applicable.append(f)
                 continue
@@ -584,7 +584,7 @@ class TranslationTables:
         neg_true: list[tuple[Formula, Formula]] = []
         neg_false: list[tuple[Formula, Formula]] = []
         for f in report.negative:
-            if self.source_value(self._index[f]) is TruthValue.TRUE:
+            if self._source_value(self._index[f]) is TruthValue.TRUE:
                 neg_true.append((f, report.images[f]))
             else:
                 neg_false.append((f, report.images[f]))
@@ -605,7 +605,7 @@ class TranslationTables:
         i = None if image is None else self.preimages(amap).get(image)
         if i is None:
             return None
-        value = self.source_value(i)
+        value = self._source_value(i)
         return value if value.known else None
 
     def close(self, analogies: Sequence[AnalogyMap]) -> tuple[AnalogyMap, ...]:
