@@ -2,8 +2,10 @@
 
 The JSON output is the behaviour contract. Each entry pins the sha256
 of what `analogia --json <command> <session>` prints, in the order of
-COMMANDS; every run exits 0. A change that alters any of these bytes
-changes the contract and must re-record the digest on purpose.
+COMMANDS; every run exits 0. REPCHECK_GOLDEN pins the sha256 and the
+exit code of `analogia --json repcheck` for every sweep the CLI offers.
+A change that alters any of these bytes changes the contract and must
+re-record the digest on purpose.
 """
 
 import contextlib
@@ -147,3 +149,103 @@ def test_json_output_matches_golden_digest(session, command):
     assert code == 0
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == GOLDEN[session][COMMANDS.index(command)]
+
+
+REPCHECK_GOLDEN = {
+    # (mode, n, class): (sha256 of the --json output, exit code)
+    ("soundness", 1, "all"): (
+        "a6c4e4da6e8cbb31f39983aeb3549cb1fc983e3f5256f841431d9f7f32526436",
+        0,
+    ),
+    ("soundness", 1, "smooth"): (
+        "fcba3c07bfed72eb20aca5fa5141e9ed02c62e5d18558d89883c80bacf621ec7",
+        0,
+    ),
+    ("soundness", 1, "ranked"): (
+        "c671d23824390235af6a7531df92b494dde8190a17a89307ba12da84c8671061",
+        0,
+    ),
+    ("soundness", 2, "all"): (
+        "80e212baaa8fbd3885a148aec7a289a6b1f422fb25a3fd3f45201d6e6411d8cd",
+        0,
+    ),
+    ("soundness", 2, "smooth"): (
+        "4bc5fd446afae68e59067397dc722b19e409604076861a1d6362e4e4d57d2a53",
+        0,
+    ),
+    ("soundness", 2, "ranked"): (
+        "c80a9a0fa2fe0686ad2d1901cd699b2ed42174411f490cf43a927e82e7787c93",
+        0,
+    ),
+    ("soundness", 3, "all"): (
+        "40c76df0fce9570687e80fd42090ee8cab3268e878a967370edeecc0a77a2e03",
+        0,
+    ),
+    ("soundness", 3, "smooth"): (
+        "9eb0eeccee83c07b6e7511d1f3eef10ec98d44961d5985c69018465738f9e365",
+        0,
+    ),
+    ("soundness", 3, "ranked"): (
+        "c4950c6123eaa021cd8d322bf33a0bd9ccd0d1f40ff9c215c6732426fe2fdcc2",
+        0,
+    ),
+    ("soundness", 4, "all"): (
+        "2e5e0c1e1e6840ac319a90fc20742869d985197a00b47538912630c864166a57",
+        0,
+    ),
+    ("soundness", 4, "smooth"): (
+        "59c79645915710a5fe31b3516f8abdcc7fdcab21de58ab4ec8586e5da822a4d4",
+        0,
+    ),
+    ("soundness", 4, "ranked"): (
+        "26e8109320846d1bff4d7b30caea56eaff3f3067c62937c54b12f591d073cdf4",
+        0,
+    ),
+    ("completeness", 1, "all"): (
+        "41706b95a085605d02aa2025e50759f8ab0722788b42d07e7b48219c9e0cf8d7",
+        1,
+    ),
+    ("completeness", 1, "smooth"): (
+        "4e9b18e2e214d7f872d0b13c299d0b5741163a9b4f0dee06b4f2e764c26ef614",
+        1,
+    ),
+    ("completeness", 1, "ranked"): (
+        "90b010a53887f8b0b3396a3ead879eb9d4691152a8474b6ee38acc74d960853c",
+        1,
+    ),
+    ("completeness", 2, "all"): (
+        "3d0465e897a8eb57757fce7824a4bc1959f387f892364208b550ba1282539489",
+        1,
+    ),
+    ("completeness", 2, "smooth"): (
+        "00e79b9e8a3d638b85ab119ac80e07c8161808b44dab0560eba3bb558e245c83",
+        1,
+    ),
+    ("completeness", 2, "ranked"): (
+        "e18cd5410f3fc1d4643964fef5b95f6acea85f06e474199b81ee97497577da1b",
+        1,
+    ),
+    ("completeness", 3, "all"): (
+        "50b65db9b4bdbfc646411ae2d6a76a4371d2fb215795c58273384d313ebfcb80",
+        1,
+    ),
+    ("completeness", 3, "smooth"): (
+        "88a253deee6a7dad23a51a5a27b8f8394e131c7d61975293a12d0ec30dd6567e",
+        1,
+    ),
+    ("completeness", 3, "ranked"): (
+        "09e8d23d16bd7fc33515e67d80ea9db2561cf06db492a4cbd99de1eda5eb1ef1",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode, n, cls", sorted(REPCHECK_GOLDEN))
+def test_repcheck_json_output_matches_golden_digest(mode, n, cls):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(
+            ["--json", "repcheck", "--n", str(n), "--class", cls, "--mode", mode]
+        )
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert (digest, code) == REPCHECK_GOLDEN[(mode, n, cls)]
