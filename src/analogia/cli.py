@@ -79,7 +79,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             try:
                 with open(args.file, encoding="utf-8") as handle:
                     text = handle.read()
-            except OSError as err:
+            except (OSError, UnicodeDecodeError) as err:
                 print(f"error: cannot read {args.file}: {err}", file=sys.stderr)
                 return 1
             result = run(parse_session(text), args.command)

@@ -14,6 +14,12 @@ carrier:
   * ranked: incomparable elements are interchangeable, beating and
     being beaten by exactly the same outsiders.
 
+Choice, smoothness, rankedness and transitivity have one
+implementation, the bitmask kernel below. A relation builds its masks
+once, on first use, and undominated, choice_of and the structural
+checks read them; the repcheck sweeps run the same kernel on masks
+built straight from edge bitmasks.
+
 The module also derives preferences over analogies from their support
 reports. Dominance prefers a strictly better support profile
 (positives a superset, negatives a subset, not both equal). Counting
@@ -25,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .analogy import SupportReport
 from .errors import PreferenceError
 
-DEFAULT_CHOICE_CAP = 4
+CHOICE_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -55,17 +62,45 @@ class PreferenceRelation:
     def better(self, x: str, y: str) -> bool:
         return (x, y) in self.edges
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.carrier)}
+
+    # The kernel's masks, built on first use; undominated needs only
+    # the dominators, so each mask set has its own pass over the edges.
+
+    @cached_property
+    def _better(self) -> tuple[int, ...]:
+        """Per carrier index, the mask of the items it beats."""
+
+        index, rows = self._index, [0] * len(self.carrier)
+        for x, y in self.edges:
+            rows[index[x]] |= 1 << index[y]
+        return tuple(rows)
+
+    @cached_property
+    def _dominators(self) -> tuple[int, ...]:
+        """Per carrier index, the mask of the items beating it."""
+
+        index, rows = self._index, [0] * len(self.carrier)
+        for x, y in self.edges:
+            rows[index[y]] |= 1 << index[x]
+        return tuple(rows)
+
 
 def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]:
     """The choice set: members of items beaten by no other member."""
 
     pool = frozenset(items)
-    extra = pool - set(rel.carrier)
+    index = rel._index
+    extra = pool.difference(index)
     if extra:
         raise PreferenceError(f"item {sorted(extra)[0]!r} is not in the carrier")
-    return frozenset(
-        x for x in pool if not any((y, x) in rel.edges for y in pool if y != x)
-    )
+    mask = 0
+    for x in pool:
+        mask |= 1 << index[x]
+    dominators = rel._dominators
+    return frozenset(x for x in pool if not dominators[index[x]] & mask)
 
 
 def subsets_of(carrier: Sequence[str]) -> Iterator[frozenset[str]]:
@@ -107,57 +142,128 @@ class ChoiceFunction:
         return self.table[frozenset(items)]
 
 
-def choice_of(rel: PreferenceRelation, max_size: int = DEFAULT_CHOICE_CAP) -> ChoiceFunction:
+def choice_of(rel: PreferenceRelation) -> ChoiceFunction:
     """Tabulate the induced choice over the whole powerset."""
 
-    if len(rel.carrier) > max_size:
+    if len(rel.carrier) > CHOICE_CAP:
         raise PreferenceError(
-            f"carrier of size {len(rel.carrier)} exceeds the tabulation cap {max_size}"
+            f"carrier of size {len(rel.carrier)} exceeds the tabulation cap {CHOICE_CAP}"
         )
+    subsets = list(subsets_of(rel.carrier))
+    table = choice_masks(rel._dominators)
     return ChoiceFunction(
         carrier=rel.carrier,
-        table={xs: undominated(rel, xs) for xs in subsets_of(rel.carrier)},
+        table={subsets[xs]: subsets[chosen] for xs, chosen in enumerate(table)},
     )
 
 
 def is_transitive(rel: PreferenceRelation) -> bool:
-    for x, y in rel.edges:
-        for y2, z in rel.edges:
-            if y2 == y and (x, z) not in rel.edges:
-                return False
-    return True
+    return transitive_masks(rel._better)
 
 
 def is_smooth(rel: PreferenceRelation) -> tuple[bool, tuple[frozenset[str], str] | None]:
-    """Exhaustive smoothness check; returns the first failing (subset, item)."""
+    """Exhaustive smoothness check; returns the first failing (subset, item).
 
-    for xs in subsets_of(rel.carrier):
-        chosen = undominated(rel, xs)
-        for x in rel.carrier:
-            if x not in xs or x in chosen:
-                continue
-            if not any((y, x) in rel.edges for y in chosen):
-                return False, (xs, x)
-    return True, None
+    Subsets are scanned in subsets_of order, items in carrier order.
+    """
+
+    dominators = rel._dominators
+    failure = smooth_failure(dominators, choice_masks(dominators))
+    if failure is None:
+        return True, None
+    xs, x = failure
+    items = rel.carrier
+    subset = frozenset(items[i] for i in range(len(items)) if xs >> i & 1)
+    return False, (subset, items[x])
 
 
 def is_ranked(rel: PreferenceRelation) -> tuple[bool, tuple[str, str, str] | None]:
     """Exhaustive rankedness check; returns the first failing triple.
 
     The failing triple (x, y, z) has x and y incomparable while z
-    relates to one of them and not the other.
+    relates to one of them and not the other: z beats x but not y, or
+    x beats z but y does not. x, y and z are scanned in carrier order.
     """
 
-    for x in rel.carrier:
-        for y in rel.carrier:
-            if (x, y) in rel.edges or (y, x) in rel.edges:
+    failure = ranked_failure(rel._better, rel._dominators)
+    if failure is None:
+        return True, None
+    x, y, z = failure
+    items = rel.carrier
+    return False, (items[x], items[y], items[z])
+
+
+# ====================================================================
+# Bitmask kernel
+#
+# A carrier of size n is the index range 0..n-1, in carrier order, and
+# a subset is a mask over it. A relation is held as better[i] = mask of
+# the elements i beats, with dominators[j] = mask of the elements
+# beating j as the transpose. The induced choice is a table indexed by
+# subset mask. Every scan ascends through indices and masks, which is
+# carrier order and subsets_of order, so the first failure found is
+# the same witness an element-wise scan would report. The functions
+# above read a relation's masks; the repcheck sweeps build masks
+# straight from edge bitmasks and call these directly.
+# ====================================================================
+
+
+def choice_masks(dominators: Sequence[int]) -> tuple[int, ...]:
+    """The induced choice: for each subset mask, its undominated members."""
+
+    n = len(dominators)
+    table = []
+    for xs in range(1 << n):
+        chosen = 0
+        for x in range(n):
+            if xs >> x & 1 and not dominators[x] & xs:
+                chosen |= 1 << x
+        table.append(chosen)
+    return tuple(table)
+
+
+def transitive_masks(better: Sequence[int]) -> bool:
+    for row in better:
+        for j in range(len(better)):
+            if row >> j & 1 and better[j] & ~row:
+                return False
+    return True
+
+
+def smooth_failure(
+    dominators: Sequence[int], choice: Sequence[int]
+) -> tuple[int, int] | None:
+    """First (subset mask, index) left unchosen and beaten by nothing chosen."""
+
+    n = len(dominators)
+    for xs, chosen in enumerate(choice):
+        rest = xs & ~chosen
+        for x in range(n):
+            if rest >> x & 1 and not dominators[x] & chosen:
+                return xs, x
+    return None
+
+
+def ranked_failure(
+    better: Sequence[int], dominators: Sequence[int]
+) -> tuple[int, int, int] | None:
+    """First incomparable (x, y) that some z tells apart, with the lowest z.
+
+    z tells x from y when z beats x but not y, or x beats z but y does
+    not. Equal rows and columns rule every z out at once.
+    """
+
+    n = len(better)
+    for x in range(n):
+        for y in range(n):
+            if x == y or better[x] >> y & 1 or better[y] >> x & 1:
                 continue
-            for z in rel.carrier:
-                if (z, x) in rel.edges and (z, y) not in rel.edges:
-                    return False, (x, y, z)
-                if (x, z) in rel.edges and (y, z) not in rel.edges:
-                    return False, (x, y, z)
-    return True, None
+            if better[x] == better[y] and dominators[x] == dominators[y]:
+                continue
+            bad = (dominators[x] & ~dominators[y]) | (better[x] & ~better[y])
+            if bad:
+                return x, y, (bad & -bad).bit_length() - 1
+    return None
 
 
 # ====================================================================

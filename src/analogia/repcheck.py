@@ -38,8 +38,11 @@ failing one of them. Such representation gaps are reported as
 violations rather than papered over; closing them without S and gamma
 needs carriers with duplicated elements, which is out of scope here.
 
-All enumeration is in ascending bitmask order, so witnesses and
-violation lists are deterministic.
+The induced choice and the class checks come from the preference
+module's bitmask kernel, the one implementation behind choice_of,
+is_smooth, is_ranked and is_transitive; this module adds the laws and
+the enumeration. All enumeration is in ascending bitmask order, so
+witnesses and violation lists are deterministic.
 """
 
 from __future__ import annotations
@@ -53,9 +56,14 @@ from .errors import RepcheckError
 from .preference import (
     ChoiceFunction,
     PreferenceRelation,
+    choice_masks,
+    choice_of,
     is_ranked,
     is_smooth,
     is_transitive,
+    ranked_failure,
+    smooth_failure,
+    transitive_masks,
 )
 
 ITEMS = ("a", "b", "c", "d")
@@ -109,10 +117,10 @@ def relation_in_class(rel: PreferenceRelation, cls: RelationClass) -> bool:
 # ====================================================================
 # Bitmask internals
 #
-# A carrier of size n is the index range 0..n-1. A subset is a mask.
-# A relation is held as better[i] = mask of elements i beats, with
-# dominators[j] = mask of elements beating j as the transpose. The
-# induced choice is a table indexed by subset mask.
+# Subsets and relations are masks as in the preference module's
+# bitmask kernel, whose choice and class checks the sweeps call. An
+# irreflexive relation on n elements is also one edge bitmask, with a
+# bit per ordered pair of distinct indices in _ordered_pairs order.
 # ====================================================================
 
 
@@ -120,72 +128,29 @@ def _ordered_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def _better_of(edge_mask: int, pairs: Sequence[tuple[int, int]], n: int) -> list[int]:
+def _masks_of(
+    edge_mask: int, pairs: Sequence[tuple[int, int]], n: int
+) -> tuple[list[int], list[int]]:
+    """(better, dominators) of the relation an edge bitmask encodes."""
+
     better = [0] * n
+    dominators = [0] * n
     for bit, (i, j) in enumerate(pairs):
         if edge_mask >> bit & 1:
             better[i] |= 1 << j
-    return better
-
-
-def _dominators_of(better: Sequence[int], n: int) -> list[int]:
-    dominators = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if better[i] >> j & 1:
-                dominators[j] |= 1 << i
-    return dominators
-
-
-def _mu_table(dominators: Sequence[int], n: int) -> tuple[int, ...]:
-    table = []
-    for xs in range(1 << n):
-        chosen = 0
-        for x in range(n):
-            if xs >> x & 1 and not dominators[x] & xs:
-                chosen |= 1 << x
-        table.append(chosen)
-    return tuple(table)
-
-
-def _transitive_masks(better: Sequence[int], n: int) -> bool:
-    for i in range(n):
-        row = better[i]
-        for j in range(n):
-            if row >> j & 1 and better[j] & ~row:
-                return False
-    return True
-
-
-def _smooth_masks(dominators: Sequence[int], mu: Sequence[int], n: int) -> bool:
-    for xs in range(1 << n):
-        chosen = mu[xs]
-        rest = xs & ~chosen
-        for x in range(n):
-            if rest >> x & 1 and not dominators[x] & chosen:
-                return False
-    return True
-
-
-def _ranked_masks(better: Sequence[int], dominators: Sequence[int], n: int) -> bool:
-    for x in range(n):
-        for y in range(n):
-            if x == y or better[x] >> y & 1 or better[y] >> x & 1:
-                continue
-            if better[x] != better[y] or dominators[x] != dominators[y]:
-                return False
-    return True
+            dominators[j] |= 1 << i
+    return better, dominators
 
 
 def _in_class_masks(
     better: Sequence[int], dominators: Sequence[int], mu: Sequence[int],
-    n: int, cls: RelationClass,
+    cls: RelationClass,
 ) -> bool:
     if cls is RelationClass.ALL:
         return True
     if cls is RelationClass.TRANSITIVE_SMOOTH:
-        return _transitive_masks(better, n) and _smooth_masks(dominators, mu, n)
-    return _ranked_masks(better, dominators, n)
+        return transitive_masks(better) and smooth_failure(dominators, mu) is None
+    return ranked_failure(better, dominators) is None
 
 
 def _property_failure(
@@ -364,10 +329,9 @@ def represent(
     searched = 0
     found_mask = None
     for edge_mask in range(1 << len(pairs)):
-        better = _better_of(edge_mask, pairs, n)
-        dominators = _dominators_of(better, n)
-        mu = _mu_table(dominators, n)
-        if not _in_class_masks(better, dominators, mu, n, cls):
+        better, dominators = _masks_of(edge_mask, pairs, n)
+        mu = choice_masks(dominators)
+        if not _in_class_masks(better, dominators, mu, cls):
             continue
         searched += 1
         if mu == target:
@@ -386,19 +350,9 @@ def represent(
     rel = PreferenceRelation(
         carrier=items, edges=frozenset(_edges_of(found_mask, pairs, items))
     )
-    if not relation_in_class(rel, cls) or _table_of_relation(rel) != target:
+    if not relation_in_class(rel, cls) or choice_of(rel).table != cf.table:
         raise RepcheckError("represent produced a relation that fails verification")
     return rel
-
-
-def _table_of_relation(rel: PreferenceRelation) -> tuple[int, ...]:
-    items = tuple(rel.carrier)
-    n = len(items)
-    index = {name: i for i, name in enumerate(items)}
-    better = [0] * n
-    for x, y in rel.edges:
-        better[index[x]] |= 1 << index[y]
-    return _mu_table(_dominators_of(better, n), n)
 
 
 # ====================================================================
@@ -495,13 +449,12 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
     violations: list[Violation] = []
     for edge_mask in range(1 << len(pairs)):
         examined += 1
-        better = _better_of(edge_mask, pairs, n)
-        dominators = _dominators_of(better, n)
-        mu = _mu_table(dominators, n)
-        if not _in_class_masks(better, dominators, mu, n, cls):
+        better, dominators = _masks_of(edge_mask, pairs, n)
+        mu = choice_masks(dominators)
+        if not _in_class_masks(better, dominators, mu, cls):
             continue
         considered += 1
-        if _transitive_masks(better, n):
+        if transitive_masks(better):
             transitive += 1
         for prop in props:
             failure = _property_failure(mu, n, prop)
@@ -567,14 +520,13 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
     transitive_rep: set[tuple[int, ...]] = set()
     smooth_any_rep: set[tuple[int, ...]] = set()
     for edge_mask in range(1 << len(pairs)):
-        better = _better_of(edge_mask, pairs, n)
-        dominators = _dominators_of(better, n)
-        mu = _mu_table(dominators, n)
-        if _in_class_masks(better, dominators, mu, n, cls):
+        better, dominators = _masks_of(edge_mask, pairs, n)
+        mu = choice_masks(dominators)
+        if _in_class_masks(better, dominators, mu, cls):
             representable.add(mu)
-            if cls is RelationClass.ALL and _transitive_masks(better, n):
+            if cls is RelationClass.ALL and transitive_masks(better):
                 transitive_rep.add(mu)
-        if cls is RelationClass.TRANSITIVE_SMOOTH and _smooth_masks(dominators, mu, n):
+        if cls is RelationClass.TRANSITIVE_SMOOTH and smooth_failure(dominators, mu) is None:
             smooth_any_rep.add(mu)
 
     examined = 0

@@ -5,8 +5,9 @@ obeying a class's laws is induced by a relation of the class exactly
 when it also meets S (singletons pick themselves), gamma (Sen's
 expansion condition) and B (its base relation lies in the class).
 The checks here read a ChoiceFunction's sets directly and share no
-code with the sweep's bitmask kernel; the laws themselves come from
-check_property.
+code with the bitmask kernel behind the sweeps and the relation
+checks: B uses the set-based class check in reference.py. The laws
+themselves come from check_property.
 """
 
 import functools
@@ -16,10 +17,11 @@ from analogia import (
     ChoiceFunction,
     PreferenceRelation,
     check_property,
-    relation_in_class,
     subsets_of,
 )
 from analogia.repcheck import CLASS_PROPERTIES
+
+import reference
 
 CONDITIONS = ("S", "gamma", "B")
 
@@ -72,7 +74,7 @@ def first_failed_condition(cf, cls):
     for xs, ys in itertools.product(table, repeat=2):
         if not table[xs] & table[ys] <= table[xs | ys]:
             return "gamma"
-    if not relation_in_class(base_relation(cf), cls):
+    if not reference.relation_in_class(base_relation(cf), cls):
         return "B"
     return None
 

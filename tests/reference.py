@@ -1,24 +1,34 @@
-"""Per-call reference implementations of the support pipeline.
+"""Reference implementations the engine is checked against.
 
-These translate every working sentence afresh on each call, exactly as
-the engine did before translation tables: classify, the injectivity
-check, closure, the augmented report and an analogy's conjecture for a
-query. The table-based engine must agree with them; see
-test_tables_oracle.py.
+The support pipeline: these translate every working sentence afresh on
+each call, exactly as the engine did before translation tables:
+classify, the injectivity check, closure, the augmented report and an
+analogy's conjecture for a query. The table-based engine must agree
+with them; see test_tables_oracle.py.
+
+The relation kernel: set-based loops over a relation's edges for the
+induced choice, transitivity, smoothness and rankedness, with the same
+first-failing witnesses, and the class check built on them. The
+bitmask kernel in analogia.preference must agree with them; see
+test_preference.py.
 """
 
 from analogia import (
     AnalogyError,
     AugmentedReport,
+    ChoiceFunction,
     Guard,
+    PreferenceError,
     SupportReport,
     TranslationError,
     TruthValue,
     check_formula,
     combine,
     evaluate,
+    subsets_of,
     translate,
 )
+from analogia.repcheck import RelationClass
 
 
 def classify(amap, formulas):
@@ -131,3 +141,60 @@ def conjecture_for(space, analogy_name, query):
             v = evaluate(f, space.source)
             return v.value if v.known else None
     return None
+
+
+def undominated(rel, items):
+    pool = frozenset(items)
+    extra = pool - set(rel.carrier)
+    if extra:
+        raise PreferenceError(f"item {sorted(extra)[0]!r} is not in the carrier")
+    return frozenset(
+        x for x in pool if not any((y, x) in rel.edges for y in pool if y != x)
+    )
+
+
+def choice_of(rel):
+    return ChoiceFunction(
+        carrier=rel.carrier,
+        table={xs: undominated(rel, xs) for xs in subsets_of(rel.carrier)},
+    )
+
+
+def is_transitive(rel):
+    for x, y in rel.edges:
+        for y2, z in rel.edges:
+            if y2 == y and (x, z) not in rel.edges:
+                return False
+    return True
+
+
+def is_smooth(rel):
+    for xs in subsets_of(rel.carrier):
+        chosen = undominated(rel, xs)
+        for x in rel.carrier:
+            if x not in xs or x in chosen:
+                continue
+            if not any((y, x) in rel.edges for y in chosen):
+                return False, (xs, x)
+    return True, None
+
+
+def is_ranked(rel):
+    for x in rel.carrier:
+        for y in rel.carrier:
+            if (x, y) in rel.edges or (y, x) in rel.edges:
+                continue
+            for z in rel.carrier:
+                if (z, x) in rel.edges and (z, y) not in rel.edges:
+                    return False, (x, y, z)
+                if (x, z) in rel.edges and (y, z) not in rel.edges:
+                    return False, (x, y, z)
+    return True, None
+
+
+def relation_in_class(rel, cls):
+    if cls is RelationClass.ALL:
+        return True
+    if cls is RelationClass.TRANSITIVE_SMOOTH:
+        return is_transitive(rel) and is_smooth(rel)[0]
+    return is_ranked(rel)[0]

@@ -47,6 +47,15 @@ class TestArguments:
         assert out == ""
         assert err.startswith("error: cannot read no_such_session.ana:")
 
+    def test_undecodable_file_reports_and_fails(self, capsys, tmp_path):
+        latin = tmp_path / "latin1.ana"
+        latin.write_bytes("domain S { objects: caf\xe9; }\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "check", str(latin))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {latin}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
     def test_semantic_error_reports_and_fails(self, capsys, tmp_path):
         bad = tmp_path / "bad.ana"
         bad.write_text("domain S { objects: a; }\n")

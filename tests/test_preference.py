@@ -21,6 +21,8 @@ from analogia import (
     undominated,
 )
 
+import reference
+
 ABC = ("a", "b", "c")
 
 
@@ -153,7 +155,6 @@ class TestChoiceFunction:
         wide = PreferenceRelation(tuple("abcde"), frozenset())
         with pytest.raises(PreferenceError, match="cap"):
             choice_of(wide)
-        assert choice_of(wide, max_size=5).choose("abcde") == set("abcde")
 
 
 # ====================================================================
@@ -241,6 +242,22 @@ class TestIsRanked:
                     if r.better(x, z) != r.better(y, z):
                         naive = False
             assert ok == naive
+
+
+class TestKernelAgainstReference:
+    """The bitmask kernel matches the set-based loops in reference.py."""
+
+    def test_every_relation_on_four_items(self):
+        items = ("a", "b", "c", "d")
+        subsets = list(subsets_of(items))
+        for r in all_relations(items):
+            for xs in subsets:
+                assert undominated(r, xs) == reference.undominated(r, xs)
+            want = reference.choice_of(r)
+            assert list(choice_of(r).table.items()) == list(want.table.items())
+            assert is_smooth(r) == reference.is_smooth(r)
+            assert is_ranked(r) == reference.is_ranked(r)
+            assert is_transitive(r) == reference.is_transitive(r)
 
 
 # ====================================================================

@@ -22,6 +22,7 @@ from analogia import (
 from analogia.repcheck import CLASS_PROPERTIES, PropertyId, RelationClass
 
 import choice_oracle
+import reference
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
@@ -133,12 +134,13 @@ class TestRelationInClass:
 
     def test_smooth_class_agrees_with_predicates(self):
         for rel in irreflexive_relations(ABC):
-            want = is_transitive(rel) and is_smooth(rel)[0]
+            want = reference.is_transitive(rel) and reference.is_smooth(rel)[0]
             assert relation_in_class(rel, RelationClass.TRANSITIVE_SMOOTH) == want
 
     def test_ranked_class_agrees_with_predicate(self):
         for rel in irreflexive_relations(ABC):
-            assert relation_in_class(rel, RelationClass.RANKED) == is_ranked(rel)[0]
+            want = reference.is_ranked(rel)[0]
+            assert relation_in_class(rel, RelationClass.RANKED) == want
 
 
 # ====================================================================
@@ -248,10 +250,15 @@ class TestSoundnessSweep:
         assert result.stats == {"transitive": transitive}
 
     def test_considered_counts_match_the_object_level_predicates(self):
-        """The bitmask class filters agree with the public predicates."""
+        """The sweep's class filters agree with the set-based predicates."""
         rels = list(irreflexive_relations(ABC))
-        smooth = sum(1 for r in rels if is_transitive(r) and is_smooth(r)[0])
-        ranked = sum(1 for r in rels if is_ranked(r)[0])
+        smooth = sum(
+            1 for r in rels
+            if reference.relation_in_class(r, RelationClass.TRANSITIVE_SMOOTH)
+        )
+        ranked = sum(
+            1 for r in rels if reference.relation_in_class(r, RelationClass.RANKED)
+        )
         assert soundness_sweep(3, RelationClass.TRANSITIVE_SMOOTH).considered == smooth
         assert soundness_sweep(3, RelationClass.RANKED).considered == ranked
 
@@ -321,7 +328,7 @@ class TestCompletenessSweep:
         result = completeness_sweep(2, RelationClass.ALL)
         induced = {
             tuple(sorted((tuple(sorted(k)), tuple(sorted(v)))
-                         for k, v in choice_of(rel).table.items()))
+                         for k, v in reference.choice_of(rel).table.items()))
             for rel in irreflexive_relations(AB)
         }
         for violation in result.violations:
@@ -385,9 +392,9 @@ class TestInducedChoiceCharacterization:
     def test_conditions_pick_exactly_the_induced_tables(self, n, cls):
         items = ABC[:n]
         induced = {
-            choice_oracle.table_key(choice_of(rel))
+            choice_oracle.table_key(reference.choice_of(rel))
             for rel in irreflexive_relations(items)
-            if relation_in_class(rel, cls)
+            if reference.relation_in_class(rel, cls)
         }
         characterized = {
             choice_oracle.table_key(cf)
