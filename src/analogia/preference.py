@@ -168,7 +168,7 @@ def is_smooth(rel: PreferenceRelation) -> tuple[bool, tuple[frozenset[str], str]
     """
 
     dominators = rel._dominators
-    failure = smooth_failure(dominators, choice_masks(dominators))
+    failure = smooth_failure(dominators, _choices(dominators))
     if failure is None:
         return True, None
     xs, x = failure
@@ -211,15 +211,17 @@ def is_ranked(rel: PreferenceRelation) -> tuple[bool, tuple[str, str, str] | Non
 def choice_masks(dominators: Sequence[int]) -> tuple[int, ...]:
     """The induced choice: for each subset mask, its undominated members."""
 
+    return tuple(_choices(dominators))
+
+
+def _choices(dominators: Sequence[int]) -> Iterator[int]:
     n = len(dominators)
-    table = []
     for xs in range(1 << n):
         chosen = 0
         for x in range(n):
             if xs >> x & 1 and not dominators[x] & xs:
                 chosen |= 1 << x
-        table.append(chosen)
-    return tuple(table)
+        yield chosen
 
 
 def transitive_masks(better: Sequence[int]) -> bool:
@@ -231,9 +233,13 @@ def transitive_masks(better: Sequence[int]) -> bool:
 
 
 def smooth_failure(
-    dominators: Sequence[int], choice: Sequence[int]
+    dominators: Sequence[int], choice: Iterable[int]
 ) -> tuple[int, int] | None:
-    """First (subset mask, index) left unchosen and beaten by nothing chosen."""
+    """First (subset mask, index) left unchosen and beaten by nothing chosen.
+
+    choice runs over the subsets in mask order; a stream suffices, so
+    is_smooth stops at the first failure without tabulating the rest.
+    """
 
     n = len(dominators)
     for xs, chosen in enumerate(choice):
