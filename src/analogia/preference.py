@@ -336,10 +336,14 @@ def count_preference(
         raise PreferenceError("count weights must be positive")
     _shared_basis(reports)
     names = tuple(r.analogy.name for r in reports)
-    rank = {
-        r.analogy.name: wn * len(r.negative) - wp * len(r.positive) for r in reports
-    }
+    rank = [wn * len(r.negative) - wp * len(r.positive) for r in reports]
+    # Compare each rank's position among the distinct ranks, not the Fractions.
+    position = {value: i for i, value in enumerate(sorted(set(rank)))}
+    level = [position[value] for value in rank]
     edges = frozenset(
-        (a, b) for a in names for b in names if a != b and rank[a] < rank[b]
+        (a, b)
+        for a, la in zip(names, level)
+        for b, lb in zip(names, level)
+        if la < lb
     )
     return PreferenceRelation(carrier=names, edges=edges)

@@ -6,6 +6,9 @@ classify, the injectivity check, closure, the augmented report and an
 analogy's conjecture for a query. The table-based engine must agree
 with them; see test_tables_oracle.py.
 
+count_preference compares the Fraction ranks of every ordered pair of
+reports, as the engine did before it compared rank positions.
+
 The relation kernel: set-based loops over a relation's edges for the
 induced choice, transitivity, smoothness and rankedness, with the same
 first-failing witnesses, and the class check built on them. The
@@ -19,6 +22,7 @@ from analogia import (
     ChoiceFunction,
     Guard,
     PreferenceError,
+    PreferenceRelation,
     SupportReport,
     TranslationError,
     TruthValue,
@@ -28,6 +32,8 @@ from analogia import (
     subsets_of,
     translate,
 )
+from fractions import Fraction
+
 from analogia.repcheck import RelationClass
 
 
@@ -141,6 +147,18 @@ def conjecture_for(space, analogy_name, query):
             v = evaluate(f, space.source)
             return v.value if v.known else None
     return None
+
+
+def count_preference(reports, positive_weight=1, negative_weight=1):
+    wp, wn = Fraction(positive_weight), Fraction(negative_weight)
+    names = tuple(r.analogy.name for r in reports)
+    rank = {
+        r.analogy.name: wn * len(r.negative) - wp * len(r.positive) for r in reports
+    }
+    edges = frozenset(
+        (a, b) for a in names for b in names if a != b and rank[a] < rank[b]
+    )
+    return PreferenceRelation(carrier=names, edges=edges)
 
 
 def undominated(rel, items):

@@ -10,13 +10,18 @@ from analogia import (
     ChoiceFunction,
     PreferenceError,
     PreferenceRelation,
+    Signature,
+    SupportReport,
+    analogy_map,
     choice_of,
     classify,
     count_preference,
     dominance_preference,
+    ground_atom_formulas,
     is_ranked,
     is_smooth,
     is_transitive,
+    make_domain,
     subsets_of,
     undominated,
 )
@@ -346,6 +351,39 @@ class TestCountPreference:
             pref = count_preference(reports, wp, wn)
             ok, _ = is_ranked(pref)
             assert ok
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        counts=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12
+        ),
+        wp=st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+        wn=st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+    )
+    def test_matches_the_pairwise_reference(self, counts, wp, wn):
+        """Drawn counts tie often, so equal ranks stay incomparable."""
+        sig = Signature("S", tuple(f"c{i}" for i in range(8)), (("P", 1),), ())
+        source = make_domain(sig, sig.constants)
+        target = make_domain(Signature("T", ("t",), (), ()), ("t",))
+        formulas = tuple(ground_atom_formulas(sig))
+        reports = [
+            SupportReport(
+                analogy=analogy_map(f"a{i}", source, target, {}),
+                formulas=formulas,
+                positive=formulas[:pos],
+                negative=formulas[pos : pos + neg],
+                open=(),
+                not_applicable=(),
+                untranslatable=(),
+                conjectures={},
+                images={},
+            )
+            for i, (pos, neg) in enumerate(counts)
+        ]
+        got = count_preference(reports, wp, wn)
+        want = reference.count_preference(reports, wp, wn)
+        assert got.carrier == want.carrier
+        assert got.edges == want.edges
 
     def test_dominance_edges_survive_counting(
         self, first_map, second_map, mixed_map, working_atoms
