@@ -26,6 +26,10 @@ longest formula it can; the printer therefore parenthesizes quantified
 subformulas whenever they sit under a connective, and the composition
 parse(print_formula(f)) returns f unchanged.
 
+A parsed formula nests at most MAX_FORMULA_DEPTH levels deep, so every
+recursive walker below stays within Python's recursion limit; a deeper
+one is a ParseError at the token that crosses the cap.
+
 An occurrence of an identifier in term position is a variable when
 some enclosing quantifier binds it and a constant otherwise. To keep
 printed formulas unambiguous, check_formula rejects binders whose name
@@ -552,39 +556,74 @@ class TokenStream:
 # Formula parsing
 # ====================================================================
 
+# The deepest a parsed formula may nest, counting every node on a path
+# from the root (connectives, quantifiers, atoms and terms) and every
+# pair of parentheses. The parser spends about five frames per
+# parenthesis level, the recursive walkers (check, translate, evaluate,
+# print, hash, equality) a few per node, so at this depth each of them
+# fits under Python's default recursion limit together with the command
+# line's own frames.
+MAX_FORMULA_DEPTH = 100
+
 
 def parse_formula_stream(ts: TokenStream) -> Formula:
     """Parse one formula from the stream, leaving the cursor after it."""
 
-    return _parse_implies(ts, [])
+    return _parse_implies(ts, [], 0)[0]
 
 
-def _parse_implies(ts: TokenStream, scope: list[str]) -> Formula:
-    left = _parse_or(ts, scope)
-    if ts.take_symbol("->"):
-        return Implies(left, _parse_implies(ts, scope))
-    return left
+# Each parse function gets the depth of the position it fills, the
+# number of levels above it, and returns its formula or term with the
+# deepest level that it reaches.
 
 
-def _parse_or(ts: TokenStream, scope: list[str]) -> Formula:
-    f = _parse_and(ts, scope)
-    while ts.take_symbol("|"):
-        f = Or(f, _parse_and(ts, scope))
-    return f
+def _deeper(ts: TokenStream, depth: int) -> int:
+    """depth + 1, or a ParseError at the next token past the depth cap."""
+
+    if depth >= MAX_FORMULA_DEPTH:
+        ts.error(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
+    return depth + 1
 
 
-def _parse_and(ts: TokenStream, scope: list[str]) -> Formula:
-    f = _parse_unary(ts, scope)
-    while ts.take_symbol("&"):
-        f = And(f, _parse_unary(ts, scope))
-    return f
+def _parse_implies(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
+    left, reach = _parse_or(ts, scope, depth)
+    if ts.at_symbol("->"):
+        reach = _deeper(ts, reach)  # the left side moves under the Implies
+        ts.next()
+        right, right_reach = _parse_implies(ts, scope, depth + 1)
+        return Implies(left, right), max(reach, right_reach)
+    return left, reach
 
 
-def _parse_unary(ts: TokenStream, scope: list[str]) -> Formula:
-    if ts.take_symbol("!"):
-        return Not(_parse_unary(ts, scope))
+def _parse_or(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
+    f, reach = _parse_and(ts, scope, depth)
+    while ts.at_symbol("|"):
+        reach = _deeper(ts, reach)  # the chain so far moves under the new Or
+        ts.next()
+        right, right_reach = _parse_and(ts, scope, depth + 1)
+        f, reach = Or(f, right), max(reach, right_reach)
+    return f, reach
+
+
+def _parse_and(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
+    f, reach = _parse_unary(ts, scope, depth)
+    while ts.at_symbol("&"):
+        reach = _deeper(ts, reach)  # the chain so far moves under the new And
+        ts.next()
+        right, right_reach = _parse_unary(ts, scope, depth + 1)
+        f, reach = And(f, right), max(reach, right_reach)
+    return f, reach
+
+
+def _parse_unary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
+    if ts.at_symbol("!"):
+        level = _deeper(ts, depth)
+        ts.next()
+        body, reach = _parse_unary(ts, scope, level)
+        return Not(body), reach
     tok = ts.peek()
     if tok.kind == "ident" and tok.text in RESERVED_WORDS:
+        level = _deeper(ts, depth)
         ts.next()
         var = ts.expect_ident()
         if var.text in RESERVED_WORDS:
@@ -592,41 +631,50 @@ def _parse_unary(ts: TokenStream, scope: list[str]) -> Formula:
         ts.expect_symbol(".")
         scope.append(var.text)
         try:
-            body = _parse_implies(ts, scope)
+            body, reach = _parse_implies(ts, scope, level)
         finally:
             scope.pop()
-        return (Forall if tok.text == "forall" else Exists)(var.text, body)
-    return _parse_primary(ts, scope)
+        return (Forall if tok.text == "forall" else Exists)(var.text, body), reach
+    return _parse_primary(ts, scope, depth)
 
 
-def _parse_primary(ts: TokenStream, scope: list[str]) -> Formula:
-    if ts.take_symbol("("):
-        f = _parse_implies(ts, scope)
+def _parse_primary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
+    if ts.at_symbol("("):
+        level = _deeper(ts, depth)  # parentheses nest the parser, not the tree
+        ts.next()
+        f, reach = _parse_implies(ts, scope, level)
         ts.expect_symbol(")")
-        return f
+        return f, reach
     tok = ts.peek()
     if tok.kind != "ident":
         ts.error(f"expected formula, found {TokenStream._describe(tok)}")
+    level = _deeper(ts, depth)
     name = ts.next()
+    args, reach = _parse_args(ts, scope, level)
+    return Atom(name.text, args), reach
+
+
+def _parse_args(ts: TokenStream, scope: list[str], depth: int) -> tuple[tuple[Term, ...], int]:
     ts.expect_symbol("(")
-    args = [_parse_term(ts, scope)]
+    arg, reach = _parse_term(ts, scope, depth)
+    args = [arg]
     while ts.take_symbol(","):
-        args.append(_parse_term(ts, scope))
+        arg, arg_reach = _parse_term(ts, scope, depth)
+        args.append(arg)
+        reach = max(reach, arg_reach)
     ts.expect_symbol(")")
-    return Atom(name.text, tuple(args))
+    return tuple(args), reach
 
 
-def _parse_term(ts: TokenStream, scope: list[str]) -> Term:
+def _parse_term(ts: TokenStream, scope: list[str], depth: int) -> tuple[Term, int]:
+    level = _deeper(ts, depth)
     name = ts.expect_ident()
-    if ts.take_symbol("("):
-        args = [_parse_term(ts, scope)]
-        while ts.take_symbol(","):
-            args.append(_parse_term(ts, scope))
-        ts.expect_symbol(")")
-        return FuncApp(name.text, tuple(args))
+    if ts.at_symbol("("):
+        args, reach = _parse_args(ts, scope, level)
+        return FuncApp(name.text, args), reach
     if name.text in scope:
-        return Var(name.text)
-    return Const(name.text)
+        return Var(name.text), level
+    return Const(name.text), level
 
 
 def parse_formula(text: str) -> Formula:

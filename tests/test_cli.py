@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, text rendering, JSON mode."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from analogia import parse_session, run
 from analogia.cli import main
+from analogia.formula import MAX_FORMULA_DEPTH
 
 from conftest import SESSIONS_DIR
 
@@ -310,3 +312,59 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["best"] == ["mixed"]
+
+
+# ====================================================================
+# Deeply nested formulas
+# ====================================================================
+
+DEEP_HEAD = """\
+domain S { objects: a; pred P/1; func f/1; interp f(a) = a; fact P(a) = true; }
+domain T { objects: b; pred R/1; func g/1; interp g(b) = b; }
+analogy m from S to T { map P -> R; map a -> b; map f -> g; }
+"""
+# Each shape nests k levels around an atom whose constant adds two more.
+DEEP_SHAPES = {
+    "not": lambda k, p, c, f: "!" * k + f"{p}({c})",
+    "and": lambda k, p, c, f: " & ".join([f"{p}({c})"] * (k + 1)),
+    "or": lambda k, p, c, f: " | ".join([f"{p}({c})"] * (k + 1)),
+    "implies": lambda k, p, c, f: " -> ".join([f"{p}({c})"] * (k + 1)),
+    "parens": lambda k, p, c, f: "(" * k + f"{p}({c})" + ")" * k,
+    "forall": lambda k, p, c, f: "".join(f"forall v{i}. " for i in range(k))
+    + f"{p}(v0)",
+    "term": lambda k, p, c, f: f"{p}(" + f"{f}(" * k + c + ")" * (k + 1),
+}
+
+
+def deep_session(shape, k):
+    build = DEEP_SHAPES[shape]
+    return (
+        DEEP_HEAD
+        + f"workingset {{ {build(k, 'P', 'a', 'f')}; }}\n"
+        + f"query {build(k, 'R', 'b', 'g')};\n"
+    )
+
+
+class TestDeepFormulas:
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_past_the_cap_is_a_positioned_error(self, capsys, tmp_path, shape, command):
+        path = tmp_path / "deep.ana"
+        path.write_text(deep_session(shape, 3000))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(
+            r"error: line \d+, column \d+: formula nests deeper than "
+            rf"{MAX_FORMULA_DEPTH} levels\n",
+            err,
+        )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_at_the_cap_every_command_runs(self, capsys, tmp_path, shape):
+        path = tmp_path / "deep.ana"
+        path.write_text(deep_session(shape, MAX_FORMULA_DEPTH - 2))
+        for command in ("check", "classify", "report", "score", "best", "entail"):
+            code, out, err = run_cli(capsys, "--json", command, str(path))
+            assert (code, err) == (0, "")

@@ -33,6 +33,7 @@ from analogia import (
     sentences_up_to_depth,
     tokenize,
 )
+from analogia.formula import MAX_FORMULA_DEPTH
 
 T = TruthValue.TRUE
 F = TruthValue.FALSE
@@ -175,6 +176,25 @@ class TestParseFormula:
         with pytest.raises(ParseError) as exc:
             parse_formula("P(a) Q(b)")
         assert exc.value.col == 6
+
+    DEEP = {
+        "!": lambda k: "!" * k + "P(a)",
+        "&": lambda k: " & ".join(["P(a)"] * (k + 1)),
+        "(": lambda k: "(" * k + "P(a)" + ")" * k,
+        "g": lambda k: "P(" + "g(" * k + "a" + ")" * (k + 1),
+    }
+
+    @pytest.mark.parametrize("token", DEEP)
+    def test_depth_cap_counts_every_level(self, token):
+        shape = self.DEEP[token]
+        parse_formula(shape(MAX_FORMULA_DEPTH - 2))
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse_formula(shape(MAX_FORMULA_DEPTH - 1))
+        text = shape(3000)
+        with pytest.raises(ParseError, match="nests deeper than") as exc:
+            parse_formula(text)
+        assert exc.value.line == 1
+        assert text[exc.value.col - 1] == token
 
 
 # ====================================================================
