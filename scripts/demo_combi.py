@@ -15,7 +15,6 @@ import sys
 
 from analogia import (
     best,
-    classify,
     entail,
     parse_session,
     print_formula,
@@ -50,7 +49,7 @@ def main(argv=None):
 
     print("support for each analogy:")
     for amap in space.analogies:
-        report = classify(amap, space.working_set)
+        report = space.tables.classify(amap)
         print(f"  {amap.name}:")
         show_bucket("agrees (positive)", report.positive)
         show_bucket("disagrees (negative)", report.negative)

@@ -26,9 +26,9 @@ and pairs every sentence with its image, which is what the numeric
 score consumes: p = n / (n + r + s + 1) with n matching positives, r
 and s the two negative counts, computed in exact rational arithmetic.
 
-All of these read one translation table per analogy (TranslationTables):
-each working sentence is translated, evaluated and checked once per op,
-and closure derives a combination's table from its parents' tables.
+All of these read TranslationTables, made once per session and shared
+by every command and the space: each working sentence is translated,
+evaluated and checked once, and closure derives from its parents'.
 """
 
 from __future__ import annotations
@@ -399,7 +399,7 @@ class _Table:
     images[i] is the image id of the i-th distinct sentence, or None
     when the analogy cannot carry it over; preimages maps each image id
     back to its sentence index once the table is known to be injective.
-    The analogy is held so that its id keys the table while it lives.
+    Tables are keyed by analogy name; another map of that name replaces one.
     """
 
     analogy: AnalogyMap
@@ -408,7 +408,8 @@ class _Table:
 
 
 class TranslationTables:
-    """Every analogy's translation of one working set, made once per op.
+    """Every analogy's translation of one working set, made once per
+    session and shared by every command and the space.
 
     The working set is checked to be sentences over the source
     signature once, here. Each distinct sentence is translated at most
@@ -441,21 +442,20 @@ class TranslationTables:
         self._target_values: list[TruthValue | None] = []
         self._rows: dict[frozenset[tuple[str, str]], list] = {}
         self._covers: dict[frozenset[str], tuple[int, ...]] = {}
-        self._tables: dict[int, _Table] = {}
+        self._tables: dict[str, _Table] = {}
 
     @cached_property
     def _constants(self) -> tuple[frozenset[str], ...]:
         return tuple(mentioned_constants(f) for f in self.sentences)
 
     def _table(self, amap: AnalogyMap) -> _Table:
-        table = self._tables.get(id(amap))
-        if table is None:
-            if amap.source != self.source or amap.target != self.target:
-                raise AnalogyError(
-                    f"analogy {amap.name!r} does not run between the working "
-                    "set's domains"
-                )
-            table = self._tables[id(amap)] = _Table(amap, self._translate(amap))
+        table = self._tables.get(amap.name)
+        if table is None or table.analogy is not amap:
+            if amap.source != self.source:
+                raise AnalogyError(f"analogy {amap.name!r} runs from a different source domain")
+            if amap.target != self.target:
+                raise AnalogyError(f"analogy {amap.name!r} runs to a different target domain")
+            table = self._tables[amap.name] = _Table(amap, self._translate(amap))
         return table
 
     def _translate(self, amap: AnalogyMap) -> tuple[int | None, ...]:
@@ -609,8 +609,8 @@ class TranslationTables:
         return value if value.known else None
 
     def close(self, analogies: Sequence[AnalogyMap]) -> tuple[AnalogyMap, ...]:
-        """close_under_combination, deriving each candidate's table from its
-        parents' tables instead of translating again.
+        """close_under_combination, deriving (and keeping) each candidate's
+        table from its parents' tables instead of translating again.
 
         The candidate a+b@c follows a on the sentences that mention
         exactly c and b on those whose constants are a nonempty set
@@ -644,12 +644,13 @@ class TranslationTables:
                         for i, (only_c, without_c) in enumerate(splits[c])
                     )
                     try:
-                        self._injective(name, ids)
+                        preimages = self._injective(name, ids)
                         combo = combine(
                             a, b, Guard.mentions({c}), Guard.mentions(rest), name=name
                         )
                     except AnalogyError:
                         continue
+                    self._tables[name] = _Table(combo, ids, preimages)
                     out.append(combo)
                     taken.add(name)
         return tuple(out)

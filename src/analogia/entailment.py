@@ -12,7 +12,7 @@ is known, and a definite verdict needs all speakers to agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .analogy import AnalogyMap, TranslationTables
@@ -36,44 +36,44 @@ class VerdictStatus(Enum):
 class AnalogySpace:
     """The fixed context that queries are answered against.
 
-    Every analogy must run between the shared pair of domains, the
-    working set must be well-formed over the source signature, and
-    each analogy must translate the working set injectively so that a
-    target sentence has at most one preimage per analogy. The
+    tables holds the source, the target, the checked working set and
+    every analogy's translation of it, made once per session and shared
+    by every command and the space. Each analogy must run between the
+    tables' domains and translate the working set injectively, so that
+    a target sentence has at most one preimage per analogy. The
     preference carrier must be exactly the set of analogy names.
-    tables holds every analogy's translation of the working set, made
-    once here and read by each query.
     """
 
-    source: KnowledgeDomain
-    target: KnowledgeDomain
-    working_set: tuple[Formula, ...]
+    tables: TranslationTables
     analogies: tuple[AnalogyMap, ...]
     preference: PreferenceRelation
-    tables: TranslationTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "working_set", tuple(self.working_set))
         object.__setattr__(self, "analogies", tuple(self.analogies))
         names = [a.name for a in self.analogies]
         if len(set(names)) != len(names):
             raise EntailmentError("duplicate analogy name in space")
         for a in self.analogies:
-            if a.source != self.source:
-                raise EntailmentError(f"analogy {a.name!r} runs from a different source domain")
-            if a.target != self.target:
-                raise EntailmentError(f"analogy {a.name!r} runs to a different target domain")
-        tables = TranslationTables(self.source, self.target, self.working_set)
-        for a in self.analogies:
             try:
-                tables.preimages(a)
+                self.tables.preimages(a)
             except AnalogyError as err:
                 raise EntailmentError(str(err)) from err
-        object.__setattr__(self, "tables", tables)
         if set(self.preference.carrier) != set(names) or len(
             self.preference.carrier
         ) != len(names):
             raise EntailmentError("preference carrier does not match the analogy names")
+
+    @property
+    def source(self) -> KnowledgeDomain:
+        return self.tables.source
+
+    @property
+    def target(self) -> KnowledgeDomain:
+        return self.tables.target
+
+    @property
+    def working_set(self) -> tuple[Formula, ...]:
+        return self.tables.formulas
 
     def analogy(self, name: str) -> AnalogyMap:
         for a in self.analogies:

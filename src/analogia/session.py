@@ -40,7 +40,7 @@ canonical text whose reparse equals the original session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,7 +50,6 @@ from .analogy import (
     AnalogyPiece,
     Guard,
     TranslationTables,
-    close_under_combination,
     straight_rule,
 )
 from .entailment import AnalogySpace
@@ -85,7 +84,11 @@ SESSION_COMMANDS = ("check", "classify", "report", "best", "entail", "score")
 
 @dataclass(frozen=True)
 class Session:
-    """A fully validated session, independent of how it was written down."""
+    """A fully validated session, independent of how it was written down.
+
+    tables, built here, checks the working set and is the one
+    TranslationTables that closure, preference, commands and space read.
+    """
 
     domains: tuple[KnowledgeDomain, ...]
     source_name: str
@@ -97,6 +100,7 @@ class Session:
     preference_kind: str = "dominance"
     count_weights: tuple[Fraction, Fraction] | None = None
     explicit_edges: tuple[tuple[str, str], ...] = ()
+    tables: TranslationTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -145,8 +149,9 @@ class Session:
                     f"not the target {self.target_name!r}"
                 )
 
-        for f in self.working_set:
-            check_formula(f, self.source.signature)
+        object.__setattr__(
+            self, "tables", TranslationTables(self.source, self.target, self.working_set)
+        )
         for q in self.queries:
             check_formula(q, self.target.signature)
 
@@ -629,7 +634,7 @@ def resolve_maps(session: Session) -> tuple[AnalogyMap, ...]:
     """The analogies a command sees: declared ones plus closure, if on."""
 
     if session.closure:
-        return close_under_combination(session.analogies, session.working_set)
+        return session.tables.close(session.analogies)
     return session.analogies
 
 
@@ -641,25 +646,19 @@ def session_preference(
             carrier=tuple(a.name for a in maps),
             edges=frozenset(session.explicit_edges),
         )
-    tables = TranslationTables(session.source, session.target, session.working_set)
-    reports = [tables.classify(a) for a in maps]
+    reports = [session.tables.classify(a) for a in maps]
     if session.preference_kind == "counts":
         wp, wn = session.count_weights or (Fraction(1), Fraction(1))
         return count_preference(reports, wp, wn)
     return dominance_preference(reports)
 
 
-def resolve_space(
-    session: Session, maps: Sequence[AnalogyMap] | None = None
-) -> AnalogySpace:
-    """The space best and entail answer over; maps default to resolve_maps."""
+def resolve_space(session: Session) -> AnalogySpace:
+    """The space best and entail answer over, on the session's tables."""
 
-    if maps is None:
-        maps = resolve_maps(session)
+    maps = resolve_maps(session)
     return AnalogySpace(
-        source=session.source,
-        target=session.target,
-        working_set=session.working_set,
+        tables=session.tables,
         analogies=maps,
         preference=session_preference(session, maps),
     )
@@ -700,9 +699,8 @@ def run(
             "preference": session.preference_kind,
         }
 
-    maps = resolve_maps(session)
     if command in ("best", "entail"):
-        space = resolve_space(session, maps)
+        space = resolve_space(session)
         if command == "best":
             return {
                 "command": "best",
@@ -713,20 +711,20 @@ def run(
         verdicts = [entail(space, q).to_json_dict() for q in session.queries]
         return {"command": "entail", "verdicts": verdicts}
 
-    tables = TranslationTables(session.source, session.target, session.working_set)
+    maps = resolve_maps(session)
     if command == "classify":
         return {
             "command": "classify",
-            "reports": [tables.classify(a).to_json_dict() for a in maps],
+            "reports": [session.tables.classify(a).to_json_dict() for a in maps],
         }
     if command == "report":
         return {
             "command": "report",
-            "reports": [tables.augmented_report(a).to_json_dict() for a in maps],
+            "reports": [session.tables.augmented_report(a).to_json_dict() for a in maps],
         }
     scores = []
     for a in maps:
-        ar = tables.augmented_report(a)
+        ar = session.tables.augmented_report(a)
         n_pos = len(ar.positive_pairs)
         n_r = len(ar.negative_source_true)
         n_s = len(ar.negative_source_false)

@@ -18,6 +18,7 @@ from analogia import (
     AnalogySpace,
     Guard,
     Signature,
+    TranslationTables,
     analogy_map,
     classify,
     dominance_preference,
@@ -110,9 +111,7 @@ def rivals_space(
     analogies = (first_map, mixed_map, second_map)
     reports = [classify(a, working_atoms) for a in analogies]
     return AnalogySpace(
-        source=rivals_source,
-        target=rivals_target,
-        working_set=working_atoms,
+        tables=TranslationTables(rivals_source, rivals_target, working_atoms),
         analogies=analogies,
         preference=dominance_preference(reports),
     )

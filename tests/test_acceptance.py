@@ -25,6 +25,7 @@ from analogia import (
     PreferenceRelation,
     RelationClass,
     Signature,
+    TranslationTables,
     TruthValue,
     Var,
     VerdictStatus,
@@ -426,10 +427,8 @@ def skepticism_cases(draw):
     else:
         edges = frozenset()
     space = AnalogySpace(
-        source=source,
-        target=target,
-        working_set=tuple(
-            Atom(f"W{i}", (Const("s1"),)) for i in range(k)
+        tables=TranslationTables(
+            source, target, tuple(Atom(f"W{i}", (Const("s1"),)) for i in range(k))
         ),
         analogies=tuple(analogies),
         preference=PreferenceRelation(tuple(names), frozenset(edges)),

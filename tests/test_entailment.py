@@ -9,6 +9,7 @@ from analogia import (
     EntailmentError,
     PreferenceRelation,
     Signature,
+    TranslationTables,
     TruthValue,
     VerdictStatus,
     analogy_map,
@@ -56,12 +57,17 @@ class TestAnalogySpace:
         stray_sig = Signature("other", ("z",), (("P", 1), ("Q", 1)), ())
         stray = make_domain(stray_sig, ("z",))
         with pytest.raises(EntailmentError, match="different source domain"):
-            dataclasses.replace(rivals_space, source=stray)
+            dataclasses.replace(
+                rivals_space, tables=TranslationTables(stray, rivals_space.target, ())
+            )
 
     def test_working_set_must_fit_the_source_signature(self, rivals_space):
         with pytest.raises(Exception, match="unknown predicate"):
             dataclasses.replace(
-                rivals_space, working_set=(parse_formula("Zz(x)"),)
+                rivals_space,
+                tables=TranslationTables(
+                    rivals_space.source, rivals_space.target, (parse_formula("Zz(x)"),)
+                ),
             )
 
     def test_translation_must_be_injective_on_the_working_set(
@@ -80,9 +86,7 @@ class TestAnalogySpace:
         )
         with pytest.raises(EntailmentError, match="not injective"):
             AnalogySpace(
-                source=rivals_source,
-                target=rivals_target,
-                working_set=working_atoms,
+                tables=TranslationTables(rivals_source, rivals_target, working_atoms),
                 analogies=(folded,),
                 preference=PreferenceRelation(("folded",), frozenset()),
             )
@@ -121,9 +125,7 @@ class TestBest:
             {"P": "Pb", "Q": "Qb", "x": "y", "x'": "y'"},
         )
         space = AnalogySpace(
-            source=rivals_source,
-            target=rivals_target,
-            working_set=working_atoms,
+            tables=TranslationTables(rivals_source, rivals_target, working_atoms),
             analogies=(a, b),
             preference=PreferenceRelation(("a", "b"), {("a", "b"), ("b", "a")}),
         )
@@ -150,9 +152,7 @@ class TestConjectureFor:
             {"P": "Pa", "Q": "Qa", "x": "y", "x'": "y'"},
         )
         space = AnalogySpace(
-            source=foggy,
-            target=rivals_target,
-            working_set=working_atoms,
+            tables=TranslationTables(foggy, rivals_target, working_atoms),
             analogies=(amap,),
             preference=PreferenceRelation(("hazy",), frozenset()),
         )
@@ -202,9 +202,7 @@ class TestEntail:
         working = [parse_formula("A(s)"), parse_formula("B(s)")]
         reports = [classify(a, working) for a in (sunny, gloomy)]
         space = AnalogySpace(
-            source=src,
-            target=tgt,
-            working_set=working,
+            tables=TranslationTables(src, tgt, working),
             analogies=(sunny, gloomy),
             preference=dominance_preference(reports),
         )
@@ -217,9 +215,7 @@ class TestEntail:
 
     def test_no_support_with_empty_space_warns(self, rivals_source, rivals_target):
         space = AnalogySpace(
-            source=rivals_source,
-            target=rivals_target,
-            working_set=(),
+            tables=TranslationTables(rivals_source, rivals_target, ()),
             analogies=(),
             preference=PreferenceRelation((), frozenset()),
         )

@@ -10,6 +10,7 @@ from analogia import (
     ParseError,
     RepcheckError,
     SessionError,
+    TranslationTables,
     TruthValue,
     parse_formula,
     parse_session,
@@ -19,6 +20,7 @@ from analogia import (
     run,
     session_preference,
 )
+from analogia.session import SESSION_COMMANDS
 
 from conftest import SESSIONS_DIR
 
@@ -346,18 +348,38 @@ class TestResolution:
 
     @pytest.mark.parametrize("command", ["best", "entail"])
     def test_run_builds_the_closure_once(self, monkeypatch, command):
-        import analogia.session
-
         calls = []
-        close = analogia.session.close_under_combination
+        close = TranslationTables.close
 
         def counting(*args):
             calls.append(args)
             return close(*args)
 
-        monkeypatch.setattr(analogia.session, "close_under_combination", counting)
+        monkeypatch.setattr(TranslationTables, "close", counting)
         run(parse_session((SESSIONS_DIR / "closure.ana").read_text()), command)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", SESSION_COMMANDS)
+    def test_run_builds_one_translation_table(self, monkeypatch, command):
+        built = []
+        init = TranslationTables.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(TranslationTables, "__init__", counting)
+        run(parse_session((SESSIONS_DIR / "closure.ana").read_text()), command)
+        assert len(built) == 1
+
+    def test_repeated_runs_keep_the_tables_bounded(self):
+        session = parse_session((SESSIONS_DIR / "closure.ana").read_text())
+        run(session, "best")
+        entries = len(session.tables._tables)
+        assert entries == len(resolve_maps(session))
+        run(session, "best")
+        run(session, "best")
+        assert len(session.tables._tables) == entries
 
 
 # ====================================================================

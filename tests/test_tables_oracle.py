@@ -204,9 +204,7 @@ def test_tables_agree_with_the_per_call_reference(case):
         m for m in closed if outcome(reference.check_injective_on, m, working) is None
     ]
     space = AnalogySpace(
-        source=source,
-        target=target,
-        working_set=working,
+        tables=TranslationTables(source, target, working),
         analogies=injective,
         preference=PreferenceRelation(tuple(m.name for m in injective), frozenset()),
     )
