@@ -59,6 +59,7 @@ from .formula import (
     Var,
     check_formula,
     evaluate,
+    formula_nodes,
     mentioned_constants,
     print_formula,
 )
@@ -230,33 +231,6 @@ def _matching_piece(amap: AnalogyMap, f: Formula) -> AnalogyPiece:
     raise NoGuardMatch(f"no piece of {amap.name!r} covers the formula's constants")
 
 
-def _all_var_names(f: Formula) -> set[str]:
-    out: set[str] = set()
-
-    def term(t: Term) -> None:
-        if isinstance(t, Var):
-            out.add(t.name)
-        elif isinstance(t, FuncApp):
-            for a in t.args:
-                term(a)
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Atom):
-            for t in g.args:
-                term(t)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Forall, Exists)):
-            out.add(g.var)
-            walk(g.body)
-
-    walk(f)
-    return out
-
-
 def translate(amap: AnalogyMap, f: Formula) -> Formula:
     """Carry f into the target by renaming symbols through one piece.
 
@@ -270,7 +244,13 @@ def translate(amap: AnalogyMap, f: Formula) -> Formula:
 
     piece = _matching_piece(amap, f)
     mapping = piece.mapping
-    taken = set(amap.target.signature.symbols()) | _all_var_names(f)
+    taken = set(amap.target.signature.symbols())
+    for node, _, _, _ in formula_nodes(f):
+        kind = type(node)
+        if kind is Var:
+            taken.add(node.name)
+        elif kind is Forall or kind is Exists:
+            taken.add(node.var)
 
     def map_symbol(s: str) -> str:
         try:
@@ -314,14 +294,6 @@ def translate(amap: AnalogyMap, f: Formula) -> Formula:
         raise TranslationError(f"not a formula node: {g!r}")
 
     return walk(f, {})
-
-
-def translatable(amap: AnalogyMap, f: Formula) -> bool:
-    try:
-        translate(amap, f)
-        return True
-    except TranslationError:
-        return False
 
 
 # ====================================================================
@@ -431,9 +403,9 @@ class TranslationTables:
         self.source = source
         self.target = target
         self.formulas = tuple(formulas)
-        self.sentences = tuple(dict.fromkeys(self.formulas))
-        for f in self.sentences:
+        for f in self.formulas:  # before hashing, which recurses
             check_formula(f, source.signature)
+        self.sentences = tuple(dict.fromkeys(self.formulas))
         self._index = {f: i for i, f in enumerate(self.sentences)}
         self._positions = tuple(self._index[f] for f in self.formulas)
         self._source_values: list[TruthValue | None] = [None] * len(self.sentences)
@@ -526,14 +498,14 @@ class TranslationTables:
     def _source_value(self, i: int) -> TruthValue:
         value = self._source_values[i]
         if value is None:
-            value = evaluate(self.sentences[i], self.source).value
+            value = evaluate(self.sentences[i], self.source)
             self._source_values[i] = value
         return value
 
     def _target_value(self, image: int) -> TruthValue:
         value = self._target_values[image]
         if value is None:
-            value = evaluate(self._images[image], self.target).value
+            value = evaluate(self._images[image], self.target)
             self._target_values[image] = value
         return value
 
@@ -667,15 +639,12 @@ def combine(
     first_guard: Guard,
     second_guard: Guard,
     name: str | None = None,
-    working_set: Sequence[Formula] | None = None,
 ) -> AnalogyMap:
     """Merge two analogies into a piecewise map along a constant split.
 
     Formulas matched by first_guard use first's symbol maps, those
     matched by second_guard use second's. The guards must be constant
-    guards with disjoint constant sets. When a working set is given,
-    every formula in it must be covered by one of the guards and the
-    induced translation must be injective on it.
+    guards with disjoint constant sets.
     """
 
     if first.source != second.source or first.target != second.target:
@@ -693,22 +662,12 @@ def combine(
                 continue  # dead guard, can never match
             pieces.append(AnalogyPiece(merged, piece.mapping))
 
-    combined = AnalogyMap(
+    return AnalogyMap(
         name=name or f"{first.name}+{second.name}",
         source=first.source,
         target=first.target,
         pieces=tuple(pieces),
     )
-
-    if working_set is not None:
-        for f in working_set:
-            if not any(p.guard.matches(f) for p in combined.pieces):
-                raise AnalogyError(
-                    f"combination does not cover working formula {print_formula(f)}"
-                )
-        check_injective_on(combined, working_set)
-
-    return combined
 
 
 def close_under_combination(

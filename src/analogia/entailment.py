@@ -131,7 +131,7 @@ def entail(space: AnalogySpace, query: Formula) -> Verdict:
         return Verdict(
             query=query,
             status=VerdictStatus.SETTLED_IN_TARGET,
-            value=settled.value,
+            value=settled,
             support=(),
             suggestions={},
             warnings=(),

@@ -26,9 +26,12 @@ longest formula it can; the printer therefore parenthesizes quantified
 subformulas whenever they sit under a connective, and the composition
 parse(print_formula(f)) returns f unchanged.
 
-A parsed formula nests at most MAX_FORMULA_DEPTH levels deep, so every
-recursive walker below stays within Python's recursion limit; a deeper
-one is a ParseError at the token that crosses the cap.
+Structural reads go through formula_nodes, which keeps its own stack,
+so they take a tree of any depth. A formula nests at most
+MAX_FORMULA_DEPTH levels deep: the parser raises a ParseError at the
+token that crosses the cap, and check_formula a FormulaError for a
+deeper tree built in code. Past those checks only the evaluator, the
+printer and translation recurse.
 
 An occurrence of an identifier in term position is a variable when
 some enclosing quantifier binds it and a constant otherwise. To keep
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .errors import FormulaError, ParseError
 from .kb import (
@@ -139,93 +141,62 @@ _QUANT = (Forall, Exists)
 
 
 # ====================================================================
-# Structural queries
+# Structure
 # ====================================================================
 
+# The deepest a formula may nest, counting every node on a path from
+# the root (connectives, quantifiers, atoms and terms); the parser
+# counts every pair of parentheses as well. check_formula rejects any
+# deeper tree, however it was built, so the recursive builders (the
+# evaluator, the printer, translation, and the dataclasses' hash and
+# equality) only ever see trees that fit under Python's default
+# recursion limit together with the command line's own frames.
+MAX_FORMULA_DEPTH = 100
 
-def _walk_terms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, FuncApp):
-        for a in t.args:
-            yield from _walk_terms(a)
 
+def formula_nodes(f: Formula) -> list[tuple[object, tuple[str, ...], int, bool]]:
+    """Every node of f in depth-first, left-to-right order.
 
-def _walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from _walk(f.body)
-    elif isinstance(f, _BINARY):
-        yield from _walk(f.left)
-        yield from _walk(f.right)
-    elif isinstance(f, _QUANT):
-        yield from _walk(f.body)
+    Each entry is (node, scope, depth, in_term): the binders in scope
+    at the node, outermost first; its depth, 1 at the root; and whether
+    it sits in term position, as an argument of an atom or a function.
+    The walk keeps its own stack, so a tree of any depth is fine. It
+    descends only through the node kinds its position calls for and
+    lists anything else as it stands, for check_formula to reject. A
+    node deeper than MAX_FORMULA_DEPTH is listed but not entered, so
+    the walk's cost is bounded by the part of the tree that
+    check_formula can accept.
+    """
+
+    out: list[tuple[object, tuple[str, ...], int, bool]] = []
+    stack: list[tuple[object, tuple[str, ...], int, bool]] = [(f, (), 1, False)]
+    while stack:
+        entry = stack.pop()
+        out.append(entry)
+        node, scope, depth, in_term = entry
+        if depth > MAX_FORMULA_DEPTH:
+            continue
+        kind = type(node)
+        depth += 1
+        if in_term:
+            if kind is FuncApp:
+                stack += [(a, scope, depth, True) for a in reversed(node.args)]
+        elif kind is Atom:
+            stack += [(a, scope, depth, True) for a in reversed(node.args)]
+        elif kind in _BINARY:
+            stack.append((node.right, scope, depth, False))
+            stack.append((node.left, scope, depth, False))
+        elif kind is Not:
+            stack.append((node.body, scope, depth, False))
+        elif kind in _QUANT:
+            stack.append((node.body, scope + (node.var,), depth, False))
+    return out
 
 
 def mentioned_constants(f: Formula) -> frozenset[str]:
     """Constant symbols occurring anywhere in the formula."""
 
-    out: set[str] = set()
-    for node in _walk(f):
-        if isinstance(node, Atom):
-            for t in node.args:
-                for sub in _walk_terms(t):
-                    if isinstance(sub, Const):
-                        out.add(sub.name)
-    return frozenset(out)
-
-
-def formula_symbols(f: Formula) -> frozenset[str]:
-    """All signature symbols used: constants, predicates, functions."""
-
-    out: set[str] = set()
-    for node in _walk(f):
-        if isinstance(node, Atom):
-            out.add(node.predicate)
-            for t in node.args:
-                for sub in _walk_terms(t):
-                    if isinstance(sub, Const):
-                        out.add(sub.name)
-                    elif isinstance(sub, FuncApp):
-                        out.add(sub.func)
-    return frozenset(out)
-
-
-def free_variables(f: Formula) -> frozenset[str]:
-    out: set[str] = set()
-
-    def term(t: Term, scope: tuple[str, ...]) -> None:
-        if isinstance(t, Var) and t.name not in scope:
-            out.add(t.name)
-        elif isinstance(t, FuncApp):
-            for a in t.args:
-                term(a, scope)
-
-    def walk(g: Formula, scope: tuple[str, ...]) -> None:
-        if isinstance(g, Atom):
-            for t in g.args:
-                term(t, scope)
-        elif isinstance(g, Not):
-            walk(g.body, scope)
-        elif isinstance(g, _BINARY):
-            walk(g.left, scope)
-            walk(g.right, scope)
-        elif isinstance(g, _QUANT):
-            walk(g.body, scope + (g.var,))
-
-    walk(f, ())
-    return frozenset(out)
-
-
-def formula_depth(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 1
-    if isinstance(f, Not):
-        return 1 + formula_depth(f.body)
-    if isinstance(f, _BINARY):
-        return 1 + max(formula_depth(f.left), formula_depth(f.right))
-    if isinstance(f, _QUANT):
-        return 1 + formula_depth(f.body)
-    raise FormulaError(f"not a formula node: {f!r}")
+    return frozenset(node.name for node, _, _, _ in formula_nodes(f) if type(node) is Const)
 
 
 # ====================================================================
@@ -233,88 +204,57 @@ def formula_depth(f: Formula) -> int:
 # ====================================================================
 
 
+def _check_symbol(sig: Signature, name: str, want: str, nargs: int | None = None) -> None:
+    kind = sig.kind_of(name)
+    if kind is None:
+        raise FormulaError(f"unknown {'predicate' if want == 'predicate' else 'symbol'} {name!r}")
+    if kind != want:
+        raise FormulaError(f"{name!r} is a {kind}, not a {want}")
+    if nargs is not None and sig.arity_of(name) != nargs:
+        raise FormulaError(
+            f"arity mismatch: {name} expects {sig.arity_of(name)} arguments, got {nargs}"
+        )
+
+
 def check_formula(f: Formula, sig: Signature) -> None:
     """Raise FormulaError unless f is a sentence over sig.
 
     The first offending node in depth-first, left-to-right order is
-    reported: unknown or wrongly-used symbols, arity mismatches, free
-    variables, and binders that shadow a declared symbol.
+    reported: a node nested deeper than MAX_FORMULA_DEPTH, unknown or
+    wrongly-used symbols, arity mismatches, free variables, and binders
+    that shadow a declared symbol.
     """
 
-    def term(t: Term, scope: tuple[str, ...]) -> None:
-        if isinstance(t, Var):
-            if t.name not in scope:
-                raise FormulaError(f"free variable {t.name!r}")
-        elif isinstance(t, Const):
-            kind = sig.kind_of(t.name)
-            if kind is None:
-                raise FormulaError(f"unknown symbol {t.name!r}")
-            if kind != "constant":
-                raise FormulaError(f"{t.name!r} is a {kind}, not a constant")
-        elif isinstance(t, FuncApp):
-            kind = sig.kind_of(t.func)
-            if kind is None:
-                raise FormulaError(f"unknown symbol {t.func!r}")
-            if kind != "function":
-                raise FormulaError(f"{t.func!r} is a {kind}, not a function")
-            want = sig.arity_of(t.func)
-            if want != len(t.args):
+    for node, scope, depth, in_term in formula_nodes(f):
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
+        kind = type(node)
+        if in_term:
+            if kind is Var:
+                if node.name not in scope:
+                    raise FormulaError(f"free variable {node.name!r}")
+            elif kind is Const:
+                _check_symbol(sig, node.name, "constant")
+            elif kind is FuncApp:
+                _check_symbol(sig, node.func, "function", len(node.args))
+            else:
+                raise FormulaError(f"not a term node: {node!r}")
+        elif kind is Atom:
+            _check_symbol(sig, node.predicate, "predicate", len(node.args))
+        elif kind in _QUANT:
+            if node.var in RESERVED_WORDS:
+                raise FormulaError(f"bound variable {node.var!r} is a reserved word")
+            if sig.kind_of(node.var) is not None:
                 raise FormulaError(
-                    f"arity mismatch: {t.func} expects {want} arguments, got {len(t.args)}"
+                    f"bound variable {node.var!r} collides with a declared symbol"
                 )
-            for a in t.args:
-                term(a, scope)
-        else:
-            raise FormulaError(f"not a term node: {t!r}")
-
-    def walk(g: Formula, scope: tuple[str, ...]) -> None:
-        if isinstance(g, Atom):
-            kind = sig.kind_of(g.predicate)
-            if kind is None:
-                raise FormulaError(f"unknown predicate {g.predicate!r}")
-            if kind != "predicate":
-                raise FormulaError(f"{g.predicate!r} is a {kind}, not a predicate")
-            want = sig.arity_of(g.predicate)
-            if want != len(g.args):
-                raise FormulaError(
-                    f"arity mismatch: {g.predicate} expects {want} arguments, "
-                    f"got {len(g.args)}"
-                )
-            for t in g.args:
-                term(t, scope)
-        elif isinstance(g, Not):
-            walk(g.body, scope)
-        elif isinstance(g, _BINARY):
-            walk(g.left, scope)
-            walk(g.right, scope)
-        elif isinstance(g, _QUANT):
-            if g.var in RESERVED_WORDS:
-                raise FormulaError(f"bound variable {g.var!r} is a reserved word")
-            if sig.kind_of(g.var) is not None:
-                raise FormulaError(
-                    f"bound variable {g.var!r} collides with a declared symbol"
-                )
-            walk(g.body, scope + (g.var,))
-        else:
-            raise FormulaError(f"not a formula node: {g!r}")
-
-    walk(f, ())
+        elif kind is not Not and kind not in _BINARY:
+            raise FormulaError(f"not a formula node: {node!r}")
 
 
 # ====================================================================
 # Evaluation
 # ====================================================================
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """Result of evaluating a sentence: a truth value plus convenience."""
-
-    value: TruthValue
-
-    @property
-    def known(self) -> bool:
-        return self.value.known
 
 
 def reduce_term(t: Term, domain: KnowledgeDomain, env: dict[str, str] | None = None) -> str:
@@ -403,10 +343,10 @@ def _ev(f: Formula, d: KnowledgeDomain, env: dict[str, str]) -> TruthValue:
     raise FormulaError(f"not a formula node: {f!r}")
 
 
-def evaluate(f: Formula, domain: KnowledgeDomain) -> Valuation:
+def evaluate(f: Formula, domain: KnowledgeDomain) -> TruthValue:
     """Evaluate a sentence; assumes check_formula(f, domain.signature) passed."""
 
-    return Valuation(_ev(f, domain, {}))
+    return _ev(f, domain, {})
 
 
 # ====================================================================
@@ -555,16 +495,6 @@ class TokenStream:
 # ====================================================================
 # Formula parsing
 # ====================================================================
-
-# The deepest a parsed formula may nest, counting every node on a path
-# from the root (connectives, quantifiers, atoms and terms) and every
-# pair of parentheses. The parser spends about five frames per
-# parenthesis level, the recursive walkers (check, translate, evaluate,
-# print, hash, equality) a few per node, so at this depth each of them
-# fits under Python's default recursion limit together with the command
-# line's own frames.
-MAX_FORMULA_DEPTH = 100
-
 
 def parse_formula_stream(ts: TokenStream) -> Formula:
     """Parse one formula from the stream, leaving the cursor after it."""
@@ -752,7 +682,7 @@ def print_formula(f: Formula) -> str:
 
 
 # ====================================================================
-# Formula generation helpers
+# Default working set
 # ====================================================================
 
 
@@ -768,59 +698,3 @@ def ground_atom_formulas(sig: Signature) -> list[Formula]:
         for combo in itertools.product(sig.constants, repeat=arity):
             out.append(Atom(pred, tuple(Const(c) for c in combo)))
     return out
-
-
-def _fresh_var_names(sig: Signature, count: int) -> tuple[str, ...]:
-    names = []
-    base = "v"
-    i = 0
-    while len(names) < count:
-        cand = f"{base}{i}"
-        if sig.kind_of(cand) is None:
-            names.append(cand)
-        i += 1
-    return tuple(names)
-
-
-def sentences_up_to_depth(
-    sig: Signature, max_depth: int, max_quantifier_vars: int = 2
-) -> list[Formula]:
-    """All sentences of AST depth at most max_depth, deduplicated.
-
-    Terms are constants and bound variables only; function symbols are
-    ignored here to keep the closure finite and small. Variables are
-    drawn from a fixed fresh pool, so alpha-variants do not inflate the
-    count. Intended for exhaustive testing on small signatures; the
-    result grows steeply with depth.
-    """
-
-    pool = _fresh_var_names(sig, max_quantifier_vars)
-
-    def atoms(scope: tuple[str, ...]) -> list[Formula]:
-        terms: list[Term] = [Const(c) for c in sig.constants]
-        terms += [Var(v) for v in scope]
-        out: list[Formula] = []
-        for pred, arity in sig.predicates:
-            for combo in itertools.product(terms, repeat=arity):
-                out.append(Atom(pred, tuple(combo)))
-        return out
-
-    def gen(depth: int, scope: tuple[str, ...]) -> list[Formula]:
-        if depth <= 1:
-            return atoms(scope)
-        prev = gen(depth - 1, scope)
-        out: dict[Formula, None] = dict.fromkeys(prev)
-        for f in prev:
-            out.setdefault(Not(f), None)
-        for f, g in itertools.product(prev, prev):
-            out.setdefault(And(f, g), None)
-            out.setdefault(Or(f, g), None)
-            out.setdefault(Implies(f, g), None)
-        if len(scope) < len(pool):
-            var = pool[len(scope)]
-            for body in gen(depth - 1, scope + (var,)):
-                out.setdefault(Forall(var, body), None)
-                out.setdefault(Exists(var, body), None)
-        return list(out)
-
-    return gen(max_depth, ())

@@ -49,8 +49,8 @@ def classify(amap, formulas):
             untranslatable.append(f)
             continue
         images[f] = image
-        vs = evaluate(f, amap.source).value
-        vt = evaluate(image, amap.target).value
+        vs = evaluate(f, amap.source)
+        vt = evaluate(image, amap.target)
         if not vs.known:
             not_applicable.append(f)
         elif not vt.known:
@@ -121,7 +121,7 @@ def augmented_report(amap, formulas):
     report = classify(amap, formulas)
     neg_true, neg_false = [], []
     for f in report.negative:
-        if evaluate(f, amap.source).value is TruthValue.TRUE:
+        if evaluate(f, amap.source) is TruthValue.TRUE:
             neg_true.append((f, report.images[f]))
         else:
             neg_false.append((f, report.images[f]))
@@ -145,7 +145,7 @@ def conjecture_for(space, analogy_name, query):
             continue
         if image == query:
             v = evaluate(f, space.source)
-            return v.value if v.known else None
+            return v if v.known else None
     return None
 
 

@@ -45,7 +45,6 @@ from analogia import (
     represent,
     resolve_space,
     run,
-    sentences_up_to_depth,
     soundness_sweep,
     straight_rule,
     subsets_of,
@@ -55,6 +54,7 @@ from analogia.formula import And, Exists, Forall, Implies, Not, Or
 
 import choice_oracle
 from conftest import SESSIONS_DIR
+from sentences import sentences_up_to_depth
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -185,8 +185,8 @@ class TestA3:
         for a in space.analogies:
             rep = reports[a.name]
             for f in space.working_set:
-                vs = evaluate(f, space.source).value
-                vt = evaluate(translate(a, f), space.target).value
+                vs = evaluate(f, space.source)
+                vt = evaluate(translate(a, f), space.target)
                 bucket = _expected_bucket(vs, vt)
                 assert f in getattr(rep, bucket), (a.name, str(f), bucket)
 
@@ -304,7 +304,7 @@ class TestA4:
                     sig, keys, [TruthValue.of(v) for v in values]
                 )
                 for f in sentences:
-                    got = evaluate(f, domain).value
+                    got = evaluate(f, domain)
                     want = TruthValue.of(
                         _bool_eval(f, facts, sig.constants, {})
                     )
@@ -320,7 +320,7 @@ class TestA4:
             for values in itertools.product(tv3, repeat=len(keys)):
                 domain = _domain_for(sig, keys, values)
                 valuations[values] = [
-                    evaluate(f, domain).value for f in sentences
+                    evaluate(f, domain) for f in sentences
                 ]
             for coarse in valuations:
                 for fine in itertools.product(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from analogia import (
+    AnalogySpace,
     And,
     Atom,
     Const,
@@ -15,25 +16,26 @@ from analogia import (
     Not,
     Or,
     ParseError,
+    Session,
     Signature,
+    TranslationTables,
     TruthValue,
-    Valuation,
     Var,
     check_formula,
+    dominance_preference,
+    entail,
     evaluate,
-    formula_depth,
-    free_variables,
-    formula_symbols,
     ground_atom_formulas,
     make_domain,
     mentioned_constants,
     parse_formula,
     print_formula,
     reduce_term,
-    sentences_up_to_depth,
     tokenize,
 )
 from analogia.formula import MAX_FORMULA_DEPTH
+
+from sentences import sentences_up_to_depth
 
 T = TruthValue.TRUE
 F = TruthValue.FALSE
@@ -313,6 +315,24 @@ class TestRoundTrip:
 # ====================================================================
 
 
+def _nest(k, wrap, inner):
+    for _ in range(k):
+        inner = wrap(inner)
+    return inner
+
+
+P_A = Atom("P", (Const("a"),))
+
+
+# Formulas built in code, not parsed: each nests k + 2 levels deep.
+BUILT = {
+    "Not": lambda k: _nest(k, Not, P_A),
+    "And": lambda k: _nest(k, lambda f: And(f, P_A), P_A),
+    "Forall": lambda k: _nest(k, lambda f: Forall("v", f), Atom("P", (Var("v"),))),
+    "FuncApp": lambda k: Atom("P", (_nest(k, lambda t: FuncApp("g", (t,)), Const("a")),)),
+}
+
+
 class TestCheckFormula:
     SIG = Signature("s", ("a",), (("P", 1), ("R", 2)), (("g", 1),))
 
@@ -347,6 +367,63 @@ class TestCheckFormula:
         with pytest.raises(FormulaError, match="free variable"):
             check_formula(Atom("P", (Var("v"),)), self.SIG)
 
+    @pytest.mark.parametrize(
+        "f, msg",
+        [
+            (Forall("forall", P_A), "is a reserved word"),
+            (Not(Var("v")), "not a formula node"),
+            (Atom("P", (P_A,)), "not a term node"),
+        ],
+    )
+    def test_rejects_what_the_parser_cannot_build(self, f, msg):
+        with pytest.raises(FormulaError, match=msg):
+            check_formula(f, self.SIG)
+
+    def test_first_offender_in_depth_first_order_is_reported(self):
+        unknown = Atom("Zz", (Const("a"),))
+        free = Atom("P", (Var("v"),))
+        with pytest.raises(FormulaError, match="unknown predicate"):
+            check_formula(And(unknown, free), self.SIG)
+        with pytest.raises(FormulaError, match="free variable"):
+            check_formula(And(free, unknown), self.SIG)
+        with pytest.raises(FormulaError, match="unknown predicate"):
+            check_formula(Or(Not(unknown), BUILT["Not"](3000)), self.SIG)
+        with pytest.raises(FormulaError, match="nests deeper than"):
+            check_formula(Or(BUILT["Not"](3000), Not(unknown)), self.SIG)
+
+
+class TestBuiltPastTheCap:
+    SIG = Signature("s", ("a",), (("P", 1),), (("g", 1),))
+
+    @pytest.mark.parametrize("shape", BUILT)
+    def test_check_formula_enforces_the_cap(self, shape):
+        build = BUILT[shape]
+        check_formula(build(MAX_FORMULA_DEPTH - 2), self.SIG)
+        with pytest.raises(FormulaError, match="nests deeper than"):
+            check_formula(build(MAX_FORMULA_DEPTH - 1), self.SIG)
+
+    @pytest.mark.parametrize("shape", BUILT)
+    def test_every_entry_point_raises_a_formula_error(self, shape):
+        deep = BUILT[shape](3000)
+        src = make_domain(self.SIG, ("a",), func_interp={("g", ("a",)): "a"})
+        tgt = make_domain(
+            Signature("t", ("a",), (("P", 1),), (("g", 1),)),
+            ("a",),
+            func_interp={("g", ("a",)): "a"},
+        )
+        msg = "nests deeper than"
+        with pytest.raises(FormulaError, match=msg):
+            check_formula(deep, self.SIG)
+        with pytest.raises(FormulaError, match=msg):
+            TranslationTables(src, tgt, [P_A, deep])
+        with pytest.raises(FormulaError, match=msg):
+            Session((src, tgt), "s", "t", working_set=(deep,))
+        with pytest.raises(FormulaError, match=msg):
+            Session((src, tgt), "s", "t", queries=(deep,))
+        space = AnalogySpace(TranslationTables(src, tgt, [P_A]), (), dominance_preference([]))
+        with pytest.raises(FormulaError, match=msg):
+            entail(space, deep)
+
 
 # ====================================================================
 # Structural helpers
@@ -354,25 +431,9 @@ class TestCheckFormula:
 
 
 class TestHelpers:
-    def test_free_variables(self):
-        assert free_variables(parse_formula("forall v. R(v, a)")) == frozenset()
-        assert free_variables(Atom("R", (Var("v"), Var("w")))) == {"v", "w"}
-        inner = Forall("v", Atom("R", (Var("v"), Var("w"))))
-        assert free_variables(inner) == {"w"}
-
     def test_mentioned_constants(self):
         f = parse_formula("forall v. R(v, a) -> P(g(b))")
         assert mentioned_constants(f) == {"a", "b"}
-
-    def test_formula_symbols_includes_preds_funcs_consts(self):
-        f = parse_formula("forall v. R(v, a) -> P(g(b))")
-        assert formula_symbols(f) == {"R", "P", "g", "a", "b"}
-
-    def test_formula_depth(self):
-        assert formula_depth(parse_formula("P(a)")) == 1
-        assert formula_depth(parse_formula("!P(a)")) == 2
-        assert formula_depth(parse_formula("P(a) & !P(a)")) == 3
-        assert formula_depth(parse_formula("forall v. P(v)")) == 2
 
     def test_reduce_term_through_functions(self):
         sig = Signature("s", ("a",), (), (("g", 1),))
@@ -422,9 +483,9 @@ def three_values():
 class TestEvaluate:
     def test_atom_lookup(self, three_values):
         dom, atoms = three_values
-        assert evaluate(atoms[T], dom) == Valuation(T)
-        assert evaluate(atoms[F], dom).value is F
-        assert evaluate(atoms[U], dom).value is U
+        assert evaluate(atoms[T], dom) is T
+        assert evaluate(atoms[F], dom) is F
+        assert evaluate(atoms[U], dom) is U
         assert not evaluate(atoms[U], dom).known
 
     @pytest.mark.parametrize("left", [T, F, U])
@@ -432,21 +493,21 @@ class TestEvaluate:
     def test_connective_tables(self, three_values, left, right):
         dom, atoms = three_values
         l, r = atoms[left], atoms[right]
-        assert evaluate(And(l, r), dom).value is AND_TABLE[(left, right)]
-        assert evaluate(Or(l, r), dom).value is OR_TABLE[(left, right)]
-        assert evaluate(Implies(l, r), dom).value is IMPLIES_TABLE[(left, right)]
+        assert evaluate(And(l, r), dom) is AND_TABLE[(left, right)]
+        assert evaluate(Or(l, r), dom) is OR_TABLE[(left, right)]
+        assert evaluate(Implies(l, r), dom) is IMPLIES_TABLE[(left, right)]
 
     @pytest.mark.parametrize("v", [T, F, U])
     def test_negation_table(self, three_values, v):
         dom, atoms = three_values
-        assert evaluate(Not(atoms[v]), dom).value is NOT_TABLE[v]
+        assert evaluate(Not(atoms[v]), dom) is NOT_TABLE[v]
 
     def test_implication_is_negation_or(self, three_values):
         dom, atoms = three_values
         for left in (T, F, U):
             for right in (T, F, U):
-                a = evaluate(Implies(atoms[left], atoms[right]), dom).value
-                b = evaluate(Or(Not(atoms[left]), atoms[right]), dom).value
+                a = evaluate(Implies(atoms[left], atoms[right]), dom)
+                b = evaluate(Or(Not(atoms[left]), atoms[right]), dom)
                 assert a is b
 
     @given(st.lists(st.sampled_from([T, F, U]), min_size=1, max_size=4))
@@ -470,8 +531,8 @@ class TestEvaluate:
             want_any = OR_TABLE[(want_any, v)]
         forall = Forall("v", Atom("P", (Var("v"),)))
         exists = Exists("v", Atom("P", (Var("v"),)))
-        assert evaluate(forall, dom).value is want_all
-        assert evaluate(exists, dom).value is want_any
+        assert evaluate(forall, dom) is want_all
+        assert evaluate(exists, dom) is want_any
 
     def test_quantified_variables_range_over_unnamed_elements(self):
         # the extra universe element has no constant naming it, but the
@@ -480,8 +541,8 @@ class TestEvaluate:
         dom = make_domain(
             sig, ("a", "ghost"), facts=[("P", ("a",), True), ("P", ("ghost",), False)]
         )
-        assert evaluate(parse_formula("forall v. P(v)"), dom).value is F
-        assert evaluate(parse_formula("P(a)"), dom).value is T
+        assert evaluate(parse_formula("forall v. P(v)"), dom) is F
+        assert evaluate(parse_formula("P(a)"), dom) is T
 
     def test_nested_quantifiers(self):
         sig = Signature("s", (), (("R", 2),), ())
@@ -495,8 +556,8 @@ class TestEvaluate:
                 ("R", ("e2", "e2"), True),
             ],
         )
-        assert evaluate(parse_formula("exists v. forall w. R(v, w)"), dom).value is T
-        assert evaluate(parse_formula("forall v. exists w. !R(v, w)"), dom).value is F
+        assert evaluate(parse_formula("exists v. forall w. R(v, w)"), dom) is T
+        assert evaluate(parse_formula("forall v. exists w. !R(v, w)"), dom) is F
 
 
 # ====================================================================
