@@ -10,6 +10,16 @@ material, !a | b. Quantifiers fold their connective over the finite
 universe, so they add no expressive power and agree with the explicit
 conjunction or disjunction.
 
+evaluate compiles a sentence for its domain into nested closures over
+a list of variable slots, one per binder, and runs them once. A
+subformula that reads no bound variable is evaluated once, at compile
+time, so a ground part under a quantifier is not re-evaluated for each
+element. A quantifier whose body does not read its variable is
+dropped: the universe is nonempty, so folding one value over it gives
+that value. Only a quantifier whose body reads its variable loops over
+the universe, and k such nested quantifiers still cost n^k body runs
+over n elements. Atoms read the domain's fact index.
+
 Concrete syntax, shared with the session files:
 
     formula  := or_part ('->' formula)?           right associative
@@ -29,9 +39,10 @@ parse(print_formula(f)) returns f unchanged.
 Structural reads go through formula_nodes, which keeps its own stack,
 so they take a tree of any depth. A formula nests at most
 MAX_FORMULA_DEPTH levels deep: the parser raises a ParseError at the
-token that crosses the cap, and check_formula a FormulaError for a
-deeper tree built in code. Past those checks only the evaluator, the
-printer and translation recurse.
+token that crosses the cap, and check_formula and the evaluator's
+compiler a FormulaError for a deeper tree built in code. The compiler,
+its closures, the printer and translation still recurse, a few frames
+per level.
 
 An occurrence of an identifier in term position is a variable when
 some enclosing quantifier binds it and a constant otherwise. To keep
@@ -43,11 +54,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import FormulaError, ParseError
 from .kb import (
     RESERVED_WORDS,
-    GroundAtom,
     KnowledgeDomain,
     Signature,
     TruthValue,
@@ -146,12 +157,14 @@ _QUANT = (Forall, Exists)
 
 # The deepest a formula may nest, counting every node on a path from
 # the root (connectives, quantifiers, atoms and terms); the parser
-# counts every pair of parentheses as well. check_formula rejects any
-# deeper tree, however it was built, so the recursive builders (the
-# evaluator, the printer, translation, and the dataclasses' hash and
-# equality) only ever see trees that fit under Python's default
-# recursion limit together with the command line's own frames.
+# counts every pair of parentheses as well. check_formula and the
+# evaluator's compiler reject any deeper tree, however it was built, so
+# the recursive code (the compiler and its closures, the printer,
+# translation, and the dataclasses' hash and equality) only ever sees
+# trees that fit under Python's default recursion limit together with
+# the command line's own frames.
 MAX_FORMULA_DEPTH = 100
+_TOO_DEEP = f"formula nests deeper than {MAX_FORMULA_DEPTH} levels"
 
 
 def formula_nodes(f: Formula) -> list[tuple[object, tuple[str, ...], int, bool]]:
@@ -227,7 +240,7 @@ def check_formula(f: Formula, sig: Signature) -> None:
 
     for node, scope, depth, in_term in formula_nodes(f):
         if depth > MAX_FORMULA_DEPTH:
-            raise FormulaError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
+            raise FormulaError(_TOO_DEEP)
         kind = type(node)
         if in_term:
             if kind is Var:
@@ -256,97 +269,190 @@ def check_formula(f: Formula, sig: Signature) -> None:
 # Evaluation
 # ====================================================================
 
+_T, _F, _U = TruthValue.TRUE, TruthValue.FALSE, TruthValue.UNKNOWN
+_NEG = {_T: _F, _F: _T, _U: _U}
 
-def reduce_term(t: Term, domain: KnowledgeDomain, env: dict[str, str] | None = None) -> str:
-    """Reduce a term to the universe element it denotes."""
-
-    env = env or {}
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise FormulaError(f"free variable {t.name!r}") from None
-    if isinstance(t, Const):
-        try:
-            return domain.const_interp[t.name]
-        except KeyError:
-            raise FormulaError(f"unknown symbol {t.name!r}") from None
-    if isinstance(t, FuncApp):
-        args = tuple(reduce_term(a, domain, env) for a in t.args)
-        try:
-            return domain.func_interp[(t.func, args)]
-        except KeyError:
-            raise FormulaError(f"no interpretation for {t.func}({', '.join(args)})") from None
-    raise FormulaError(f"not a term node: {t!r}")
+# A compiled node is a pair (code, slots). slots is the bitmask of the
+# binder slots the node reads, and a binder's slot is its depth in the
+# tree, so binders on one path never share a slot, shadowing included.
+# When slots is 0 the node is ground and code is its value: an element
+# for a term, a TruthValue for a formula, computed once at compile
+# time. Otherwise code is a closure over env, the list of slot values.
 
 
-def _ev(f: Formula, d: KnowledgeDomain, env: dict[str, str]) -> TruthValue:
-    TV = TruthValue
-    if isinstance(f, Atom):
-        args = tuple(reduce_term(t, d, env) for t in f.args)
-        return d.fact_value(GroundAtom(f.predicate, args))
-    if isinstance(f, Not):
-        return _ev(f.body, d, env).negate()
-    if isinstance(f, And):
-        left = _ev(f.left, d, env)
-        if left is TV.FALSE:
-            return TV.FALSE
-        right = _ev(f.right, d, env)
-        if right is TV.FALSE:
-            return TV.FALSE
-        if left is TV.TRUE and right is TV.TRUE:
-            return TV.TRUE
-        return TV.UNKNOWN
-    if isinstance(f, Or):
-        left = _ev(f.left, d, env)
-        if left is TV.TRUE:
-            return TV.TRUE
-        right = _ev(f.right, d, env)
-        if right is TV.TRUE:
-            return TV.TRUE
-        if left is TV.FALSE and right is TV.FALSE:
-            return TV.FALSE
-        return TV.UNKNOWN
-    if isinstance(f, Implies):
-        left = _ev(f.left, d, env)
-        if left is TV.FALSE:
-            return TV.TRUE
-        right = _ev(f.right, d, env)
-        if right is TV.TRUE:
-            return TV.TRUE
-        if left is TV.TRUE and right is TV.FALSE:
-            return TV.FALSE
-        return TV.UNKNOWN
-    if isinstance(f, (Forall, Exists)):
-        # Fold over the universe; the accumulator mirrors the binary
-        # connective so the quantifier agrees with the explicit fold.
-        hit_unknown = False
-        short = TV.FALSE if isinstance(f, Forall) else TV.TRUE
-        saved = env.get(f.var)
-        had = f.var in env
-        try:
-            for e in d.universe:
-                env[f.var] = e
-                v = _ev(f.body, d, env)
-                if v is short:
-                    return short
-                if v is TV.UNKNOWN:
-                    hit_unknown = True
-        finally:
-            if had:
-                env[f.var] = saved  # type: ignore[assignment]
-            else:
-                env.pop(f.var, None)
-        if hit_unknown:
-            return TV.UNKNOWN
-        return short.negate()
-    raise FormulaError(f"not a formula node: {f!r}")
+def _constant(value):
+    return lambda env: value
+
+
+def _junction(absorb: TruthValue, a, sa: int, b, sb: int):
+    """a & b when absorb is FALSE, a | b when it is TRUE (strong Kleene)."""
+
+    if not sa and not sb:
+        if a is absorb or b is absorb:
+            return absorb, 0
+        return (a if a is b else _U), 0
+    if not sa or not sb:
+        ground, code, slots = (a, b, sb) if not sa else (b, a, sa)
+        if ground is absorb:
+            return absorb, 0
+        if ground is not _U:  # the unit of the connective
+            return code, slots
+        return (lambda env: absorb if code(env) is absorb else _U), slots
+
+    def junction(env):
+        x = a(env)
+        if x is absorb:
+            return absorb
+        y = b(env)
+        if y is absorb:
+            return absorb
+        return x if x is y else _U
+
+    return junction, sa | sb
+
+
+def _implies(a, sa: int, b, sb: int):
+    """a -> b, that is !a | b."""
+
+    if not sa:
+        return _junction(_T, _NEG[a], 0, b, sb)
+    if not sb:
+        if b is _T:
+            return _T, 0
+        if b is _F:
+            return _negation(a), sa
+        return (lambda env: _T if a(env) is _F else _U), sa
+
+    def implies(env):
+        x = a(env)
+        if x is _F:
+            return _T
+        y = b(env)
+        if y is _T:
+            return _T
+        return _F if x is _T and y is _F else _U
+
+    return implies, sa | sb
+
+
+def _negation(code):
+    neg = _NEG
+    return lambda env: neg[code(env)]
+
+
+class _Compiler:
+    """Compiles sentences for one domain into (code, slots) nodes."""
+
+    __slots__ = ("domain", "env")
+
+    def __init__(self, domain: KnowledgeDomain):
+        self.domain = domain
+        self.env: list[str] = []
+
+    def term(self, t: Term, scope: dict[str, int], depth: int):
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaError(_TOO_DEEP)
+        kind = type(t)
+        if kind is Var:
+            try:
+                slot = scope[t.name]
+            except KeyError:
+                raise FormulaError(f"free variable {t.name!r}") from None
+            return itemgetter(slot), 1 << slot
+        if kind is Const:
+            try:
+                return self.domain.const_interp[t.name], 0
+            except KeyError:
+                raise FormulaError(f"unknown symbol {t.name!r}") from None
+        if kind is not FuncApp:
+            raise FormulaError(f"not a term node: {t!r}")
+        if self.domain.signature.arity_of(t.func) != len(t.args) or (
+            self.domain.signature.kind_of(t.func) != "function"
+        ):
+            raise FormulaError(f"no interpretation for {t.func}/{len(t.args)}")
+        args, slots = self.args(t.args, scope, depth + 1)
+        table, func = self.domain.func_interp, t.func
+        if not slots:
+            return table[(func, args)], 0
+        return (lambda env: table[(func, args(env))]), slots
+
+    def args(self, ts: tuple[Term, ...], scope: dict[str, int], depth: int):
+        """The argument tuple when ground, else a closure that builds it."""
+
+        codes, slots = [], 0
+        for t in ts:
+            code, s = self.term(t, scope, depth)
+            codes.append((code, s))
+            slots |= s
+        if not slots:
+            return tuple(code for code, _ in codes), 0
+        getters = [code if s else _constant(code) for code, s in codes]
+        return (lambda env: tuple([g(env) for g in getters])), slots
+
+    def formula(self, f: Formula, scope: dict[str, int], depth: int):
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaError(_TOO_DEEP)
+        kind = type(f)
+        if kind is Atom:
+            return self.atom(f, scope, depth)
+        if kind is Not:
+            a, sa = self.formula(f.body, scope, depth + 1)
+            return (_negation(a), sa) if sa else (_NEG[a], 0)
+        if kind in _BINARY:
+            a, sa = self.formula(f.left, scope, depth + 1)
+            b, sb = self.formula(f.right, scope, depth + 1)
+            if kind is Implies:
+                return _implies(a, sa, b, sb)
+            return _junction(_F if kind is And else _T, a, sa, b, sb)
+        if kind in _QUANT:
+            return self.quantifier(f, scope, depth)
+        raise FormulaError(f"not a formula node: {f!r}")
+
+    def atom(self, f: Atom, scope: dict[str, int], depth: int):
+        args, slots = self.args(f.args, scope, depth + 1)
+        get, pred = self.domain.fact_index.get, f.predicate
+        if not slots:
+            return get((pred, args), _U), 0
+        return (lambda env: get((pred, args(env)), _U)), slots
+
+    def quantifier(self, f: Forall | Exists, scope: dict[str, int], depth: int):
+        slot = depth
+        body, slots = self.formula(f.body, {**scope, f.var: slot}, depth + 1)
+        bit = 1 << slot
+        if not slots & bit:
+            # The body does not read the binder: over a nonempty universe
+            # the fold of one value is that value.
+            return body, slots
+        short = _F if type(f) is Forall else _T
+        rest = _NEG[short]
+        universe = self.domain.universe
+
+        def fold(env):
+            unknown = False
+            for e in universe:
+                env[slot] = e
+                v = body(env)
+                if v is not rest:
+                    if v is short:
+                        return short
+                    unknown = True
+            return _U if unknown else rest
+
+        env = self.env  # every closure of the sentence runs on this one list
+        env += [""] * (slot + 1 - len(env))
+        slots ^= bit
+        return (fold, slots) if slots else (fold(env), 0)
 
 
 def evaluate(f: Formula, domain: KnowledgeDomain) -> TruthValue:
-    """Evaluate a sentence; assumes check_formula(f, domain.signature) passed."""
+    """Evaluate a sentence; assumes check_formula(f, domain.signature) passed.
 
-    return _ev(f, domain, {})
+    The sentence is compiled for the domain, as the module docstring
+    describes, and run once. Past MAX_FORMULA_DEPTH the compiler raises
+    a FormulaError, as check_formula does.
+    """
+
+    return _Compiler(domain).formula(f, {}, 1)[0]
 
 
 # ====================================================================
@@ -363,7 +469,8 @@ class Token:
 
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789'")
+_DIGITS = set("0123456789")  # str.isdigit also takes digits int() rejects, such as ²
+_IDENT_CONT = _IDENT_START | _DIGITS | {"'"}
 _SINGLE_SYMBOLS = set("!&|(){},;:.=/")
 
 
@@ -400,9 +507,9 @@ def tokenize(text: str) -> list[Token]:
                 col += 1
             out.append(Token("ident", text[start:i], line, start_col))
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start, start_col = i, col
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
                 col += 1
             out.append(Token("number", text[start:i], line, start_col))
@@ -511,7 +618,7 @@ def _deeper(ts: TokenStream, depth: int) -> int:
     """depth + 1, or a ParseError at the next token past the depth cap."""
 
     if depth >= MAX_FORMULA_DEPTH:
-        ts.error(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
+        ts.error(_TOO_DEEP)
     return depth + 1
 
 

@@ -212,8 +212,17 @@ class KnowledgeDomain:
                 table[atom] = value
         object.__setattr__(self, "facts", table)
 
+    @cached_property
+    def fact_index(self) -> dict[tuple[str, tuple[str, ...]], TruthValue]:
+        """The known facts keyed by plain (predicate, args) tuples.
+
+        Built once per domain; fact_value and the evaluator read it.
+        """
+
+        return {(atom.predicate, atom.args): value for atom, value in self.facts.items()}
+
     def fact_value(self, atom: GroundAtom) -> TruthValue:
-        return self.facts.get(atom, TruthValue.UNKNOWN)
+        return self.fact_index.get((atom.predicate, atom.args), TruthValue.UNKNOWN)
 
 
 def make_domain(

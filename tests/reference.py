@@ -9,6 +9,11 @@ with them; see test_tables_oracle.py.
 count_preference compares the Fraction ranks of every ordered pair of
 reports, as the engine did before it compared rank positions.
 
+The evaluator: reference_evaluate walks the tree recursively and folds
+each quantifier over the whole universe, as the engine did before it
+compiled sentences; the compiled evaluate must agree with it, see
+test_formula.py.
+
 The relation kernel: set-based loops over a relation's edges for the
 induced choice, transitivity, smoothness and rankedness, with the same
 first-failing witnesses, and the class check built on them. The
@@ -18,14 +23,26 @@ test_preference.py.
 
 from analogia import (
     AnalogyError,
+    And,
+    Atom,
     AugmentedReport,
     ChoiceFunction,
+    Const,
+    Exists,
+    Forall,
+    FormulaError,
+    FuncApp,
+    GroundAtom,
     Guard,
+    Implies,
+    Not,
+    Or,
     PreferenceError,
     PreferenceRelation,
     SupportReport,
     TranslationError,
     TruthValue,
+    Var,
     check_formula,
     combine,
     evaluate,
@@ -35,6 +52,95 @@ from analogia import (
 from fractions import Fraction
 
 from analogia.repcheck import RelationClass
+
+
+def reduce_term(t, domain, env):
+    """The universe element a term denotes under env (variable -> element)."""
+
+    if isinstance(t, Var):
+        try:
+            return env[t.name]
+        except KeyError:
+            raise FormulaError(f"free variable {t.name!r}") from None
+    if isinstance(t, Const):
+        try:
+            return domain.const_interp[t.name]
+        except KeyError:
+            raise FormulaError(f"unknown symbol {t.name!r}") from None
+    if isinstance(t, FuncApp):
+        args = tuple(reduce_term(a, domain, env) for a in t.args)
+        try:
+            return domain.func_interp[(t.func, args)]
+        except KeyError:
+            raise FormulaError(f"no interpretation for {t.func}({', '.join(args)})") from None
+    raise FormulaError(f"not a term node: {t!r}")
+
+
+def _ev(f, d, env):
+    TV = TruthValue
+    if isinstance(f, Atom):
+        args = tuple(reduce_term(t, d, env) for t in f.args)
+        return d.fact_value(GroundAtom(f.predicate, args))
+    if isinstance(f, Not):
+        return _ev(f.body, d, env).negate()
+    if isinstance(f, And):
+        left = _ev(f.left, d, env)
+        if left is TV.FALSE:
+            return TV.FALSE
+        right = _ev(f.right, d, env)
+        if right is TV.FALSE:
+            return TV.FALSE
+        if left is TV.TRUE and right is TV.TRUE:
+            return TV.TRUE
+        return TV.UNKNOWN
+    if isinstance(f, Or):
+        left = _ev(f.left, d, env)
+        if left is TV.TRUE:
+            return TV.TRUE
+        right = _ev(f.right, d, env)
+        if right is TV.TRUE:
+            return TV.TRUE
+        if left is TV.FALSE and right is TV.FALSE:
+            return TV.FALSE
+        return TV.UNKNOWN
+    if isinstance(f, Implies):
+        left = _ev(f.left, d, env)
+        if left is TV.FALSE:
+            return TV.TRUE
+        right = _ev(f.right, d, env)
+        if right is TV.TRUE:
+            return TV.TRUE
+        if left is TV.TRUE and right is TV.FALSE:
+            return TV.FALSE
+        return TV.UNKNOWN
+    if isinstance(f, (Forall, Exists)):
+        # Fold over the universe; the accumulator mirrors the binary
+        # connective so the quantifier agrees with the explicit fold.
+        hit_unknown = False
+        short = TV.FALSE if isinstance(f, Forall) else TV.TRUE
+        saved = env.get(f.var)
+        had = f.var in env
+        try:
+            for e in d.universe:
+                env[f.var] = e
+                v = _ev(f.body, d, env)
+                if v is short:
+                    return short
+                if v is TV.UNKNOWN:
+                    hit_unknown = True
+        finally:
+            if had:
+                env[f.var] = saved
+            else:
+                env.pop(f.var, None)
+        if hit_unknown:
+            return TV.UNKNOWN
+        return short.negate()
+    raise FormulaError(f"not a formula node: {f!r}")
+
+
+def reference_evaluate(f, domain):
+    return _ev(f, domain, {})
 
 
 def classify(amap, formulas):

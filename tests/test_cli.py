@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -65,6 +66,17 @@ class TestArguments:
         assert code == 1
         assert err.startswith("error: ")
         assert "cannot be inferred" in err
+
+    def test_non_ascii_digit_is_a_positioned_error(self, capsys, tmp_path):
+        # str.isdigit accepts "²", but int() does not: numbers are ASCII only
+        path = tmp_path / "digit.ana"
+        path.write_text("domain S { objects: a; pred P/\u00b2; }\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(
+            r"error: line 1, column 31: unexpected character '\u00b2'\n", err
+        )
 
 
 # ====================================================================
@@ -368,3 +380,21 @@ class TestDeepFormulas:
         for command in ("check", "classify", "report", "score", "best", "entail"):
             code, out, err = run_cli(capsys, "--json", command, str(path))
             assert (code, err) == (0, "")
+
+    def test_vacuous_binders_leave_the_loop(self, capsys, tmp_path):
+        # Folded over the universe, these 60 binders would cost 2^60
+        # evaluations; the compiled evaluator drops the 59 unused ones.
+        path = tmp_path / "vacuous.ana"
+        binders = "".join(f"forall v{i}. " for i in range(60))
+        path.write_text(
+            "domain S { objects: a, b; pred P/1; fact P(a) = true; fact P(b) = true; }\n"
+            "domain T { objects: c, d; pred R/1; fact R(c) = true; fact R(d) = false; }\n"
+            "analogy m from S to T { map P -> R; map a -> c; map b -> d; }\n"
+            f"workingset {{ {binders}P(v0); }}\n"
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "--json", "classify", str(path))
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        (report,) = json.loads(out)["reports"]
+        assert report["negative"] == [f"{binders}P(v0)"]

@@ -1,5 +1,7 @@
 """Formula parsing, printing, checking, and three-valued evaluation."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,11 +32,11 @@ from analogia import (
     mentioned_constants,
     parse_formula,
     print_formula,
-    reduce_term,
     tokenize,
 )
-from analogia.formula import MAX_FORMULA_DEPTH
+from analogia.formula import MAX_FORMULA_DEPTH, formula_nodes
 
+from reference import reference_evaluate
 from sentences import sentences_up_to_depth
 
 T = TruthValue.TRUE
@@ -423,6 +425,16 @@ class TestBuiltPastTheCap:
         space = AnalogySpace(TranslationTables(src, tgt, [P_A]), (), dominance_preference([]))
         with pytest.raises(FormulaError, match=msg):
             entail(space, deep)
+        with pytest.raises(FormulaError, match=msg):
+            evaluate(deep, src)
+
+    @pytest.mark.parametrize("shape", BUILT)
+    def test_evaluate_enforces_the_cap(self, shape):
+        build = BUILT[shape]
+        dom = make_domain(self.SIG, ("a",), func_interp={("g", ("a",)): "a"})
+        assert evaluate(build(MAX_FORMULA_DEPTH - 2), dom) is U
+        with pytest.raises(FormulaError, match="nests deeper than"):
+            evaluate(build(MAX_FORMULA_DEPTH - 1), dom)
 
 
 # ====================================================================
@@ -434,17 +446,6 @@ class TestHelpers:
     def test_mentioned_constants(self):
         f = parse_formula("forall v. R(v, a) -> P(g(b))")
         assert mentioned_constants(f) == {"a", "b"}
-
-    def test_reduce_term_through_functions(self):
-        sig = Signature("s", ("a",), (), (("g", 1),))
-        dom = make_domain(
-            sig, ("a", "e"), func_interp={("g", ("a",)): "e", ("g", ("e",)): "a"}
-        )
-        term = FuncApp("g", (FuncApp("g", (Const("a"),)),))
-        assert reduce_term(term, dom) == "a"
-        assert reduce_term(Var("v"), dom, {"v": "e"}) == "e"
-        with pytest.raises(FormulaError, match="free variable"):
-            reduce_term(Var("v"), dom)
 
 
 # ====================================================================
@@ -558,6 +559,122 @@ class TestEvaluate:
         )
         assert evaluate(parse_formula("exists v. forall w. R(v, w)"), dom) is T
         assert evaluate(parse_formula("forall v. exists w. !R(v, w)"), dom) is F
+
+    def test_function_terms(self):
+        sig = Signature("s", ("a",), (("P", 1),), (("g", 1),))
+        dom = make_domain(
+            sig,
+            ("a", "e"),
+            func_interp={("g", ("a",)): "e", ("g", ("e",)): "a"},
+            facts=[("P", ("a",), True), ("P", ("e",), False)],
+        )
+        gga = FuncApp("g", (FuncApp("g", (Const("a"),)),))
+        assert evaluate(Atom("P", (gga,)), dom) is T  # g(g(a)) = a
+        assert evaluate(Atom("P", (FuncApp("g", (Const("a"),)),)), dom) is F
+        # v and g(v) always land on different elements
+        assert evaluate(parse_formula("forall v. P(v) -> !P(g(v))"), dom) is T
+        assert evaluate(parse_formula("exists v. P(g(g(v))) & !P(v)"), dom) is F
+        with pytest.raises(FormulaError, match="free variable"):
+            evaluate(Atom("P", (FuncApp("g", (Var("v"),)),)), dom)
+
+
+# ====================================================================
+# Evaluation: the compiled evaluator against the recursive reference
+# ====================================================================
+
+ORACLE_SIG = Signature(
+    "o", ("a", "b"), (("P", 1), ("Q", 1), ("R", 2)), (("g", 1), ("h", 2))
+)
+BINDERS = ("x", "y")
+BINARY = {"and": And, "or": Or, "implies": Implies}
+QUANTIFIERS = {"forall": Forall, "exists": Exists}
+# The shapes the compiler treats specially, drawn alongside random sentences.
+ORACLE_SHAPES = [
+    parse_formula(text)
+    for text in (
+        "forall x. P(x) & (exists x. Q(x))",  # shadowed binders
+        "forall x. exists y. forall x. R(x, g(y))",
+        "exists x. forall x. exists y. R(x, y)",
+        "forall x. exists y. P(a) | Q(g(b))",  # vacuous binders
+        "exists x. forall y. P(x) -> Q(h(x, b))",  # partly vacuous
+        "forall x. (P(a) | !Q(g(b))) -> R(x, a)",  # ground part under a binder
+        "exists x. !(P(x) & Q(x)) | (R(x, b) -> P(g(x)))",  # every connective
+    )
+]
+
+
+@st.composite
+def oracle_domains(draw):
+    """ORACLE_SIG over 1 to 3 elements, every atom true, false or unknown."""
+
+    universe = tuple(f"e{i}" for i in range(draw(st.integers(1, 3))))
+    element = st.sampled_from(universe)
+    value = st.sampled_from([T, F, U])
+    return make_domain(
+        ORACLE_SIG,
+        universe,
+        const_interp={c: draw(element) for c in ORACLE_SIG.constants},
+        func_interp={
+            (name, args): draw(element)
+            for name, arity in ORACLE_SIG.functions
+            for args in itertools.product(universe, repeat=arity)
+        },
+        facts=[
+            (name, args, draw(value))
+            for name, arity in ORACLE_SIG.predicates
+            for args in itertools.product(universe, repeat=arity)
+        ],
+    )
+
+
+def _oracle_term(draw, scope, budget):
+    if budget and draw(st.integers(0, 3)) == 0:
+        name, arity = draw(st.sampled_from(ORACLE_SIG.functions))
+        return FuncApp(name, tuple(_oracle_term(draw, scope, budget - 1) for _ in range(arity)))
+    # a bound variable is three times as likely as a constant, so that
+    # most subformulas under a binder read it
+    name = draw(st.sampled_from(ORACLE_SIG.constants + 3 * scope))
+    return Var(name) if name in scope else Const(name)
+
+
+def _oracle_sentence(draw, scope, budget):
+    kinds = ["atom", "not", *BINARY, *QUANTIFIERS] if budget else ["atom"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        name, arity = draw(st.sampled_from(ORACLE_SIG.predicates))
+        return Atom(name, tuple(_oracle_term(draw, scope, 1) for _ in range(arity)))
+    if kind == "not":
+        return Not(_oracle_sentence(draw, scope, budget - 1))
+    if kind in BINARY:
+        left = _oracle_sentence(draw, scope, budget - 1)
+        return BINARY[kind](left, _oracle_sentence(draw, scope, budget - 1))
+    var = draw(st.sampled_from(BINDERS))  # may shadow, and may go unused
+    return QUANTIFIERS[kind](var, _oracle_sentence(draw, scope + (var,), budget - 1))
+
+
+@st.composite
+def oracle_sentences(draw):
+    return _oracle_sentence(draw, (), 5)
+
+
+def is_sentence(f):
+    try:
+        check_formula(f, ORACLE_SIG)
+    except FormulaError:  # a free variable, bound further out
+        return False
+    return True
+
+
+class TestCompiledAgainstReference:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(oracle_domains(), st.one_of(st.sampled_from(ORACLE_SHAPES), oracle_sentences()))
+    def test_agrees_with_the_recursive_evaluator(self, dom, f):
+        check_formula(f, ORACLE_SIG)
+        # Every closed subformula is compared too, so that a wrong value
+        # deep inside cannot hide behind a false conjunct or a true disjunct.
+        for node, _, _, in_term in formula_nodes(f):
+            if not in_term and is_sentence(node):
+                assert evaluate(node, dom) is reference_evaluate(node, dom), node
 
 
 # ====================================================================
