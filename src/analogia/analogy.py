@@ -40,11 +40,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AnalogyError,
+    FormulaError,
     NoGuardMatch,
     TranslationError,
     UntranslatableSymbol,
 )
 from .formula import (
+    _TOO_DEEP,
+    MAX_FORMULA_DEPTH,
     And,
     Atom,
     Const,
@@ -239,13 +242,16 @@ def translate(amap: AnalogyMap, f: Formula) -> Formula:
     variables pass through unchanged, with one exception: a bound
     variable whose name collides with a target symbol is primed until
     it no longer does, which keeps the result well formed over the
-    target signature without changing its meaning.
+    target signature without changing its meaning. A tree nested past
+    MAX_FORMULA_DEPTH raises a FormulaError, as check_formula does.
     """
 
     piece = _matching_piece(amap, f)
     mapping = piece.mapping
     taken = set(amap.target.signature.symbols())
-    for node, _, _, _ in formula_nodes(f):
+    for node, _, depth, _ in formula_nodes(f):
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaError(_TOO_DEEP)
         kind = type(node)
         if kind is Var:
             taken.add(node.name)

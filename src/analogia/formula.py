@@ -30,19 +30,28 @@ Concrete syntax, shared with the session files:
     primary  := '(' formula ')' | IDENT '(' term (',' term)* ')'
     term     := IDENT ('(' term (',' term)* ')')?
 
-Identifiers match [A-Za-z_][A-Za-z0-9_']*, so primed names like x' are
-fine. Precedence is ! over & over | over ->. A quantifier grabs the
-longest formula it can; the printer therefore parenthesizes quantified
+tokenize matches one compiled pattern at the cursor, with one group per
+token class: newline, blanks, comment, identifier, number and symbol;
+each match also takes the blanks after it. The group that matched gives
+the token's kind, and the column is the offset from the start of the
+line. Identifiers match kb.IDENT_PATTERN,
+[A-Za-z_][A-Za-z0-9_']*, the same rule Signature holds symbol names to,
+so primed names like x' are fine.
+
+Precedence is ! over & over | over ->. A quantifier grabs the longest
+formula it can; the printer therefore parenthesizes quantified
 subformulas whenever they sit under a connective, and the composition
 parse(print_formula(f)) returns f unchanged.
 
 Structural reads go through formula_nodes, which keeps its own stack,
 so they take a tree of any depth. A formula nests at most
 MAX_FORMULA_DEPTH levels deep: the parser raises a ParseError at the
-token that crosses the cap, and check_formula and the evaluator's
-compiler a FormulaError for a deeper tree built in code. The compiler,
-its closures, the printer and translation still recurse, a few frames
-per level.
+token that crosses the cap, and check_formula, the evaluator's
+compiler, the printer and translate a FormulaError for a deeper tree
+built in code. The parser, the compiler and its closures, the printer,
+translation and the dataclasses' hash and equality still recurse, a few
+frames per level; only hashing is reached unchecked, by conjecture_for
+and TranslationTables.conjecture, which hash the query.
 
 An occurrence of an identifier in term position is a variable when
 some enclosing quantifier binds it and a constant otherwise. To keep
@@ -53,11 +62,13 @@ collides with a declared symbol of the signature.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import FormulaError, ParseError
 from .kb import (
+    IDENT_PATTERN,
     RESERVED_WORDS,
     KnowledgeDomain,
     Signature,
@@ -157,12 +168,12 @@ _QUANT = (Forall, Exists)
 
 # The deepest a formula may nest, counting every node on a path from
 # the root (connectives, quantifiers, atoms and terms); the parser
-# counts every pair of parentheses as well. check_formula and the
-# evaluator's compiler reject any deeper tree, however it was built, so
-# the recursive code (the compiler and its closures, the printer,
-# translation, and the dataclasses' hash and equality) only ever sees
-# trees that fit under Python's default recursion limit together with
-# the command line's own frames.
+# counts every pair of parentheses as well. check_formula, the
+# evaluator's compiler, the printer and translate reject any deeper
+# tree, however it was built, so the recursive code (the compiler and
+# its closures, the printer, translation, and the dataclasses' hash and
+# equality) only ever sees trees that fit under Python's default
+# recursion limit together with the command line's own frames.
 MAX_FORMULA_DEPTH = 100
 _TOO_DEEP = f"formula nests deeper than {MAX_FORMULA_DEPTH} levels"
 
@@ -468,10 +479,18 @@ class Token:
     col: int
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_DIGITS = set("0123456789")  # str.isdigit also takes digits int() rejects, such as ²
-_IDENT_CONT = _IDENT_START | _DIGITS | {"'"}
-_SINGLE_SYMBOLS = set("!&|(){},;:.=/")
+# One alternative per token class, tried in this order at the cursor;
+# the number of the group that matched tells the class. Each match also
+# takes the blanks that follow it, which saves about a third of the
+# matches on session text. Digits are [0-9] only: \d would also take
+# every other Unicode decimal digit, such as ٣.
+_TOKEN_RE = re.compile(
+    r"(?:(\n)|([ \t\r]+)|(#[^\n]*)"  # 1 newline, 2 blanks, 3 comment
+    f"|({IDENT_PATTERN})"  # 4 identifier
+    r"|([0-9]+)|(->|[!&|(){},;:.=/]))"  # 5 number, 6 symbol
+    r"[ \t\r]*"
+)
+_KIND_OF_GROUP = (None, None, None, None, "ident", "number", "symbol")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -482,55 +501,29 @@ def tokenize(text: str) -> list[Token]:
     """
 
     out: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch in _IDENT_START:
-            start, start_col = i, col
-            while i < n and text[i] in _IDENT_CONT:
-                i += 1
-                col += 1
-            out.append(Token("ident", text[start:i], line, start_col))
-            continue
-        if ch in _DIGITS:
-            start, start_col = i, col
-            while i < n and text[i] in _DIGITS:
-                i += 1
-                col += 1
-            out.append(Token("number", text[start:i], line, start_col))
-            continue
-        if text.startswith("->", i):
-            out.append(Token("symbol", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SINGLE_SYMBOLS:
-            out.append(Token("symbol", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("eof", "", line, col))
+    match = _TOKEN_RE.match
+    pos, line, line_start, n = 0, 1, 0, len(text)
+    while pos < n:
+        m = match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        group = m.lastindex
+        if group == 1:
+            line, line_start = line + 1, pos + 1
+        elif group > 3:
+            out.append(Token(_KIND_OF_GROUP[group], m.group(group), line, pos - line_start + 1))
+        pos = m.end()
+    out.append(Token("eof", "", line, pos - line_start + 1))
     return out
 
 
 class TokenStream:
-    """Cursor over a token list with positioned errors."""
+    """Cursor over a token list with positioned errors.
+
+    at, take and expect compare token texts only: the text alone tells
+    the kind (identifiers start with a letter or '_', numbers are
+    digits, symbols are punctuation, and end of input is empty).
+    """
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -545,29 +538,18 @@ class TokenStream:
             self.pos += 1
         return tok
 
-    def at_symbol(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "symbol" and tok.text == text
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
 
-    def at_word(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == text
-
-    def take_symbol(self, text: str) -> bool:
-        if self.at_symbol(text):
+    def take(self, text: str) -> bool:
+        if self.tokens[self.pos].text == text:
             self.pos += 1
             return True
         return False
 
-    def take_word(self, text: str) -> bool:
-        if self.at_word(text):
-            self.pos += 1
-            return True
-        return False
-
-    def expect_symbol(self, text: str) -> Token:
+    def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok.kind == "symbol" and tok.text == text:
+        if tok.text == text:
             return self.next()
         self.error(f"expected {text!r}, found {self._describe(tok)}")
 
@@ -576,12 +558,6 @@ class TokenStream:
         if tok.kind == "ident":
             return self.next()
         self.error(f"expected identifier, found {self._describe(tok)}")
-
-    def expect_word(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == text:
-            return self.next()
-        self.error(f"expected {text!r}, found {self._describe(tok)}")
 
     def expect_number(self) -> int:
         tok = self.peek()
@@ -624,7 +600,7 @@ def _deeper(ts: TokenStream, depth: int) -> int:
 
 def _parse_implies(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
     left, reach = _parse_or(ts, scope, depth)
-    if ts.at_symbol("->"):
+    if ts.at("->"):
         reach = _deeper(ts, reach)  # the left side moves under the Implies
         ts.next()
         right, right_reach = _parse_implies(ts, scope, depth + 1)
@@ -634,7 +610,7 @@ def _parse_implies(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formu
 
 def _parse_or(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
     f, reach = _parse_and(ts, scope, depth)
-    while ts.at_symbol("|"):
+    while ts.at("|"):
         reach = _deeper(ts, reach)  # the chain so far moves under the new Or
         ts.next()
         right, right_reach = _parse_and(ts, scope, depth + 1)
@@ -644,7 +620,7 @@ def _parse_or(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, i
 
 def _parse_and(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
     f, reach = _parse_unary(ts, scope, depth)
-    while ts.at_symbol("&"):
+    while ts.at("&"):
         reach = _deeper(ts, reach)  # the chain so far moves under the new And
         ts.next()
         right, right_reach = _parse_unary(ts, scope, depth + 1)
@@ -653,7 +629,7 @@ def _parse_and(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, 
 
 
 def _parse_unary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
-    if ts.at_symbol("!"):
+    if ts.at("!"):
         level = _deeper(ts, depth)
         ts.next()
         body, reach = _parse_unary(ts, scope, level)
@@ -665,7 +641,7 @@ def _parse_unary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula
         var = ts.expect_ident()
         if var.text in RESERVED_WORDS:
             raise ParseError(f"{var.text!r} cannot be a variable", var.line, var.col)
-        ts.expect_symbol(".")
+        ts.expect(".")
         scope.append(var.text)
         try:
             body, reach = _parse_implies(ts, scope, level)
@@ -676,11 +652,11 @@ def _parse_unary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula
 
 
 def _parse_primary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
-    if ts.at_symbol("("):
+    if ts.at("("):
         level = _deeper(ts, depth)  # parentheses nest the parser, not the tree
         ts.next()
         f, reach = _parse_implies(ts, scope, level)
-        ts.expect_symbol(")")
+        ts.expect(")")
         return f, reach
     tok = ts.peek()
     if tok.kind != "ident":
@@ -692,21 +668,21 @@ def _parse_primary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formu
 
 
 def _parse_args(ts: TokenStream, scope: list[str], depth: int) -> tuple[tuple[Term, ...], int]:
-    ts.expect_symbol("(")
+    ts.expect("(")
     arg, reach = _parse_term(ts, scope, depth)
     args = [arg]
-    while ts.take_symbol(","):
+    while ts.take(","):
         arg, arg_reach = _parse_term(ts, scope, depth)
         args.append(arg)
         reach = max(reach, arg_reach)
-    ts.expect_symbol(")")
+    ts.expect(")")
     return tuple(args), reach
 
 
 def _parse_term(ts: TokenStream, scope: list[str], depth: int) -> tuple[Term, int]:
     level = _deeper(ts, depth)
     name = ts.expect_ident()
-    if ts.at_symbol("("):
+    if ts.at("("):
         args, reach = _parse_args(ts, scope, level)
         return FuncApp(name.text, args), reach
     if name.text in scope:
@@ -736,41 +712,46 @@ _PREC_NOT = 4
 _PREC_ATOM = 5
 
 
-def _term_str(t: Term) -> str:
+def _term_str(t: Term, depth: int) -> str:
+    if depth > MAX_FORMULA_DEPTH:
+        raise FormulaError(_TOO_DEEP)
     if isinstance(t, (Var, Const)):
         return t.name
     if isinstance(t, FuncApp):
-        return f"{t.func}({', '.join(_term_str(a) for a in t.args)})"
+        return f"{t.func}({', '.join([_term_str(a, depth + 1) for a in t.args])})"
     raise FormulaError(f"not a term node: {t!r}")
 
 
-def _render(f: Formula) -> tuple[str, int]:
+def _render(f: Formula, depth: int) -> tuple[str, int]:
+    if depth > MAX_FORMULA_DEPTH:
+        raise FormulaError(_TOO_DEEP)
+    depth += 1
     if isinstance(f, Atom):
-        return f"{f.predicate}({', '.join(_term_str(a) for a in f.args)})", _PREC_ATOM
+        return f"{f.predicate}({', '.join([_term_str(a, depth) for a in f.args])})", _PREC_ATOM
     if isinstance(f, Not):
-        s, p = _render(f.body)
+        s, p = _render(f.body, depth)
         if p < _PREC_NOT:
             s = f"({s})"
         return f"!{s}", _PREC_NOT
     if isinstance(f, And):
-        ls, lp = _render(f.left)
-        rs, rp = _render(f.right)
+        ls, lp = _render(f.left, depth)
+        rs, rp = _render(f.right, depth)
         if lp < _PREC_AND:
             ls = f"({ls})"
         if rp < _PREC_NOT:  # a right-hand & is reparenthesized to keep shape
             rs = f"({rs})"
         return f"{ls} & {rs}", _PREC_AND
     if isinstance(f, Or):
-        ls, lp = _render(f.left)
-        rs, rp = _render(f.right)
+        ls, lp = _render(f.left, depth)
+        rs, rp = _render(f.right, depth)
         if lp < _PREC_OR:
             ls = f"({ls})"
         if rp < _PREC_AND:
             rs = f"({rs})"
         return f"{ls} | {rs}", _PREC_OR
     if isinstance(f, Implies):
-        ls, lp = _render(f.left)
-        rs, rp = _render(f.right)
+        ls, lp = _render(f.left, depth)
+        rs, rp = _render(f.right, depth)
         if lp < _PREC_OR:  # implication associates to the right
             ls = f"({ls})"
         if rp < _PREC_IMPLIES:
@@ -778,14 +759,18 @@ def _render(f: Formula) -> tuple[str, int]:
         return f"{ls} -> {rs}", _PREC_IMPLIES
     if isinstance(f, (Forall, Exists)):
         word = "forall" if isinstance(f, Forall) else "exists"
-        return f"{word} {f.var}. {_render(f.body)[0]}", _PREC_QUANT
+        return f"{word} {f.var}. {_render(f.body, depth)[0]}", _PREC_QUANT
     raise FormulaError(f"not a formula node: {f!r}")
 
 
 def print_formula(f: Formula) -> str:
-    """Canonical text form; parse_formula(print_formula(f)) == f."""
+    """Canonical text form; parse_formula(print_formula(f)) == f.
 
-    return _render(f)[0]
+    The printer counts depth as check_formula does and raises a
+    FormulaError past MAX_FORMULA_DEPTH.
+    """
+
+    return _render(f, 1)[0]
 
 
 # ====================================================================

@@ -22,7 +22,9 @@ from typing import Iterable, Mapping
 
 from .errors import DomainError, SignatureError
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+# The one identifier rule: symbol names and the formula scanner share it.
+IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_']*"
+_IDENT_RE = re.compile(IDENT_PATTERN)
 
 # Words the formula grammar claims for itself; they cannot name symbols.
 RESERVED_WORDS = frozenset({"forall", "exists"})
@@ -55,7 +57,7 @@ class TruthValue(Enum):
 
 
 def _check_ident(name: str, what: str) -> None:
-    if not isinstance(name, str) or not _IDENT_RE.match(name):
+    if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
         raise SignatureError(f"invalid {what} identifier {name!r}")
     if name in RESERVED_WORDS:
         raise SignatureError(f"{name!r} is a reserved word and cannot name a {what}")
@@ -203,9 +205,13 @@ class KnowledgeDomain:
             if not isinstance(value, TruthValue):
                 raise DomainError(f"fact {atom} has a non truth-value entry {value!r}")
             if self.signature.kind_of(atom.predicate) != "predicate":
-                raise DomainError(f"fact for unknown predicate {atom.predicate!r}")
-            if self.signature.arity_of(atom.predicate) != len(atom.args):
-                raise DomainError(f"arity mismatch in fact {atom}")
+                raise DomainError(f"fact uses unknown predicate {atom.predicate!r}")
+            arity = self.signature.arity_of(atom.predicate)
+            if arity != len(atom.args):
+                raise DomainError(
+                    f"arity mismatch: {atom.predicate} expects {arity} "
+                    f"arguments, got {len(atom.args)}"
+                )
             if any(a not in uset for a in atom.args):
                 raise DomainError(f"fact {atom} names unknown elements")
             if value.known:
@@ -232,13 +238,15 @@ def make_domain(
     func_interp: Mapping[tuple[str, tuple[str, ...]], str] | None = None,
     facts: Iterable[tuple[str, tuple[str, ...], TruthValue | bool]] = (),
 ) -> KnowledgeDomain:
-    """Build a KnowledgeDomain, rejecting ill-formed input early.
+    """Build a KnowledgeDomain from names rather than resolved elements.
 
     When const_interp is omitted every constant must itself be a
     universe element and denotes itself. Fact arguments may be
     constants (resolved through the interpretation) or raw universe
     elements; constants win when a name is both. Listing the same atom
-    twice is fine if the values agree and an error otherwise.
+    twice is fine if the values agree and an error otherwise. Every
+    other check of a fact (its value, predicate and arity) is
+    KnowledgeDomain's, which also drops the unknown ones.
     """
 
     elems = tuple(sorted(set(universe)))
@@ -263,14 +271,6 @@ def make_domain(
     for pred, args, value in facts:
         if isinstance(value, bool):
             value = TruthValue.of(value)
-        kind = signature.kind_of(pred)
-        if kind != "predicate":
-            raise DomainError(f"fact uses unknown predicate {pred!r}")
-        if signature.arity_of(pred) != len(args):
-            raise DomainError(
-                f"arity mismatch: {pred} expects {signature.arity_of(pred)} "
-                f"arguments, got {len(args)}"
-            )
         resolved = []
         for a in args:
             if a in const_interp:
@@ -291,7 +291,7 @@ def make_domain(
         universe=elems,
         const_interp=const_interp,
         func_interp=func_interp,
-        facts={a: v for a, v in seen.items() if v.known},
+        facts=seen,
     )
 
 

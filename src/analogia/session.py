@@ -246,42 +246,42 @@ def parse_session(text: str) -> Session:
 
     while ts.peek().kind != "eof":
         tok = ts.peek()
-        if ts.take_word("domain"):
+        if ts.take("domain"):
             raw_domains.append(_parse_domain(ts))
-        elif ts.take_word("analogy"):
+        elif ts.take("analogy"):
             raw_analogies.append(_parse_analogy(ts))
-        elif ts.take_word("workingset"):
+        elif ts.take("workingset"):
             if working is not None or working_atoms:
                 raise ParseError("duplicate workingset declaration", tok.line, tok.col)
-            if ts.take_word("atoms"):
-                ts.expect_symbol(";")
+            if ts.take("atoms"):
+                ts.expect(";")
                 working_atoms = True
             else:
                 working = _parse_workingset(ts)
-        elif ts.take_word("preference"):
+        elif ts.take("preference"):
             if preference is not None:
                 raise ParseError("duplicate preference declaration", tok.line, tok.col)
             preference = _parse_preference(ts)
-        elif ts.take_word("query"):
+        elif ts.take("query"):
             queries.append(parse_formula_stream(ts))
-            ts.expect_symbol(";")
-        elif ts.take_word("source"):
+            ts.expect(";")
+        elif ts.take("source"):
             if source_name is not None:
                 raise ParseError("duplicate source declaration", tok.line, tok.col)
             source_name = ts.expect_ident().text
-            ts.expect_symbol(";")
-        elif ts.take_word("target"):
+            ts.expect(";")
+        elif ts.take("target"):
             if target_name is not None:
                 raise ParseError("duplicate target declaration", tok.line, tok.col)
             target_name = ts.expect_ident().text
-            ts.expect_symbol(";")
-        elif ts.take_word("closure"):
+            ts.expect(";")
+        elif ts.take("closure"):
             if closure is not None:
                 raise ParseError("duplicate closure declaration", tok.line, tok.col)
             word = ts.expect_ident()
             if word.text not in ("on", "off"):
                 raise ParseError("closure must be on or off", word.line, word.col)
-            ts.expect_symbol(";")
+            ts.expect(";")
             closure = word.text == "on"
         else:
             ts.error(
@@ -337,23 +337,21 @@ def parse_session(text: str) -> Session:
 
 def _parse_domain(ts: TokenStream) -> _RawDomain:
     name = ts.expect_ident().text
-    ts.expect_symbol("{")
+    ts.expect("{")
     raw = _RawDomain(name, [], [], [], [], [])
-    while not ts.take_symbol("}"):
-        if ts.take_word("objects"):
-            ts.expect_symbol(":")
-            raw.objects.append(ts.expect_ident().text)
-            while ts.take_symbol(","):
-                raw.objects.append(ts.expect_ident().text)
-            ts.expect_symbol(";")
-        elif ts.take_word("pred"):
+    while not ts.take("}"):
+        if ts.take("objects"):
+            ts.expect(":")
+            raw.objects += _parse_ident_list(ts)
+            ts.expect(";")
+        elif ts.take("pred"):
             raw.predicates.append(_parse_arity_decl(ts))
-        elif ts.take_word("func"):
+        elif ts.take("func"):
             raw.functions.append(_parse_arity_decl(ts))
-        elif ts.take_word("fact"):
+        elif ts.take("fact"):
             pred = ts.expect_ident().text
             args = _parse_name_args(ts)
-            ts.expect_symbol("=")
+            ts.expect("=")
             word = ts.expect_ident()
             try:
                 value = TruthValue(word.text)
@@ -363,14 +361,14 @@ def _parse_domain(ts: TokenStream) -> _RawDomain:
                     word.line,
                     word.col,
                 ) from None
-            ts.expect_symbol(";")
+            ts.expect(";")
             raw.facts.append((pred, args, value))
-        elif ts.take_word("interp"):
+        elif ts.take("interp"):
             fname = ts.expect_ident().text
             args = _parse_name_args(ts)
-            ts.expect_symbol("=")
+            ts.expect("=")
             result = ts.expect_ident().text
-            ts.expect_symbol(";")
+            ts.expect(";")
             raw.interps.append((fname, args, result))
         else:
             ts.error(
@@ -382,47 +380,50 @@ def _parse_domain(ts: TokenStream) -> _RawDomain:
 
 def _parse_arity_decl(ts: TokenStream) -> tuple[str, int]:
     name = ts.expect_ident().text
-    ts.expect_symbol("/")
+    ts.expect("/")
     arity = ts.expect_number()
-    ts.expect_symbol(";")
+    ts.expect(";")
     return name, arity
 
 
+def _parse_ident_list(ts: TokenStream) -> list[str]:
+    names = [ts.expect_ident().text]
+    while ts.take(","):
+        names.append(ts.expect_ident().text)
+    return names
+
+
 def _parse_name_args(ts: TokenStream) -> tuple[str, ...]:
-    ts.expect_symbol("(")
-    args = [ts.expect_ident().text]
-    while ts.take_symbol(","):
-        args.append(ts.expect_ident().text)
-    ts.expect_symbol(")")
+    ts.expect("(")
+    args = _parse_ident_list(ts)
+    ts.expect(")")
     return tuple(args)
 
 
 def _parse_analogy(ts: TokenStream) -> _RawAnalogy:
     name = ts.expect_ident().text
-    ts.expect_word("from")
+    ts.expect("from")
     src = ts.expect_ident().text
-    ts.expect_word("to")
+    ts.expect("to")
     tgt = ts.expect_ident().text
-    ts.expect_symbol("{")
+    ts.expect("{")
     raw = _RawAnalogy(name, src, tgt, [])
     bare: list[tuple[str, str]] | None = None
-    while not ts.take_symbol("}"):
+    while not ts.take("}"):
         tok = ts.peek()
-        if ts.take_word("piece"):
+        if ts.take("piece"):
             if bare is not None:
                 raise ParseError(
                     "cannot mix bare map lines with piece blocks", tok.line, tok.col
                 )
-            ts.expect_word("when")
-            ts.expect_word("mentions")
-            ts.expect_symbol("{")
-            consts = [ts.expect_ident().text]
-            while ts.take_symbol(","):
-                consts.append(ts.expect_ident().text)
-            ts.expect_symbol("}")
-            ts.expect_symbol("{")
+            ts.expect("when")
+            ts.expect("mentions")
+            ts.expect("{")
+            consts = _parse_ident_list(ts)
+            ts.expect("}")
+            ts.expect("{")
             raw.pieces.append((tuple(consts), _parse_map_lines(ts)))
-        elif ts.at_word("map"):
+        elif ts.at("map"):
             if raw.pieces:
                 raise ParseError(
                     "cannot mix bare map lines with piece blocks", tok.line, tok.col
@@ -440,36 +441,36 @@ def _parse_analogy(ts: TokenStream) -> _RawAnalogy:
 
 
 def _parse_map_line(ts: TokenStream) -> tuple[str, str]:
-    ts.expect_word("map")
+    ts.expect("map")
     src = ts.expect_ident().text
-    ts.expect_symbol("->")
+    ts.expect("->")
     tgt = ts.expect_ident().text
-    ts.expect_symbol(";")
+    ts.expect(";")
     return src, tgt
 
 
 def _parse_map_lines(ts: TokenStream) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
-    while not ts.take_symbol("}"):
-        if not ts.at_word("map"):
+    while not ts.take("}"):
+        if not ts.at("map"):
             ts.error("expected map or '}'")
         out.append(_parse_map_line(ts))
     return out
 
 
 def _parse_workingset(ts: TokenStream) -> list[Formula]:
-    ts.expect_symbol("{")
+    ts.expect("{")
     out: list[Formula] = []
-    while not ts.take_symbol("}"):
+    while not ts.take("}"):
         out.append(parse_formula_stream(ts))
-        ts.expect_symbol(";")
+        ts.expect(";")
     return out
 
 
 def _parse_weight(ts: TokenStream) -> Fraction:
     tok = ts.peek()
     numerator = ts.expect_number()
-    if ts.take_symbol("/"):
+    if ts.take("/"):
         denominator = ts.expect_number()
         if denominator == 0:
             raise ParseError("weight denominator cannot be zero", tok.line, tok.col)
@@ -478,26 +479,26 @@ def _parse_weight(ts: TokenStream) -> Fraction:
 
 
 def _parse_preference(ts: TokenStream):
-    if ts.take_word("dominance"):
-        ts.expect_symbol(";")
+    if ts.take("dominance"):
+        ts.expect(";")
         return "dominance", None, ()
-    if ts.take_word("counts"):
-        ts.expect_symbol("(")
+    if ts.take("counts"):
+        ts.expect("(")
         wp = _parse_weight(ts)
-        ts.expect_symbol(",")
+        ts.expect(",")
         wn = _parse_weight(ts)
-        ts.expect_symbol(")")
-        ts.expect_symbol(";")
+        ts.expect(")")
+        ts.expect(";")
         return "counts", (wp, wn), ()
-    if ts.take_word("explicit"):
-        ts.expect_symbol("{")
+    if ts.take("explicit"):
+        ts.expect("{")
         edges: list[tuple[str, str]] = []
-        while not ts.take_symbol("}"):
-            ts.expect_word("prefer")
+        while not ts.take("}"):
+            ts.expect("prefer")
             a = ts.expect_ident().text
-            ts.expect_word("over")
+            ts.expect("over")
             b = ts.expect_ident().text
-            ts.expect_symbol(";")
+            ts.expect(";")
             edges.append((a, b))
         return "explicit", None, tuple(edges)
     ts.error("expected dominance, counts, or explicit")

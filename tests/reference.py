@@ -14,6 +14,11 @@ each quantifier over the whole universe, as the engine did before it
 compiled sentences; the compiled evaluate must agree with it, see
 test_formula.py.
 
+The scanner: reference_tokenize walks the text one character at a time
+against explicit character sets, as the engine did before it matched
+one compiled pattern; tokenize must agree with it token for token and
+error for error, see test_formula.py.
+
 The relation kernel: set-based loops over a relation's edges for the
 induced choice, transitivity, smoothness and rankedness, with the same
 first-failing witnesses, and the class check built on them. The
@@ -37,9 +42,11 @@ from analogia import (
     Implies,
     Not,
     Or,
+    ParseError,
     PreferenceError,
     PreferenceRelation,
     SupportReport,
+    Token,
     TranslationError,
     TruthValue,
     Var,
@@ -141,6 +148,61 @@ def _ev(f, d, env):
 
 def reference_evaluate(f, domain):
     return _ev(f, domain, {})
+
+
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_DIGITS = set("0123456789")
+_IDENT_CONT = _IDENT_START | _DIGITS | {"'"}
+_SINGLE_SYMBOLS = set("!&|(){},;:.=/")
+
+
+def reference_tokenize(text):
+    out = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if ch in _IDENT_START:
+            start, start_col = i, col
+            while i < n and text[i] in _IDENT_CONT:
+                i += 1
+                col += 1
+            out.append(Token("ident", text[start:i], line, start_col))
+            continue
+        if ch in _DIGITS:
+            start, start_col = i, col
+            while i < n and text[i] in _DIGITS:
+                i += 1
+                col += 1
+            out.append(Token("number", text[start:i], line, start_col))
+            continue
+        if text.startswith("->", i):
+            out.append(Token("symbol", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _SINGLE_SYMBOLS:
+            out.append(Token("symbol", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    out.append(Token("eof", "", line, col))
+    return out
 
 
 def classify(amap, formulas):

@@ -20,9 +20,11 @@ from analogia import (
     ParseError,
     Session,
     Signature,
+    SignatureError,
     TranslationTables,
     TruthValue,
     Var,
+    analogy_map,
     check_formula,
     dominance_preference,
     entail,
@@ -33,10 +35,13 @@ from analogia import (
     parse_formula,
     print_formula,
     tokenize,
+    translate,
 )
 from analogia.formula import MAX_FORMULA_DEPTH, formula_nodes
+from analogia.kb import RESERVED_WORDS, _check_ident
 
-from reference import reference_evaluate
+from conftest import SESSIONS_DIR
+from reference import reference_evaluate, reference_tokenize
 from sentences import sentences_up_to_depth
 
 T = TruthValue.TRUE
@@ -89,6 +94,60 @@ class TestTokenize:
             tokenize("P(a) $ Q(b)")
         assert exc.value.line == 1
         assert exc.value.col == 6
+
+
+def scan(scanner, text):
+    """The token list, or the ParseError's message, line and column."""
+
+    try:
+        return scanner(text)
+    except ParseError as err:
+        return err.bare_message, err.line, err.col
+
+
+# What the drawn texts are made of: every token class, characters just
+# outside each class (a prime, a lone '-', a non-ASCII letter, digit
+# and superscript), and every way a line or a comment can end.
+SCANNER_PIECES = (
+    "x", "x'", "P", "_a1", "b'c", "forall", "0", "12", "٣", "²", "é", "-", "->",
+    *"!&|(){},;:.=/", " ", "\t", "\r\n", "\n", "# note", "# note\n", "$",
+)
+
+
+class TestScannerAgainstReference:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(SCANNER_PIECES), max_size=16).map("".join))
+    def test_agrees_with_the_character_loop(self, text):
+        assert scan(tokenize, text) == scan(reference_tokenize, text)
+
+    @pytest.mark.parametrize(
+        "path", sorted(SESSIONS_DIR.glob("*.ana")), ids=lambda path: path.name
+    )
+    def test_agrees_on_every_bundled_session(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert tokenize(text) == reference_tokenize(text)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from(sorted(RESERVED_WORDS)),
+            st.text(alphabet="aZ_09'é٣²-#. \t\n", max_size=6),
+        )
+    )
+    def test_one_identifier_rule(self, name):
+        # A name scans as exactly one identifier iff a signature accepts
+        # it, reserved words aside.
+        try:
+            toks = tokenize(name)
+        except ParseError:
+            toks = []
+        one_ident = [(t.kind, t.text) for t in toks] == [("ident", name), ("eof", "")]
+        try:
+            _check_ident(name, "constant")
+            accepted = True
+        except SignatureError:
+            accepted = name in RESERVED_WORDS
+        assert one_ident == accepted
 
 
 # ====================================================================
@@ -397,6 +456,15 @@ class TestCheckFormula:
 class TestBuiltPastTheCap:
     SIG = Signature("s", ("a",), (("P", 1),), (("g", 1),))
 
+    def identity_map(self):
+        src = make_domain(self.SIG, ("a",), func_interp={("g", ("a",)): "a"})
+        tgt = make_domain(
+            Signature("t", ("a",), (("P", 1),), (("g", 1),)),
+            ("a",),
+            func_interp={("g", ("a",)): "a"},
+        )
+        return analogy_map("m", src, tgt, {"P": "P", "a": "a", "g": "g"})
+
     @pytest.mark.parametrize("shape", BUILT)
     def test_check_formula_enforces_the_cap(self, shape):
         build = BUILT[shape]
@@ -407,12 +475,8 @@ class TestBuiltPastTheCap:
     @pytest.mark.parametrize("shape", BUILT)
     def test_every_entry_point_raises_a_formula_error(self, shape):
         deep = BUILT[shape](3000)
-        src = make_domain(self.SIG, ("a",), func_interp={("g", ("a",)): "a"})
-        tgt = make_domain(
-            Signature("t", ("a",), (("P", 1),), (("g", 1),)),
-            ("a",),
-            func_interp={("g", ("a",)): "a"},
-        )
+        amap = self.identity_map()
+        src, tgt = amap.source, amap.target
         msg = "nests deeper than"
         with pytest.raises(FormulaError, match=msg):
             check_formula(deep, self.SIG)
@@ -427,6 +491,12 @@ class TestBuiltPastTheCap:
             entail(space, deep)
         with pytest.raises(FormulaError, match=msg):
             evaluate(deep, src)
+        with pytest.raises(FormulaError, match=msg):
+            print_formula(deep)
+        with pytest.raises(FormulaError, match=msg):
+            str(deep)
+        with pytest.raises(FormulaError, match=msg):
+            translate(amap, deep)
 
     @pytest.mark.parametrize("shape", BUILT)
     def test_evaluate_enforces_the_cap(self, shape):
@@ -435,6 +505,17 @@ class TestBuiltPastTheCap:
         assert evaluate(build(MAX_FORMULA_DEPTH - 2), dom) is U
         with pytest.raises(FormulaError, match="nests deeper than"):
             evaluate(build(MAX_FORMULA_DEPTH - 1), dom)
+
+    @pytest.mark.parametrize("shape", BUILT)
+    def test_printer_and_translate_enforce_the_cap(self, shape):
+        build = BUILT[shape]
+        amap = self.identity_map()
+        edge = build(MAX_FORMULA_DEPTH - 2)
+        assert parse_formula(print_formula(edge)) == edge
+        assert translate(amap, edge) == edge
+        for entry in (print_formula, lambda f: translate(amap, f)):
+            with pytest.raises(FormulaError, match="nests deeper than"):
+                entry(build(MAX_FORMULA_DEPTH - 1))
 
 
 # ====================================================================

@@ -255,6 +255,11 @@ class TestMakeDomain:
                 weather_sig, ("mon", "tue"), facts=[("Rain", ("mon", "tue"), True)]
             )
 
+    @pytest.mark.parametrize("value", ["true", None, 1])
+    def test_non_truth_value_rejected(self, weather_sig, value):
+        with pytest.raises(DomainError, match="non truth-value"):
+            make_domain(weather_sig, ("mon", "tue"), facts=[("Rain", ("mon",), value)])
+
 
 # ====================================================================
 # Ground atom enumeration
