@@ -367,9 +367,6 @@ def check_injective_on(amap: AnalogyMap, formulas: Sequence[Formula]) -> None:
 # Translation tables
 # ====================================================================
 
-_PENDING = object()  # a row entry whose translation has not been made yet
-
-
 @dataclass
 class _Table:
     """One analogy's translation of the working set.
@@ -390,14 +387,14 @@ class TranslationTables:
     session and shared by every command and the space.
 
     The working set is checked to be sentences over the source
-    signature once, here. Each distinct sentence is translated at most
-    once per symbol map: an analogy's pieces route sentences by the
-    constants they mention, and pieces that carry the same symbol map,
-    as closure combinations carry their parents', share one row of
-    translations. Images are interned, so a table holds image ids.
-    Source values are evaluated once per sentence and target values
-    once per image, each on first use. Every analogy given to one
-    instance must run between its source and target.
+    signature once, here. A declared analogy's table translates each
+    distinct sentence once, and translate picks the piece; a sentence
+    no piece covers gets no image. Closure combinations derive their
+    tables from their parents' and translate nothing. Images are
+    interned, so a table holds image ids. Source values are evaluated
+    once per sentence and target values once per image, each on first
+    use. Every analogy given to one instance must run between its
+    source and target.
     """
 
     def __init__(
@@ -418,8 +415,6 @@ class TranslationTables:
         self._images: list[Formula] = []
         self._image_ids: dict[Formula, int] = {}
         self._target_values: list[TruthValue | None] = []
-        self._rows: dict[frozenset[tuple[str, str]], list] = {}
-        self._covers: dict[frozenset[str], tuple[int, ...]] = {}
         self._tables: dict[str, _Table] = {}
 
     @cached_property
@@ -433,39 +428,9 @@ class TranslationTables:
                 raise AnalogyError(f"analogy {amap.name!r} runs from a different source domain")
             if amap.target != self.target:
                 raise AnalogyError(f"analogy {amap.name!r} runs to a different target domain")
-            table = self._tables[amap.name] = _Table(amap, self._translate(amap))
+            images = tuple(self._intern(amap, f) for f in self.sentences)
+            table = self._tables[amap.name] = _Table(amap, images)
         return table
-
-    def _translate(self, amap: AnalogyMap) -> tuple[int | None, ...]:
-        # Guards are disjoint, so each sentence is covered by at most one
-        # piece and the order of pieces does not matter.
-        ids: list[int | None] = [None] * len(self.sentences)
-        for piece in amap.pieces:
-            row = self._row(piece.mapping)
-            for i in self._covered(piece.guard.constants):
-                if row[i] is _PENDING:
-                    row[i] = self._intern(amap, self.sentences[i])
-                ids[i] = row[i]
-        return tuple(ids)
-
-    def _covered(self, guard: frozenset[str] | None) -> Sequence[int]:
-        """Indices of the sentences a guard matches, as Guard.matches decides."""
-
-        if guard is None:
-            return range(len(self.sentences))
-        covered = self._covers.get(guard)
-        if covered is None:
-            covered = self._covers[guard] = tuple(
-                i for i, cs in enumerate(self._constants) if cs and cs <= guard
-            )
-        return covered
-
-    def _row(self, mapping: dict[str, str]) -> list:
-        key = frozenset(mapping.items())
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = [_PENDING] * len(self.sentences)
-        return row
 
     def _intern(self, amap: AnalogyMap, f: Formula) -> int | None:
         try:
@@ -577,8 +542,14 @@ class TranslationTables:
         )
 
     def conjecture(self, amap: AnalogyMap, query: Formula) -> TruthValue | None:
-        """The source value of query's preimage under amap, when known."""
+        """The source value of query's preimage under amap, when known.
 
+        A query nested past MAX_FORMULA_DEPTH raises a FormulaError
+        before it is hashed, since hashing recurses.
+        """
+
+        if any(depth > MAX_FORMULA_DEPTH for _, _, depth, _ in formula_nodes(query)):
+            raise FormulaError(_TOO_DEEP)
         image = self._image_ids.get(query)
         i = None if image is None else self.preimages(amap).get(image)
         if i is None:

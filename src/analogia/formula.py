@@ -18,7 +18,7 @@ element. A quantifier whose body does not read its variable is
 dropped: the universe is nonempty, so folding one value over it gives
 that value. Only a quantifier whose body reads its variable loops over
 the universe, and k such nested quantifiers still cost n^k body runs
-over n elements. Atoms read the domain's fact index.
+over n elements. Atoms read the domain's fact table.
 
 Concrete syntax, shared with the session files:
 
@@ -47,11 +47,10 @@ Structural reads go through formula_nodes, which keeps its own stack,
 so they take a tree of any depth. A formula nests at most
 MAX_FORMULA_DEPTH levels deep: the parser raises a ParseError at the
 token that crosses the cap, and check_formula, the evaluator's
-compiler, the printer and translate a FormulaError for a deeper tree
-built in code. The parser, the compiler and its closures, the printer,
-translation and the dataclasses' hash and equality still recurse, a few
-frames per level; only hashing is reached unchecked, by conjecture_for
-and TranslationTables.conjecture, which hash the query.
+compiler, the printer, translate and TranslationTables.conjecture a
+FormulaError for a deeper tree built in code. The parser, the
+compiler and its closures, the printer, translation and the
+dataclasses' hash and equality still recurse, a few frames per level.
 
 An occurrence of an identifier in term position is a variable when
 some enclosing quantifier binds it and a constant otherwise. To keep
@@ -421,7 +420,7 @@ class _Compiler:
 
     def atom(self, f: Atom, scope: dict[str, int], depth: int):
         args, slots = self.args(f.args, scope, depth + 1)
-        get, pred = self.domain.fact_index.get, f.predicate
+        get, pred = self.domain.facts.get, f.predicate
         if not slots:
             return get((pred, args), _U), 0
         return (lambda env: get((pred, args(env)), _U)), slots

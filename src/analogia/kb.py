@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, SignatureError
 
@@ -125,15 +125,23 @@ class Signature:
         return frozenset(self._kinds)
 
 
-@dataclass(frozen=True)
-class GroundAtom:
-    """A predicate applied to universe elements, the key of the fact table."""
-
+class _GroundAtomFields(NamedTuple):
     predicate: str
     args: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+
+class GroundAtom(_GroundAtomFields):
+    """A predicate applied to universe elements, the key of the fact table.
+
+    It is a tuple, so the plain tuple (predicate, args) equals it and
+    finds the same fact. args is stored as a tuple whatever it is given
+    as.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, predicate: str, args: Iterable[str]) -> GroundAtom:
+        return super().__new__(cls, predicate, tuple(args))
 
     def __str__(self) -> str:
         return f"{self.predicate}({', '.join(self.args)})"
@@ -144,9 +152,9 @@ class KnowledgeDomain:
     """A signature interpreted over a finite universe, with partial facts.
 
     The universe is stored sorted; enumeration orders derived from it
-    are therefore stable. The fact table keeps only known values, and
-    fact_value answers unknown for everything else. Do not mutate the
-    dict fields; the type is meant to behave as a value.
+    are therefore stable. facts, the one fact table, keeps only known
+    values, and fact_value answers unknown for everything else. Do not
+    mutate the dict fields; the type is meant to behave as a value.
     """
 
     signature: Signature
@@ -218,17 +226,10 @@ class KnowledgeDomain:
                 table[atom] = value
         object.__setattr__(self, "facts", table)
 
-    @cached_property
-    def fact_index(self) -> dict[tuple[str, tuple[str, ...]], TruthValue]:
-        """The known facts keyed by plain (predicate, args) tuples.
-
-        Built once per domain; fact_value and the evaluator read it.
-        """
-
-        return {(atom.predicate, atom.args): value for atom, value in self.facts.items()}
-
     def fact_value(self, atom: GroundAtom) -> TruthValue:
-        return self.fact_index.get((atom.predicate, atom.args), TruthValue.UNKNOWN)
+        """The atom's value in facts; a plain (predicate, args) tuple works too."""
+
+        return self.facts.get(atom, TruthValue.UNKNOWN)
 
 
 def make_domain(
@@ -243,10 +244,11 @@ def make_domain(
     When const_interp is omitted every constant must itself be a
     universe element and denotes itself. Fact arguments may be
     constants (resolved through the interpretation) or raw universe
-    elements; constants win when a name is both. Listing the same atom
-    twice is fine if the values agree and an error otherwise. Every
-    other check of a fact (its value, predicate and arity) is
-    KnowledgeDomain's, which also drops the unknown ones.
+    elements; constants win when a name is both. A value must be a
+    TruthValue or a bool. Listing the same atom twice is fine if the
+    values agree and an error otherwise. Every other check of a fact
+    (its predicate and arity) is KnowledgeDomain's, which also drops
+    the unknown ones.
     """
 
     elems = tuple(sorted(set(universe)))
@@ -278,8 +280,11 @@ def make_domain(
             elif a in uset:
                 resolved.append(a)
             else:
-                raise DomainError(f"unknown symbol {a!r} in fact {pred}({', '.join(args)})")
-        atom = GroundAtom(pred, tuple(resolved))
+                shown = ", ".join(map(str, args))  # args need not be names
+                raise DomainError(f"unknown symbol {a!r} in fact {pred}({shown})")
+        atom = GroundAtom(pred, resolved)
+        if not isinstance(value, TruthValue):
+            raise DomainError(f"fact {atom} has a non truth-value entry {value!r}")
         if atom in seen and seen[atom] is not value:
             raise DomainError(
                 f"conflicting fact {atom}: {seen[atom]} vs {value}"

@@ -433,8 +433,6 @@ def _parse_analogy(ts: TokenStream) -> _RawAnalogy:
             bare.append(_parse_map_line(ts))
         else:
             ts.error(f"expected map, piece, or '}}' in analogy {name}")
-    if raw.pieces and bare:
-        raise SessionError(f"analogy {name!r} mixes bare maps with pieces")
     if not raw.pieces:
         raw.pieces.append((None, bare or []))
     return raw
@@ -601,9 +599,7 @@ def _print_domain(d: KnowledgeDomain, lines: list[str]) -> None:
         lines.append(f"  func {f}/{a};")
     for (fname, args), v in sorted(d.func_interp.items()):
         lines.append(f"  interp {fname}({', '.join(args)}) = {v};")
-    for atom, value in sorted(
-        d.facts.items(), key=lambda kv: (kv[0].predicate, kv[0].args)
-    ):
+    for atom, value in sorted(d.facts.items()):
         lines.append(f"  fact {atom} = {value};")
     lines.append("}")
 

@@ -8,6 +8,7 @@ follows first on x and second on x' agrees everywhere. The Q-images
 are left unsettled on purpose: they are where conjectures come from.
 """
 
+import os
 import pathlib
 
 import pytest
@@ -26,7 +27,14 @@ from analogia import (
     make_domain,
 )
 
-SESSIONS_DIR = pathlib.Path(__file__).resolve().parent.parent / "sessions"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SESSIONS_DIR = ROOT / "sessions"
+
+# pyproject puts src on this process's path; the tests that start
+# `python -m analogia` pass it on to the child the same way.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+)
 
 
 @pytest.fixture

@@ -26,6 +26,7 @@ from analogia import (
     Var,
     analogy_map,
     check_formula,
+    conjecture_for,
     dominance_preference,
     entail,
     evaluate,
@@ -486,9 +487,15 @@ class TestBuiltPastTheCap:
             Session((src, tgt), "s", "t", working_set=(deep,))
         with pytest.raises(FormulaError, match=msg):
             Session((src, tgt), "s", "t", queries=(deep,))
-        space = AnalogySpace(TranslationTables(src, tgt, [P_A]), (), dominance_preference([]))
+        tables = TranslationTables(src, tgt, [P_A])
+        space = AnalogySpace(tables, (amap,), dominance_preference([tables.classify(amap)]))
         with pytest.raises(FormulaError, match=msg):
             entail(space, deep)
+        with pytest.raises(FormulaError, match=msg):
+            conjecture_for(space, "m", deep)
+        with pytest.raises(FormulaError, match=msg):
+            tables.conjecture(amap, deep)
+        assert tables.conjecture(amap, BUILT[shape](MAX_FORMULA_DEPTH - 2)) is None
         with pytest.raises(FormulaError, match=msg):
             evaluate(deep, src)
         with pytest.raises(FormulaError, match=msg):

@@ -145,6 +145,18 @@ class TestKnowledgeDomain:
             is TruthValue.UNKNOWN
         )
 
+    def test_facts_is_the_one_fact_table(self):
+        sig = Signature("s", ("a",), (("P", 1),), ())
+        dom = make_domain(sig, ("a",), facts=[("P", ("a",), True)])
+        assert GroundAtom("P", ("a",)) == ("P", ("a",))
+        assert dom.facts[("P", ("a",))] is TruthValue.TRUE
+        assert dom.fact_value(GroundAtom("P", ("a",))) is dom.facts[("P", ("a",))]
+        assert dom.fact_value(("P", ("a",))) is TruthValue.TRUE
+        atom = GroundAtom("P", ["a"])
+        assert atom.args == ("a",)
+        assert str(atom) == "P(a)"
+        assert repr(atom) == "GroundAtom(predicate='P', args=('a',))"
+
     def test_unknown_facts_are_not_stored(self, weather_sig):
         dom = make_domain(
             weather_sig,
@@ -259,6 +271,15 @@ class TestMakeDomain:
     def test_non_truth_value_rejected(self, weather_sig, value):
         with pytest.raises(DomainError, match="non truth-value"):
             make_domain(weather_sig, ("mon", "tue"), facts=[("Rain", ("mon",), value)])
+
+    def test_non_string_fact_argument_is_named(self, weather_sig):
+        with pytest.raises(DomainError, match=r"unknown symbol 1 in fact Rain\(1\)"):
+            make_domain(weather_sig, ("mon", "tue"), facts=[("Rain", (1,), True)])
+
+    def test_bad_value_is_reported_before_a_conflict(self, weather_sig):
+        facts = [("Rain", ("mon",), "true"), ("Rain", ("mon",), True)]
+        with pytest.raises(DomainError, match=r"Rain\(mon\) has a non truth-value entry 'true'"):
+            make_domain(weather_sig, ("mon", "tue"), facts=facts)
 
 
 # ====================================================================

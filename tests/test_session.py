@@ -1,8 +1,11 @@
 """Session file parsing, validation, canonical printing, and commands."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+
+import analogia.analogy
 
 from analogia import (
     AnalogyError,
@@ -45,6 +48,20 @@ query R(b);
 
 def corpus_files():
     return sorted(SESSIONS_DIR.glob("*.ana"))
+
+
+def translation_cases():
+    texts = {p.name: p.read_text() for p in corpus_files()}
+    # The mixed map's pieces cover neither a sentence that mentions both
+    # objects nor one that mentions none; translate still sees them.
+    texts["uncovered"] = texts["combi.ana"].replace(
+        "workingset atoms;", "workingset { P(x); P(x) & P(x'); forall v. Q(v); }"
+    )
+    return [
+        pytest.param(text, command, id=f"{name}-{command}")
+        for name, text in texts.items()
+        for command in SESSION_COMMANDS
+    ]
 
 
 # ====================================================================
@@ -176,16 +193,14 @@ class TestParseSession:
             parse_session(MINIMAL + "\n" + snippet)
 
     def test_mixing_bare_maps_and_pieces_is_rejected(self):
-        text = """
+        domains = """
         domain S { objects: a, b; pred P/1; }
         domain T { objects: c; pred R/1; }
-        analogy m from S to T {
-          map P -> R;
-          piece when mentions {a} { map a -> c; }
-        }
         """
-        with pytest.raises(ParseError, match="cannot mix bare map lines"):
-            parse_session(text)
+        bare, piece = "map P -> R;", "piece when mentions {a} { map a -> c; }"
+        for body in (bare + piece, piece + bare):
+            with pytest.raises(ParseError, match="cannot mix bare map lines"):
+                parse_session(domains + f"analogy m from S to T {{ {body} }}")
 
     def test_duplicate_map_source_in_a_piece(self):
         text = """
@@ -371,6 +386,26 @@ class TestResolution:
         monkeypatch.setattr(TranslationTables, "__init__", counting)
         run(parse_session((SESSIONS_DIR / "closure.ana").read_text()), command)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("text, command", translation_cases())
+    def test_each_declared_pair_is_translated_once(self, monkeypatch, text, command):
+        calls = Counter()
+        translate = analogia.analogy.translate
+
+        def counting(amap, f):
+            calls[amap.name, f] += 1
+            return translate(amap, f)
+
+        monkeypatch.setattr(analogia.analogy, "translate", counting)
+        session = parse_session(text)
+        run(session, command)
+        if command == "check":
+            assert not calls
+        else:
+            # closure combinations derive their tables and translate nothing
+            assert calls == Counter(
+                {(a.name, f): 1 for a in session.analogies for f in session.working_set}
+            )
 
     def test_repeated_runs_keep_the_tables_bounded(self):
         session = parse_session((SESSIONS_DIR / "closure.ana").read_text())
