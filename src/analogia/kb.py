@@ -244,8 +244,9 @@ def make_domain(
     When const_interp is omitted every constant must itself be a
     universe element and denotes itself. Fact arguments may be
     constants (resolved through the interpretation) or raw universe
-    elements; constants win when a name is both. A value must be a
-    TruthValue or a bool. Listing the same atom twice is fine if the
+    elements; constants win when a name is both. A fact must be a
+    (predicate, arguments, value) triple of a string, strings and a
+    TruthValue or bool. Listing the same atom twice is fine if the
     values agree and an error otherwise. Every other check of a fact
     (its predicate and arity) is KnowledgeDomain's, which also drops
     the unknown ones.
@@ -270,21 +271,25 @@ def make_domain(
     func_interp = dict(func_interp or {})
 
     seen: dict[GroundAtom, TruthValue] = {}
-    for pred, args, value in facts:
+    for fact in facts:
+        try:
+            pred, args, value = fact
+            args = tuple(args)
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"fact {fact!r} is not a (predicate, arguments, value) triple"
+            ) from None
         if isinstance(value, bool):
             value = TruthValue.of(value)
-        resolved = []
         for a in args:
-            if a in const_interp:
-                resolved.append(const_interp[a])
-            elif a in uset:
-                resolved.append(a)
-            else:
+            if not isinstance(a, str) or (a not in const_interp and a not in uset):
                 shown = ", ".join(map(str, args))  # args need not be names
                 raise DomainError(f"unknown symbol {a!r} in fact {pred}({shown})")
-        atom = GroundAtom(pred, resolved)
+        atom = GroundAtom(pred, (const_interp.get(a, a) for a in args))
         if not isinstance(value, TruthValue):
             raise DomainError(f"fact {atom} has a non truth-value entry {value!r}")
+        if not isinstance(pred, str):
+            raise DomainError(f"fact uses unknown predicate {pred!r}")
         if atom in seen and seen[atom] is not value:
             raise DomainError(
                 f"conflicting fact {atom}: {seen[atom]} vs {value}"

@@ -16,9 +16,10 @@ carrier:
 
 Choice, smoothness, rankedness and transitivity have one
 implementation, the bitmask kernel below. A relation builds its masks
-once, on first use, and undominated, choice_of and the structural
-checks read them; the repcheck sweeps run the same kernel on masks
-built straight from edge bitmasks.
+when it is made, in the pass that validates its edges, and
+undominated, choice_of and the structural checks read them; the
+repcheck sweeps run the same kernel on masks built straight from edge
+bitmasks.
 
 The module also derives preferences over analogies from their support
 reports. Dominance prefers a strictly better support profile
@@ -29,10 +30,9 @@ and prefers the lower score; the result is always ranked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analogy import SupportReport
 from .errors import PreferenceError
@@ -46,46 +46,58 @@ class PreferenceRelation:
 
     carrier: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
+    # The kernel's masks, built in the pass that checks the edges: each
+    # item's carrier position, the items each position beats and the
+    # items beating it. They take no part in eq, hash or repr.
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _better: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _dominators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "carrier", tuple(self.carrier))
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        if len(set(self.carrier)) != len(self.carrier):
+        try:
+            carrier = tuple(self.carrier)
+            index = {x: i for i, x in enumerate(carrier)}
+            edges = frozenset(tuple(e) for e in self.edges)
+        except TypeError:
+            raise PreferenceError(
+                "carrier items must be hashable and edges must be pairs of them"
+            ) from None
+        if len(index) != len(carrier):
             raise PreferenceError("duplicate carrier item")
-        members = set(self.carrier)
-        for x, y in self.edges:
-            if x not in members or y not in members:
+        better, dominators = [0] * len(carrier), [0] * len(carrier)
+        for edge in edges:
+            if len(edge) != 2:
+                raise PreferenceError(f"edge {edge!r} is not a pair")
+            x, y = edge
+            if x not in index or y not in index:
                 raise PreferenceError(f"edge ({x!r}, {y!r}) leaves the carrier")
             if x == y:
                 raise PreferenceError(f"reflexive edge on {x!r} rejected")
+            better[index[x]] |= 1 << index[y]
+            dominators[index[y]] |= 1 << index[x]
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_better", tuple(better))
+        object.__setattr__(self, "_dominators", tuple(dominators))
 
     def better(self, x: str, y: str) -> bool:
         return (x, y) in self.edges
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.carrier)}
 
-    # The kernel's masks, built on first use; undominated needs only
-    # the dominators, so each mask set has its own pass over the edges.
+def mask_of(items: Iterable[str], index: Mapping[str, int]) -> int:
+    """The subset mask of items, each at its position in index."""
 
-    @cached_property
-    def _better(self) -> tuple[int, ...]:
-        """Per carrier index, the mask of the items it beats."""
+    mask = 0
+    for x in items:
+        mask |= 1 << index[x]
+    return mask
 
-        index, rows = self._index, [0] * len(self.carrier)
-        for x, y in self.edges:
-            rows[index[x]] |= 1 << index[y]
-        return tuple(rows)
 
-    @cached_property
-    def _dominators(self) -> tuple[int, ...]:
-        """Per carrier index, the mask of the items beating it."""
+def members(mask: int, items: Sequence[str]) -> tuple[str, ...]:
+    """The items whose positions are set in mask, in items order."""
 
-        index, rows = self._index, [0] * len(self.carrier)
-        for x, y in self.edges:
-            rows[index[y]] |= 1 << index[x]
-        return tuple(rows)
+    return tuple(x for i, x in enumerate(items) if mask >> i & 1)
 
 
 def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]:
@@ -96,9 +108,7 @@ def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]
     extra = pool.difference(index)
     if extra:
         raise PreferenceError(f"item {sorted(extra)[0]!r} is not in the carrier")
-    mask = 0
-    for x in pool:
-        mask |= 1 << index[x]
+    mask = mask_of(pool, index)
     dominators = rel._dominators
     return frozenset(x for x in pool if not dominators[index[x]] & mask)
 
@@ -108,7 +118,7 @@ def subsets_of(carrier: Sequence[str]) -> Iterator[frozenset[str]]:
 
     items = tuple(carrier)
     for mask in range(1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
+        yield frozenset(members(mask, items))
 
 
 @dataclass(frozen=True)
@@ -172,9 +182,7 @@ def is_smooth(rel: PreferenceRelation) -> tuple[bool, tuple[frozenset[str], str]
     if failure is None:
         return True, None
     xs, x = failure
-    items = rel.carrier
-    subset = frozenset(items[i] for i in range(len(items)) if xs >> i & 1)
-    return False, (subset, items[x])
+    return False, (frozenset(members(xs, rel.carrier)), rel.carrier[x])
 
 
 def is_ranked(rel: PreferenceRelation) -> tuple[bool, tuple[str, str, str] | None]:
@@ -200,11 +208,12 @@ def is_ranked(rel: PreferenceRelation) -> tuple[bool, tuple[str, str, str] | Non
 # a subset is a mask over it. A relation is held as better[i] = mask of
 # the elements i beats, with dominators[j] = mask of the elements
 # beating j as the transpose. The induced choice is a table indexed by
-# subset mask. Every scan ascends through indices and masks, which is
-# carrier order and subsets_of order, so the first failure found is
-# the same witness an element-wise scan would report. The functions
-# above read a relation's masks; the repcheck sweeps build masks
-# straight from edge bitmasks and call these directly.
+# subset mask; mask_of and members convert between subsets and masks.
+# Every scan ascends through indices and masks, which is carrier order
+# and subsets_of order, so the first failure found is the same witness
+# an element-wise scan would report. The functions above read the
+# masks a relation builds when it is made; the repcheck sweeps build
+# masks straight from edge bitmasks and call these directly.
 # ====================================================================
 
 
@@ -305,18 +314,19 @@ def dominance_preference(reports: Sequence[SupportReport]) -> PreferenceRelation
 
     _shared_basis(reports)
     names = tuple(r.analogy.name for r in reports)
-    pos = {r.analogy.name: frozenset(r.positive) for r in reports}
-    neg = {r.analogy.name: frozenset(r.negative) for r in reports}
-    edges = set()
-    for a in names:
-        for b in names:
-            if a == b:
-                continue
-            if pos[a] >= pos[b] and neg[a] <= neg[b] and (
-                pos[a] != pos[b] or neg[a] != neg[b]
-            ):
-                edges.add((a, b))
-    return PreferenceRelation(carrier=names, edges=frozenset(edges))
+    # A report need not draw its profile from formulas, so index them all.
+    index: dict = {}
+    for r in reports:
+        for f in (*r.positive, *r.negative):
+            index.setdefault(f, len(index))
+    profiles = [(mask_of(r.positive, index), mask_of(r.negative, index)) for r in reports]
+    edges = frozenset(
+        (a, b)
+        for a, (pa, na) in zip(names, profiles)
+        for b, (pb, nb) in zip(names, profiles)
+        if pa | pb == pa and na | nb == nb and (pa != pb or na != nb)
+    )
+    return PreferenceRelation(carrier=names, edges=edges)
 
 
 def count_preference(
@@ -331,7 +341,10 @@ def count_preference(
     incomparable, which makes the relation ranked by construction.
     """
 
-    wp, wn = Fraction(positive_weight), Fraction(negative_weight)
+    try:
+        wp, wn = Fraction(positive_weight), Fraction(negative_weight)
+    except (TypeError, ValueError, OverflowError):
+        raise PreferenceError("count weights must be rational numbers") from None
     if wp <= 0 or wn <= 0:
         raise PreferenceError("count weights must be positive")
     _shared_basis(reports)

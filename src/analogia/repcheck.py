@@ -50,17 +50,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import RepcheckError
 from .preference import (
     ChoiceFunction,
     PreferenceRelation,
+    _choices,
     choice_masks,
     choice_of,
-    is_ranked,
-    is_smooth,
-    is_transitive,
+    mask_of,
+    members,
     ranked_failure,
     smooth_failure,
     transitive_masks,
@@ -107,45 +107,47 @@ CLASS_PROPERTIES: dict[RelationClass, tuple[PropertyId, ...]] = {
 
 
 def relation_in_class(rel: PreferenceRelation, cls: RelationClass) -> bool:
-    if cls is RelationClass.ALL:
-        return True
-    if cls is RelationClass.TRANSITIVE_SMOOTH:
-        return is_transitive(rel) and is_smooth(rel)[0]
-    return is_ranked(rel)[0]
+    return _in_class_masks(rel._better, rel._dominators, _choices(rel._dominators), cls)
 
 
 # ====================================================================
 # Bitmask internals
 #
-# Subsets and relations are masks as in the preference module's
-# bitmask kernel, whose choice and class checks the sweeps call. An
-# irreflexive relation on n elements is also one edge bitmask, with a
-# bit per ordered pair of distinct indices in _ordered_pairs order.
+# Subsets, relations and choice tables are masks as in the preference
+# module's bitmask kernel, whose choice, class checks and mask_of /
+# members codec everything here uses. The sweeps enumerate relations
+# with _relations alone: an irreflexive relation on n elements is one
+# edge bitmask with a bit per ordered pair of distinct indices, and
+# relations come in ascending edge bitmask order.
 # ====================================================================
 
 
-def _ordered_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
+def _relations(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(better, dominators) of every irreflexive relation on n elements."""
+
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for edge_mask in range(1 << len(pairs)):
+        better = [0] * n
+        dominators = [0] * n
+        for bit, (i, j) in enumerate(pairs):
+            if edge_mask >> bit & 1:
+                better[i] |= 1 << j
+                dominators[j] |= 1 << i
+        yield better, dominators
 
 
-def _masks_of(
-    edge_mask: int, pairs: Sequence[tuple[int, int]], n: int
-) -> tuple[list[int], list[int]]:
-    """(better, dominators) of the relation an edge bitmask encodes."""
+def _edges_of(better: Sequence[int], items: Sequence[str]) -> tuple[tuple[str, str], ...]:
+    """A relation's edges in edge bitmask order."""
 
-    better = [0] * n
-    dominators = [0] * n
-    for bit, (i, j) in enumerate(pairs):
-        if edge_mask >> bit & 1:
-            better[i] |= 1 << j
-            dominators[j] |= 1 << i
-    return better, dominators
+    return tuple((x, y) for x, row in zip(items, better) for y in members(row, items))
 
 
 def _in_class_masks(
-    better: Sequence[int], dominators: Sequence[int], mu: Sequence[int],
+    better: Sequence[int], dominators: Sequence[int], mu: Iterable[int],
     cls: RelationClass,
 ) -> bool:
+    """The class test; mu, the induced choice, may be a stream."""
+
     if cls is RelationClass.ALL:
         return True
     if cls is RelationClass.TRANSITIVE_SMOOTH:
@@ -194,32 +196,20 @@ def _property_failure(
     return None
 
 
-def _mask_to_set(mask: int, items: Sequence[str]) -> frozenset[str]:
-    return frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-
-
-def _edges_of(edge_mask: int, pairs: Sequence[tuple[int, int]], items: Sequence[str]):
-    return tuple(
-        (items[i], items[j])
-        for bit, (i, j) in enumerate(pairs)
-        if edge_mask >> bit & 1
-    )
-
-
 def _table_of(cf: ChoiceFunction) -> tuple[int, ...]:
-    items = tuple(cf.carrier)
-    index = {name: i for i, name in enumerate(items)}
-
-    def mask_of(names: frozenset[str]) -> int:
-        m = 0
-        for name in names:
-            m |= 1 << index[name]
-        return m
-
-    table = [0] * (1 << len(items))
+    index = {x: i for i, x in enumerate(cf.carrier)}
+    table = [0] * (1 << len(index))
     for k, v in cf.table.items():
-        table[mask_of(k)] = mask_of(v)
+        table[mask_of(k, index)] = mask_of(v, index)
     return tuple(table)
+
+
+def _decode(failure: tuple[int, int | None], items: Sequence[str], kind=tuple):
+    """A law's failing (X, Y) masks as kind(members), Y None for MuSubset."""
+
+    x_mask, y_mask = failure
+    y_set = None if y_mask is None else kind(members(y_mask, items))
+    return kind(members(x_mask, items)), y_set
 
 
 def _all_choice_tables(n: int) -> Iterator[tuple[int, ...]]:
@@ -245,24 +235,18 @@ def check_property(cf: ChoiceFunction, prop: PropertyId) -> tuple[bool, Witness 
     carrier; Y is None for MuSubset.
     """
 
-    items = tuple(cf.carrier)
-    failure = _property_failure(_table_of(cf), len(items), prop)
+    failure = _property_failure(_table_of(cf), len(cf.carrier), prop)
     if failure is None:
         return True, None
-    x_mask, y_mask = failure
-    y_set = None if y_mask is None else _mask_to_set(y_mask, items)
-    return False, (_mask_to_set(x_mask, items), y_set)
+    return False, _decode(failure, cf.carrier, frozenset)
 
 
 def irreflexive_relations(items: Sequence[str]) -> Iterator[PreferenceRelation]:
     """All strict relations on the items, ascending by edge bitmask."""
 
     items = tuple(items)
-    pairs = _ordered_pairs(len(items))
-    for edge_mask in range(1 << len(pairs)):
-        yield PreferenceRelation(
-            carrier=items, edges=frozenset(_edges_of(edge_mask, pairs, items))
-        )
+    for better, _ in _relations(len(items)):
+        yield PreferenceRelation(carrier=items, edges=frozenset(_edges_of(better, items)))
 
 
 @dataclass(frozen=True)
@@ -320,36 +304,32 @@ def represent(
     failed = None
     witness = None
     for prop in CLASS_PROPERTIES[cls]:
-        holds, w = check_property(cf, prop)
-        if not holds:
-            failed, witness = prop, w
+        failure = _property_failure(target, n, prop)
+        if failure is not None:
+            failed, witness = prop, _decode(failure, items, frozenset)
             break
 
-    pairs = _ordered_pairs(n)
     searched = 0
-    found_mask = None
-    for edge_mask in range(1 << len(pairs)):
-        better, dominators = _masks_of(edge_mask, pairs, n)
+    found = None
+    for better, dominators in _relations(n):
         mu = choice_masks(dominators)
         if not _in_class_masks(better, dominators, mu, cls):
             continue
         searched += 1
         if mu == target:
-            found_mask = edge_mask
+            found = better
             break
 
     if failed is not None:
-        if found_mask is not None:
+        if found is not None:
             raise RepcheckError(
                 f"relation represents a choice function violating {failed.value}"
             )
         return NotRepresentable(failed_property=failed, witness=witness, searched=searched)
-    if found_mask is None:
+    if found is None:
         return NotRepresentable(failed_property=None, witness=None, searched=searched)
 
-    rel = PreferenceRelation(
-        carrier=items, edges=frozenset(_edges_of(found_mask, pairs, items))
-    )
+    rel = PreferenceRelation(carrier=items, edges=frozenset(_edges_of(found, items)))
     if not relation_in_class(rel, cls) or choice_of(rel).table != cf.table:
         raise RepcheckError("represent produced a relation that fails verification")
     return rel
@@ -441,15 +421,13 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
 
     _check_n(n, SOUNDNESS_MAX_N, "soundness")
     items = ITEMS[:n]
-    pairs = _ordered_pairs(n)
     props = CLASS_PROPERTIES[cls]
     examined = 0
     considered = 0
     transitive = 0
     violations: list[Violation] = []
-    for edge_mask in range(1 << len(pairs)):
+    for better, dominators in _relations(n):
         examined += 1
-        better, dominators = _masks_of(edge_mask, pairs, n)
         mu = choice_masks(dominators)
         if not _in_class_masks(better, dominators, mu, cls):
             continue
@@ -460,18 +438,14 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
             failure = _property_failure(mu, n, prop)
             if failure is None:
                 continue
-            x_mask, y_mask = failure
+            x_set, y_set = _decode(failure, items)
             violations.append(
                 Violation(
-                    relation_edges=_edges_of(edge_mask, pairs, items),
+                    relation_edges=_edges_of(better, items),
                     choice_table=None,
                     property=prop,
-                    x_set=tuple(sorted(_mask_to_set(x_mask, items))),
-                    y_set=(
-                        tuple(sorted(_mask_to_set(y_mask, items)))
-                        if y_mask is not None
-                        else None
-                    ),
+                    x_set=x_set,
+                    y_set=y_set,
                 )
             )
     return SweepResult(
@@ -489,11 +463,7 @@ def _choice_entries(
     table: Sequence[int], items: Sequence[str]
 ) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
     return tuple(
-        (
-            tuple(sorted(_mask_to_set(xs, items))),
-            tuple(sorted(_mask_to_set(table[xs], items))),
-        )
-        for xs in range(len(table))
+        (members(xs, items), members(chosen, items)) for xs, chosen in enumerate(table)
     )
 
 
@@ -513,31 +483,29 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
 
     _check_n(n, COMPLETENESS_MAX_N, "completeness")
     items = ITEMS[:n]
-    pairs = _ordered_pairs(n)
     props = CLASS_PROPERTIES[cls]
+    stat = {
+        RelationClass.ALL: "representable_transitive",
+        RelationClass.TRANSITIVE_SMOOTH: "representable_smooth_any",
+    }.get(cls)
 
     representable: set[tuple[int, ...]] = set()
-    transitive_rep: set[tuple[int, ...]] = set()
-    smooth_any_rep: set[tuple[int, ...]] = set()
-    for edge_mask in range(1 << len(pairs)):
-        better, dominators = _masks_of(edge_mask, pairs, n)
+    subclass: set[tuple[int, ...]] = set()
+    for better, dominators in _relations(n):
         mu = choice_masks(dominators)
         if _in_class_masks(better, dominators, mu, cls):
             representable.add(mu)
-            if cls is RelationClass.ALL and transitive_masks(better):
-                transitive_rep.add(mu)
-        if cls is RelationClass.TRANSITIVE_SMOOTH and smooth_failure(dominators, mu) is None:
-            smooth_any_rep.add(mu)
+        if stat and (
+            transitive_masks(better) if cls is RelationClass.ALL
+            else smooth_failure(dominators, mu) is None
+        ):
+            subclass.add(mu)
 
     examined = 0
     passing = 0
     represented = 0
+    reached = 0
     violations: list[Violation] = []
-    stats_extra: dict[str, int] = {}
-    if cls is RelationClass.ALL:
-        stats_extra["representable_transitive"] = 0
-    if cls is RelationClass.TRANSITIVE_SMOOTH:
-        stats_extra["representable_smooth_any"] = 0
     for table in _all_choice_tables(n):
         examined += 1
         if any(_property_failure(table, n, p) is not None for p in props):
@@ -547,6 +515,7 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
                 )
             continue
         passing += 1
+        reached += table in subclass
         if table in representable:
             represented += 1
         else:
@@ -559,13 +528,10 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
                     y_set=None,
                 )
             )
-        if cls is RelationClass.ALL and table in transitive_rep:
-            stats_extra["representable_transitive"] += 1
-        if cls is RelationClass.TRANSITIVE_SMOOTH and table in smooth_any_rep:
-            stats_extra["representable_smooth_any"] += 1
 
     stats = {"representable": represented}
-    stats.update(stats_extra)
+    if stat:
+        stats[stat] = reached
     return SweepResult(
         mode="completeness",
         relation_class=cls,

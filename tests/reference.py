@@ -8,6 +8,9 @@ with them; see test_tables_oracle.py.
 
 count_preference compares the Fraction ranks of every ordered pair of
 reports, as the engine did before it compared rank positions.
+dominance_preference compares every ordered pair's positive and
+negative frozensets, as the engine did before it compared masks. Both
+leave the checks that reports share one basis to the engine.
 
 The evaluator: reference_evaluate walks the tree recursively and folds
 each quantifier over the whole universe, as the engine did before it
@@ -327,6 +330,22 @@ def count_preference(reports, positive_weight=1, negative_weight=1):
         (a, b) for a in names for b in names if a != b and rank[a] < rank[b]
     )
     return PreferenceRelation(carrier=names, edges=edges)
+
+
+def dominance_preference(reports):
+    names = tuple(r.analogy.name for r in reports)
+    pos = {r.analogy.name: frozenset(r.positive) for r in reports}
+    neg = {r.analogy.name: frozenset(r.negative) for r in reports}
+    edges = set()
+    for a in names:
+        for b in names:
+            if a == b:
+                continue
+            if pos[a] >= pos[b] and neg[a] <= neg[b] and (
+                pos[a] != pos[b] or neg[a] != neg[b]
+            ):
+                edges.add((a, b))
+    return PreferenceRelation(carrier=names, edges=frozenset(edges))
 
 
 def undominated(rel, items):

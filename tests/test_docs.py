@@ -1,9 +1,12 @@
-"""README's Python API example runs, and the package exports what it lists."""
+"""README's Python API example runs, its completeness counts match the
+sweep, and the package exports what it lists.
+"""
 
 import pathlib
 import re
 
 import analogia
+from analogia import RelationClass, completeness_sweep
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +28,21 @@ def test_every_exported_name_resolves():
     names = analogia.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(analogia, n)] == []
+
+
+def test_readme_completeness_counts_match_the_sweep():
+    section = README.read_text().split("**Completeness**", 1)[1].split("```", 1)[0]
+    found = re.search(
+        r"(\d+) of the\s+(\d+) tables .*?\((\d+) of (\d+) for the cumulative class,"
+        r"\s+(\d+) of (\d+) for the\s+ranked class\)",
+        section,
+        re.S,
+    )
+    assert found, "README no longer states the n = 3 completeness counts"
+    counts = [int(g) for g in found.groups()]
+    claimed = list(zip(counts[::2], counts[1::2]))
+    swept = []
+    for cls in (RelationClass.ALL, RelationClass.TRANSITIVE_SMOOTH, RelationClass.RANKED):
+        result = completeness_sweep(3, cls)
+        swept.append((len(result.violations), result.considered))
+    assert claimed == swept

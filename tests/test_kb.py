@@ -281,6 +281,21 @@ class TestMakeDomain:
         with pytest.raises(DomainError, match=r"Rain\(mon\) has a non truth-value entry 'true'"):
             make_domain(weather_sig, ("mon", "tue"), facts=facts)
 
+    @pytest.mark.parametrize(
+        "fact, message",
+        [
+            (("Rain", (["mon"],), True), r"unknown symbol \['mon'\]"),
+            ((["Rain"], ("mon",), True), r"unknown predicate \['Rain'\]"),
+            (("Rain", 5, True), "not a .predicate, arguments, value. triple"),
+            (("Rain", None, True), "not a .predicate, arguments, value. triple"),
+            (5, "fact 5 is not a"),
+            (("Rain", ("mon",)), "not a .predicate, arguments, value. triple"),
+        ],
+    )
+    def test_malformed_fact_is_a_domain_error(self, weather_sig, fact, message):
+        with pytest.raises(DomainError, match=message):
+            make_domain(weather_sig, ("mon", "tue"), facts=[fact])
+
 
 # ====================================================================
 # Ground atom enumeration

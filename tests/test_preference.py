@@ -62,6 +62,33 @@ class TestPreferenceRelation:
         with pytest.raises(PreferenceError, match="reflexive"):
             rel(("a", "a"))
 
+    @pytest.mark.parametrize(
+        "carrier, edges, message",
+        [
+            (("a", "b"), {("a", "b", "c")}, "is not a pair"),
+            (("a", "b"), {("a",)}, "is not a pair"),
+            (("a", "b"), {5}, "must be pairs"),
+            (("a", "b"), [(["a"], "b")], "must be pairs"),
+            (5, (), "must be hashable"),
+            ((["a"],), (), "must be hashable"),
+        ],
+    )
+    def test_malformed_input_rejected(self, carrier, edges, message):
+        with pytest.raises(PreferenceError, match=message):
+            PreferenceRelation(carrier, edges)
+
+    def test_masks_stay_out_of_eq_hash_and_repr(self):
+        import dataclasses
+
+        r = rel(("a", "b"))
+        assert r == rel(("a", "b")) and hash(r) == hash(rel(("a", "b")))
+        assert repr(r) == (
+            "PreferenceRelation(carrier=('a', 'b', 'c'), "
+            "edges=frozenset({('a', 'b')}))"
+        )
+        moved = dataclasses.replace(r, edges=frozenset({("b", "a")}))
+        assert undominated(moved, ABC) == {"b", "c"}
+
     def test_better(self):
         r = rel(("a", "b"))
         assert r.better("a", "b")
@@ -306,6 +333,46 @@ class TestDominancePreference:
         with pytest.raises(PreferenceError, match="share the working set"):
             dominance_preference([r1, r2])
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        working=st.lists(st.integers(0, 2), max_size=5),
+        profiles=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 4), max_size=4),
+                st.lists(st.integers(0, 4), max_size=4),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_matches_the_set_based_reference(self, working, profiles):
+        """Profiles are arbitrary, unordered and may repeat a sentence.
+
+        The working set may repeat sentences too, and sentences 3 and 4
+        are never in it, so a profile can name formulas outside it.
+        """
+        sig = Signature("S", tuple(f"c{i}" for i in range(5)), (("P", 1),), ())
+        source = make_domain(sig, sig.constants)
+        target = make_domain(Signature("T", ("t",), (), ()), ("t",))
+        pool = tuple(ground_atom_formulas(sig))
+        reports = [
+            SupportReport(
+                analogy=analogy_map(f"a{i}", source, target, {}),
+                formulas=tuple(pool[k] for k in working),
+                positive=tuple(pool[k] for k in pos),
+                negative=tuple(pool[k] for k in neg),
+                open=(),
+                not_applicable=(),
+                untranslatable=(),
+                conjectures={},
+                images={},
+            )
+            for i, (pos, neg) in enumerate(profiles)
+        ]
+        got = dominance_preference(reports)
+        want = reference.dominance_preference(reports)
+        assert got.carrier == want.carrier
+        assert got.edges == want.edges
+
     def test_result_is_transitive_and_irreflexive(
         self, first_map, second_map, mixed_map, working_atoms
     ):
@@ -340,6 +407,13 @@ class TestCountPreference:
             count_preference([r], positive_weight=0)
         with pytest.raises(PreferenceError, match="must be positive"):
             count_preference([r], negative_weight=-1)
+
+    @pytest.mark.parametrize("weight", ["x", float("nan"), None, float("inf")])
+    def test_weights_that_are_not_numbers_rejected(self, weight):
+        with pytest.raises(PreferenceError, match="rational numbers"):
+            count_preference([], positive_weight=weight)
+        with pytest.raises(PreferenceError, match="rational numbers"):
+            count_preference([], negative_weight=weight)
 
     def test_count_preference_is_always_ranked(
         self, first_map, second_map, mixed_map, working_atoms
