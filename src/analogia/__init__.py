@@ -7,33 +7,15 @@ by a strict preference, and answer target queries skeptically over the
 undominated ones. A separate harness exhaustively checks, at small
 carrier sizes, how strict relations correspond to the choice functions
 they induce.
+
+The package root exports the documented API: the errors, domains,
+formulas, analogies, preferences, entailment and sessions. Every
+other name is imported from its module, such as analogia.analogy,
+analogia.preference or analogia.repcheck.
 """
 
-from .analogy import (
-    AnalogyMap,
-    AnalogyPiece,
-    AugmentedReport,
-    Guard,
-    StraightRuleScore,
-    SupportReport,
-    TranslationTables,
-    analogy_map,
-    augmented_report,
-    check_injective_on,
-    classify,
-    close_under_combination,
-    combine,
-    straight_rule,
-    translate,
-)
-from .entailment import (
-    AnalogySpace,
-    Verdict,
-    VerdictStatus,
-    best,
-    conjecture_for,
-    entail,
-)
+from .analogy import TranslationTables, analogy_map
+from .entailment import AnalogySpace, best, entail
 from .errors import (
     AnalogiaError,
     AnalogyError,
@@ -49,166 +31,44 @@ from .errors import (
     TranslationError,
     UntranslatableSymbol,
 )
-from .formula import (
-    And,
-    Atom,
-    Const,
-    Exists,
-    Forall,
-    Formula,
-    FuncApp,
-    Implies,
-    Not,
-    Or,
-    Term,
-    Token,
-    TokenStream,
-    Var,
-    check_formula,
-    evaluate,
-    ground_atom_formulas,
-    mentioned_constants,
-    parse_formula,
-    parse_formula_stream,
-    print_formula,
-    tokenize,
-)
-from .kb import (
-    GroundAtom,
-    KnowledgeDomain,
-    Signature,
-    TruthValue,
-    ground_atoms,
-    make_domain,
-)
-from .preference import (
-    ChoiceFunction,
-    PreferenceRelation,
-    choice_of,
-    count_preference,
-    dominance_preference,
-    is_ranked,
-    is_smooth,
-    is_transitive,
-    subsets_of,
-    undominated,
-)
-from .repcheck import (
-    CLASS_PROPERTIES,
-    NotRepresentable,
-    PropertyId,
-    RelationClass,
-    SweepResult,
-    Violation,
-    check_property,
-    completeness_sweep,
-    irreflexive_relations,
-    relation_in_class,
-    represent,
-    soundness_sweep,
-)
-from .session import (
-    Session,
-    parse_session,
-    print_session,
-    resolve_maps,
-    resolve_space,
-    run,
-    session_preference,
-)
+from .formula import check_formula, evaluate, parse_formula, print_formula
+from .kb import Signature, TruthValue, make_domain
+from .preference import count_preference, dominance_preference
+from .session import Session, parse_session, print_session, resolve_space, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalogiaError",
     "AnalogyError",
-    "AnalogyMap",
-    "AnalogyPiece",
     "AnalogySpace",
-    "And",
-    "Atom",
-    "AugmentedReport",
-    "CLASS_PROPERTIES",
-    "ChoiceFunction",
-    "Const",
     "DomainError",
     "EntailmentError",
-    "Exists",
-    "Forall",
-    "Formula",
     "FormulaError",
-    "FuncApp",
-    "GroundAtom",
-    "Guard",
-    "Implies",
-    "KnowledgeDomain",
     "NoGuardMatch",
-    "Not",
-    "NotRepresentable",
-    "Or",
     "ParseError",
     "PreferenceError",
-    "PreferenceRelation",
-    "PropertyId",
-    "RelationClass",
     "RepcheckError",
     "Session",
     "SessionError",
     "Signature",
     "SignatureError",
-    "StraightRuleScore",
-    "SupportReport",
-    "SweepResult",
-    "Term",
-    "Token",
-    "TokenStream",
     "TranslationError",
     "TranslationTables",
     "TruthValue",
     "UntranslatableSymbol",
-    "Var",
-    "Verdict",
-    "VerdictStatus",
-    "Violation",
     "analogy_map",
-    "augmented_report",
     "best",
     "check_formula",
-    "check_injective_on",
-    "check_property",
-    "choice_of",
-    "classify",
-    "close_under_combination",
-    "combine",
-    "completeness_sweep",
-    "conjecture_for",
     "count_preference",
     "dominance_preference",
     "entail",
     "evaluate",
-    "ground_atom_formulas",
-    "ground_atoms",
-    "irreflexive_relations",
-    "is_ranked",
-    "is_smooth",
-    "is_transitive",
     "make_domain",
-    "mentioned_constants",
     "parse_formula",
-    "parse_formula_stream",
     "parse_session",
     "print_formula",
     "print_session",
-    "relation_in_class",
-    "represent",
-    "resolve_maps",
     "resolve_space",
     "run",
-    "session_preference",
-    "soundness_sweep",
-    "straight_rule",
-    "subsets_of",
-    "tokenize",
-    "translate",
-    "undominated",
 ]

@@ -541,8 +541,12 @@ class TranslationTables:
             ),
         )
 
-    def conjecture(self, amap: AnalogyMap, query: Formula) -> TruthValue | None:
-        """The source value of query's preimage under amap, when known.
+    def conjectures(
+        self, query: Formula, analogies: Iterable[AnalogyMap]
+    ) -> dict[str, TruthValue]:
+        """What each analogy suggests for query, by analogy name, in the
+        order given: the source value of query's preimage, when it has
+        one and that value is known. Silent analogies are left out.
 
         A query nested past MAX_FORMULA_DEPTH raises a FormulaError
         before it is hashed, since hashing recurses.
@@ -551,11 +555,17 @@ class TranslationTables:
         if any(depth > MAX_FORMULA_DEPTH for _, _, depth, _ in formula_nodes(query)):
             raise FormulaError(_TOO_DEEP)
         image = self._image_ids.get(query)
-        i = None if image is None else self.preimages(amap).get(image)
-        if i is None:
-            return None
-        value = self._source_value(i)
-        return value if value.known else None
+        if image is None:
+            return {}
+        suggestions: dict[str, TruthValue] = {}
+        for amap in analogies:
+            i = self.preimages(amap).get(image)
+            if i is None:
+                continue
+            value = self._source_value(i)
+            if value.known:
+                suggestions[amap.name] = value
+        return suggestions
 
     def close(self, analogies: Sequence[AnalogyMap]) -> tuple[AnalogyMap, ...]:
         """close_under_combination, deriving (and keeping) each candidate's

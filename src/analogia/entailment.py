@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .analogy import AnalogyMap, TranslationTables
 from .errors import AnalogyError, EntailmentError
@@ -96,10 +97,13 @@ def conjecture_for(
     The analogy speaks only when the query is syntactically equal to
     the translation of some working set sentence and that sentence has
     a known value in the source. Injectivity on the working set makes
-    the preimage unique when it exists.
+    the preimage unique when it exists. A query that is not a sentence
+    over the target signature raises a FormulaError, as in entail.
     """
 
-    return space.tables.conjecture(space.analogy(analogy_name), query)
+    check_formula(query, space.target.signature)
+    amap = space.analogy(analogy_name)
+    return space.tables.conjectures(query, (amap,)).get(analogy_name)
 
 
 @dataclass(frozen=True)
@@ -141,11 +145,10 @@ def entail(space: AnalogySpace, query: Formula) -> Verdict:
     warnings: list[str] = []
     if not chosen:
         warnings.append("no analogy survives the preference; the best set is empty")
-    suggestions = {}
-    for name in sorted(chosen):
-        suggested = conjecture_for(space, name, query)
-        if suggested is not None:
-            suggestions[name] = suggested
+    speakers = sorted(
+        (a for a in space.analogies if a.name in chosen), key=attrgetter("name")
+    )
+    suggestions = space.tables.conjectures(query, speakers)
 
     if not suggestions:
         return Verdict(

@@ -47,7 +47,7 @@ Structural reads go through formula_nodes, which keeps its own stack,
 so they take a tree of any depth. A formula nests at most
 MAX_FORMULA_DEPTH levels deep: the parser raises a ParseError at the
 token that crosses the cap, and check_formula, the evaluator's
-compiler, the printer, translate and TranslationTables.conjecture a
+compiler, the printer, translate and TranslationTables.conjectures a
 FormulaError for a deeper tree built in code. The parser, the
 compiler and its closures, the printer, translation and the
 dataclasses' hash and equality still recurse, a few frames per level.

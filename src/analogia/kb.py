@@ -232,6 +232,15 @@ class KnowledgeDomain:
         return self.facts.get(atom, TruthValue.UNKNOWN)
 
 
+def _argument(name: str, kind: str, convert, value):
+    """convert(value), with a DomainError that names the argument."""
+
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be {kind}, not {type(value).__name__}") from None
+
+
 def make_domain(
     signature: Signature,
     universe: Iterable[str],
@@ -252,7 +261,7 @@ def make_domain(
     the unknown ones.
     """
 
-    elems = tuple(sorted(set(universe)))
+    elems = tuple(sorted(_argument("universe", "an iterable of names", set, universe)))
     if not elems:
         raise DomainError("universe must be nonempty")
     uset = set(elems)
@@ -266,12 +275,12 @@ def make_domain(
             )
         const_interp = {c: c for c in signature.constants}
     else:
-        const_interp = dict(const_interp)
+        const_interp = _argument("const_interp", "a mapping", dict, const_interp)
 
-    func_interp = dict(func_interp or {})
+    func_interp = _argument("func_interp", "a mapping", dict, func_interp or {})
 
     seen: dict[GroundAtom, TruthValue] = {}
-    for fact in facts:
+    for fact in _argument("facts", "an iterable of facts", tuple, facts):
         try:
             pred, args, value = fact
             args = tuple(args)
@@ -303,13 +312,3 @@ def make_domain(
         func_interp=func_interp,
         facts=seen,
     )
-
-
-def ground_atoms(domain: KnowledgeDomain) -> list[GroundAtom]:
-    """All ground atoms of the domain, ordered by predicate then argument tuple."""
-
-    out: list[GroundAtom] = []
-    for pred, arity in domain.signature.predicates:
-        for args in itertools.product(domain.universe, repeat=arity):
-            out.append(GroundAtom(pred, args))
-    return out

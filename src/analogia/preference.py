@@ -103,7 +103,10 @@ def members(mask: int, items: Sequence[str]) -> tuple[str, ...]:
 def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]:
     """The choice set: members of items beaten by no other member."""
 
-    pool = frozenset(items)
+    try:
+        pool = frozenset(items)
+    except TypeError:
+        raise PreferenceError("items must be an iterable of carrier items") from None
     index = rel._index
     extra = pool.difference(index)
     if extra:
@@ -134,11 +137,19 @@ class ChoiceFunction:
     table: dict[frozenset[str], frozenset[str]]
 
     def __post_init__(self):
-        object.__setattr__(self, "carrier", tuple(self.carrier))
-        object.__setattr__(
-            self, "table", {frozenset(k): frozenset(v) for k, v in self.table.items()}
-        )
-        members = set(self.carrier)
+        if not isinstance(self.table, Mapping):
+            raise PreferenceError("choice table must be a mapping")
+        try:
+            carrier = tuple(self.carrier)
+            members = set(carrier)
+            table = {frozenset(k): frozenset(v) for k, v in self.table.items()}
+        except TypeError:
+            raise PreferenceError(
+                "choice carrier items must be hashable and the table must map "
+                "sets of them to sets of them"
+            ) from None
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "table", table)
         expected = 1 << len(self.carrier)
         if len(self.table) != expected:
             raise PreferenceError(
@@ -341,10 +352,10 @@ def count_preference(
     incomparable, which makes the relation ranked by construction.
     """
 
-    try:
-        wp, wn = Fraction(positive_weight), Fraction(negative_weight)
-    except (TypeError, ValueError, OverflowError):
-        raise PreferenceError("count weights must be rational numbers") from None
+    weights = (positive_weight, negative_weight)
+    if any(isinstance(w, bool) or not isinstance(w, (int, Fraction)) for w in weights):
+        raise PreferenceError("count weights must be rational numbers")
+    wp, wn = map(Fraction, weights)
     if wp <= 0 or wn <= 0:
         raise PreferenceError("count weights must be positive")
     _shared_basis(reports)

@@ -13,13 +13,8 @@ themselves come from check_property.
 import functools
 import itertools
 
-from analogia import (
-    ChoiceFunction,
-    PreferenceRelation,
-    check_property,
-    subsets_of,
-)
-from analogia.repcheck import CLASS_PROPERTIES
+from analogia.preference import ChoiceFunction, PreferenceRelation, subsets_of
+from analogia.repcheck import CLASS_PROPERTIES, check_property
 
 import reference
 

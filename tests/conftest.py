@@ -14,18 +14,15 @@ import pathlib
 import pytest
 
 from analogia import (
-    AnalogyMap,
-    AnalogyPiece,
     AnalogySpace,
-    Guard,
     Signature,
     TranslationTables,
     analogy_map,
-    classify,
     dominance_preference,
-    ground_atom_formulas,
     make_domain,
 )
+from analogia.analogy import AnalogyMap, AnalogyPiece, Guard, classify
+from analogia.formula import ground_atom_formulas
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SESSIONS_DIR = ROOT / "sessions"

@@ -29,38 +29,34 @@ bitmask kernel in analogia.preference must agree with them; see
 test_preference.py.
 """
 
+from fractions import Fraction
+
 from analogia import (
     AnalogyError,
+    FormulaError,
+    ParseError,
+    PreferenceError,
+    TranslationError,
+    TruthValue,
+    check_formula,
+    evaluate,
+)
+from analogia.analogy import AugmentedReport, Guard, SupportReport, combine, translate
+from analogia.formula import (
     And,
     Atom,
-    AugmentedReport,
-    ChoiceFunction,
     Const,
     Exists,
     Forall,
-    FormulaError,
     FuncApp,
-    GroundAtom,
-    Guard,
     Implies,
     Not,
     Or,
-    ParseError,
-    PreferenceError,
-    PreferenceRelation,
-    SupportReport,
     Token,
-    TranslationError,
-    TruthValue,
     Var,
-    check_formula,
-    combine,
-    evaluate,
-    subsets_of,
-    translate,
 )
-from fractions import Fraction
-
+from analogia.kb import GroundAtom
+from analogia.preference import ChoiceFunction, PreferenceRelation, subsets_of
 from analogia.repcheck import RelationClass
 
 

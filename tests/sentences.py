@@ -2,7 +2,7 @@
 
 import itertools
 
-from analogia import And, Atom, Const, Exists, Forall, Implies, Not, Or, Var
+from analogia.formula import And, Atom, Const, Exists, Forall, Implies, Not, Or, Var
 
 
 def _fresh_var_names(sig, count):

@@ -19,38 +19,46 @@ from hypothesis import given, settings, strategies as st
 
 from analogia import (
     AnalogySpace,
-    Atom,
-    ChoiceFunction,
-    Const,
-    PreferenceRelation,
-    RelationClass,
     Signature,
     TranslationTables,
     TruthValue,
-    Var,
-    VerdictStatus,
     analogy_map,
     best,
-    choice_of,
-    classify,
-    completeness_sweep,
-    conjecture_for,
     entail,
     evaluate,
-    ground_atom_formulas,
     make_domain,
     parse_formula,
     parse_session,
     print_session,
-    represent,
     resolve_space,
     run,
-    soundness_sweep,
-    straight_rule,
-    subsets_of,
-    translate,
 )
-from analogia.formula import And, Exists, Forall, Implies, Not, Or
+from analogia.analogy import classify, straight_rule, translate
+from analogia.entailment import VerdictStatus, conjecture_for
+from analogia.formula import (
+    And,
+    Atom,
+    Const,
+    Exists,
+    Forall,
+    Implies,
+    Not,
+    Or,
+    Var,
+    ground_atom_formulas,
+)
+from analogia.preference import (
+    ChoiceFunction,
+    PreferenceRelation,
+    choice_of,
+    subsets_of,
+)
+from analogia.repcheck import (
+    RelationClass,
+    completeness_sweep,
+    represent,
+    soundness_sweep,
+)
 
 import choice_oracle
 from conftest import SESSIONS_DIR

@@ -7,29 +7,31 @@ from hypothesis import given, settings, strategies as st
 
 from analogia import (
     AnalogyError,
-    AnalogyMap,
-    AnalogyPiece,
     FormulaError,
-    Guard,
     NoGuardMatch,
     Signature,
     TranslationError,
     TruthValue,
     UntranslatableSymbol,
     analogy_map,
+    evaluate,
+    make_domain,
+    parse_formula,
+    print_formula,
+)
+from analogia.analogy import (
+    AnalogyMap,
+    AnalogyPiece,
+    Guard,
     augmented_report,
     check_injective_on,
     classify,
     close_under_combination,
     combine,
-    evaluate,
-    ground_atom_formulas,
-    make_domain,
-    parse_formula,
-    print_formula,
     straight_rule,
     translate,
 )
+from analogia.formula import ground_atom_formulas
 
 T = TruthValue.TRUE
 F = TruthValue.FALSE

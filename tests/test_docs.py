@@ -6,14 +6,17 @@ import pathlib
 import re
 
 import analogia
-from analogia import RelationClass, completeness_sweep
+from analogia.repcheck import RelationClass, completeness_sweep
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
+def python_api_section():
+    return README.read_text().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+
+
 def python_api_example():
-    section = README.read_text().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
-    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    (code,) = re.findall(r"```python\n(.*?)```", python_api_section(), re.S)
     return code
 
 
@@ -28,6 +31,15 @@ def test_every_exported_name_resolves():
     names = analogia.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(analogia, n)] == []
+
+
+def test_readme_lists_exactly_the_root_exports():
+    lead = "The package root exports exactly these names:\n"
+    listing = python_api_section().split(lead, 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(\w+)`", listing))
+    exported = set(analogia.__all__)
+    assert sorted(exported - documented) == []
+    assert sorted(documented - exported) == []
 
 
 def test_readme_completeness_counts_match_the_sweep():

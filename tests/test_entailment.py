@@ -4,24 +4,25 @@ import dataclasses
 
 import pytest
 
+import analogia.entailment
 from analogia import (
     AnalogySpace,
     EntailmentError,
-    PreferenceRelation,
+    FormulaError,
     Signature,
     TranslationTables,
     TruthValue,
-    VerdictStatus,
     analogy_map,
     best,
-    classify,
-    conjecture_for,
     dominance_preference,
     entail,
-    ground_atom_formulas,
     make_domain,
     parse_formula,
 )
+from analogia.analogy import classify
+from analogia.entailment import VerdictStatus, conjecture_for
+from analogia.formula import ground_atom_formulas
+from analogia.preference import PreferenceRelation
 
 T = TruthValue.TRUE
 F = TruthValue.FALSE
@@ -73,7 +74,7 @@ class TestAnalogySpace:
     def test_translation_must_be_injective_on_the_working_set(
         self, rivals_source, rivals_target, working_atoms
     ):
-        from analogia import AnalogyMap, AnalogyPiece, Guard
+        from analogia.analogy import AnalogyMap, AnalogyPiece, Guard
 
         folded = AnalogyMap(
             "folded",
@@ -158,6 +159,15 @@ class TestConjectureFor:
         )
         assert conjecture_for(space, "hazy", parse_formula("Qa(y)")) is None
 
+    @pytest.mark.parametrize("text", ["Zz(y)", "Pa(y, y)", "Pa(q)"])
+    def test_ill_formed_query_raises_as_in_entail(self, rivals_space, text):
+        query = parse_formula(text)
+        with pytest.raises(FormulaError) as from_entail:
+            entail(rivals_space, query)
+        with pytest.raises(FormulaError) as from_conjecture:
+            conjecture_for(rivals_space, "mixed", query)
+        assert str(from_conjecture.value) == str(from_entail.value)
+
 
 # ====================================================================
 # Verdicts
@@ -212,6 +222,29 @@ class TestEntail:
         assert v.value is None
         assert v.support == ("gloomy", "sunny")
         assert v.suggestions == {"sunny": T, "gloomy": F}
+
+    def test_one_check_and_one_lookup_per_query(self, rivals_space, monkeypatch):
+        names = tuple(a.name for a in rivals_space.analogies)
+        space = dataclasses.replace(
+            rivals_space, preference=PreferenceRelation(names, frozenset())
+        )
+        assert best(space) == {"first", "second", "mixed"}
+        calls = []
+        check, lookup = analogia.entailment.check_formula, TranslationTables.conjectures
+
+        def counted_check(*args):
+            calls.append("check")
+            return check(*args)
+
+        def counted_lookup(*args):
+            calls.append("lookup")
+            return lookup(*args)
+
+        monkeypatch.setattr(analogia.entailment, "check_formula", counted_check)
+        monkeypatch.setattr(TranslationTables, "conjectures", counted_lookup)
+        v = entail(space, parse_formula("Qa(y)"))
+        assert calls == ["check", "lookup"]
+        assert list(v.suggestions.items()) == [("first", T), ("mixed", T)]
 
     def test_no_support_with_empty_space_warns(self, rivals_source, rivals_target):
         space = AnalogySpace(

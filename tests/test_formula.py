@@ -7,38 +7,41 @@ from hypothesis import given, settings, strategies as st
 
 from analogia import (
     AnalogySpace,
-    And,
-    Atom,
-    Const,
-    Exists,
-    Forall,
     FormulaError,
-    FuncApp,
-    Implies,
-    Not,
-    Or,
     ParseError,
     Session,
     Signature,
     SignatureError,
     TranslationTables,
     TruthValue,
-    Var,
     analogy_map,
     check_formula,
-    conjecture_for,
     dominance_preference,
     entail,
     evaluate,
-    ground_atom_formulas,
     make_domain,
-    mentioned_constants,
     parse_formula,
     print_formula,
-    tokenize,
-    translate,
 )
-from analogia.formula import MAX_FORMULA_DEPTH, formula_nodes
+from analogia.analogy import translate
+from analogia.entailment import conjecture_for
+from analogia.formula import (
+    And,
+    Atom,
+    Const,
+    Exists,
+    Forall,
+    FuncApp,
+    Implies,
+    MAX_FORMULA_DEPTH,
+    Not,
+    Or,
+    Var,
+    formula_nodes,
+    ground_atom_formulas,
+    mentioned_constants,
+    tokenize,
+)
 from analogia.kb import RESERVED_WORDS, _check_ident
 
 from conftest import SESSIONS_DIR
@@ -494,8 +497,8 @@ class TestBuiltPastTheCap:
         with pytest.raises(FormulaError, match=msg):
             conjecture_for(space, "m", deep)
         with pytest.raises(FormulaError, match=msg):
-            tables.conjecture(amap, deep)
-        assert tables.conjecture(amap, BUILT[shape](MAX_FORMULA_DEPTH - 2)) is None
+            tables.conjectures(deep, (amap,))
+        assert tables.conjectures(BUILT[shape](MAX_FORMULA_DEPTH - 2), (amap,)) == {}
         with pytest.raises(FormulaError, match=msg):
             evaluate(deep, src)
         with pytest.raises(FormulaError, match=msg):

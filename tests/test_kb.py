@@ -3,16 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from analogia import (
-    DomainError,
-    GroundAtom,
-    KnowledgeDomain,
-    Signature,
-    SignatureError,
-    TruthValue,
-    ground_atoms,
-    make_domain,
-)
+from analogia import DomainError, Signature, SignatureError, TruthValue, make_domain
+from analogia.kb import GroundAtom, KnowledgeDomain
 
 # ====================================================================
 # Truth values
@@ -296,27 +288,10 @@ class TestMakeDomain:
         with pytest.raises(DomainError, match=message):
             make_domain(weather_sig, ("mon", "tue"), facts=[fact])
 
-
-# ====================================================================
-# Ground atom enumeration
-# ====================================================================
-
-
-class TestGroundAtoms:
-    def test_count_and_order(self, weather):
-        atoms = ground_atoms(weather)
-        assert len(atoms) == 2 + 4
-        assert atoms[0] == GroundAtom("Rain", ("mon",))
-        assert atoms[-1] == GroundAtom("Windier", ("tue", "tue"))
-        assert [str(a) for a in atoms[:3]] == [
-            "Rain(mon)",
-            "Rain(tue)",
-            "Windier(mon, mon)",
-        ]
-
-    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=2))
-    def test_count_is_sum_of_arity_powers(self, size, arity):
-        sig = Signature("s", (), (("P", arity), ("Q", 1)), ())
-        universe = tuple(f"e{i}" for i in range(size))
-        dom = make_domain(sig, universe)
-        assert len(ground_atoms(dom)) == size**arity + size
+    @pytest.mark.parametrize(
+        "argument", ["universe", "const_interp", "func_interp", "facts"]
+    )
+    def test_non_iterable_argument_is_named(self, weather_sig, argument):
+        kwargs = {"universe": ("mon", "tue"), argument: 5}
+        with pytest.raises(DomainError, match=f"^{argument} must be .*, not int$"):
+            make_domain(weather_sig, **kwargs)

@@ -7,21 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from analogia import (
-    ChoiceFunction,
     PreferenceError,
-    PreferenceRelation,
     Signature,
-    SupportReport,
     analogy_map,
-    choice_of,
-    classify,
     count_preference,
     dominance_preference,
-    ground_atom_formulas,
+    make_domain,
+)
+from analogia.analogy import SupportReport, classify
+from analogia.formula import ground_atom_formulas
+from analogia.preference import (
+    ChoiceFunction,
+    PreferenceRelation,
+    choice_of,
     is_ranked,
     is_smooth,
     is_transitive,
-    make_domain,
     subsets_of,
     undominated,
 )
@@ -120,6 +121,11 @@ class TestUndominated:
         with pytest.raises(PreferenceError, match="not in the carrier"):
             undominated(rel(), ("zz",))
 
+    @pytest.mark.parametrize("items", [[["a"]], 5, [{"a"}]])
+    def test_items_that_are_not_hashable_items_rejected(self, items):
+        with pytest.raises(PreferenceError, match="iterable of carrier items"):
+            undominated(rel(), items)
+
     def test_domination_only_counts_inside_the_pool(self):
         r = rel(("a", "b"))
         # a beats b, but a is not in the pool, so b survives
@@ -163,6 +169,24 @@ class TestChoiceFunction:
                 ("a",),
                 {frozenset(): frozenset(), frozenset({"a"}): frozenset({"zz"})},
             )
+
+    @pytest.mark.parametrize("table", [5, None, [(frozenset(), frozenset())]])
+    def test_table_must_be_a_mapping(self, table):
+        with pytest.raises(PreferenceError, match="must be a mapping"):
+            ChoiceFunction(("a",), table)
+
+    @pytest.mark.parametrize(
+        "carrier, table",
+        [
+            (5, {}),
+            ((["a"],), {}),
+            (("a",), {frozenset(): frozenset(), 5: frozenset()}),
+            (("a",), {frozenset(): [["a"]]}),
+        ],
+    )
+    def test_unhashable_or_non_set_entries_rejected(self, carrier, table):
+        with pytest.raises(PreferenceError, match="must be hashable"):
+            ChoiceFunction(carrier, table)
 
     def test_picks_need_not_be_subsets_of_their_argument(self):
         # legal on purpose: the laws that fail on it are checked elsewhere
@@ -408,7 +432,9 @@ class TestCountPreference:
         with pytest.raises(PreferenceError, match="must be positive"):
             count_preference([r], negative_weight=-1)
 
-    @pytest.mark.parametrize("weight", ["x", float("nan"), None, float("inf")])
+    @pytest.mark.parametrize(
+        "weight", ["x", float("nan"), None, float("inf"), "1e6000000", 0.5, True]
+    )
     def test_weights_that_are_not_numbers_rejected(self, weight):
         with pytest.raises(PreferenceError, match="rational numbers"):
             count_preference([], positive_weight=weight)

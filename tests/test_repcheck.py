@@ -2,24 +2,28 @@
 
 import pytest
 
-from analogia import (
+from analogia import RepcheckError
+from analogia.preference import (
     ChoiceFunction,
-    NotRepresentable,
     PreferenceRelation,
-    RepcheckError,
-    check_property,
     choice_of,
-    completeness_sweep,
-    irreflexive_relations,
     is_ranked,
     is_smooth,
     is_transitive,
+    subsets_of,
+)
+from analogia.repcheck import (
+    CLASS_PROPERTIES,
+    NotRepresentable,
+    PropertyId,
+    RelationClass,
+    check_property,
+    completeness_sweep,
+    irreflexive_relations,
     relation_in_class,
     represent,
     soundness_sweep,
-    subsets_of,
 )
-from analogia.repcheck import CLASS_PROPERTIES, PropertyId, RelationClass
 
 import choice_oracle
 import reference

@@ -9,7 +9,6 @@ import analogia.analogy
 
 from analogia import (
     AnalogyError,
-    Guard,
     ParseError,
     RepcheckError,
     SessionError,
@@ -18,12 +17,11 @@ from analogia import (
     parse_formula,
     parse_session,
     print_session,
-    resolve_maps,
     resolve_space,
     run,
-    session_preference,
 )
-from analogia.session import SESSION_COMMANDS
+from analogia.analogy import Guard
+from analogia.session import SESSION_COMMANDS, resolve_maps, session_preference
 
 from conftest import SESSIONS_DIR
 

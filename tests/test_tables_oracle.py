@@ -23,25 +23,27 @@ from hypothesis import given, settings, strategies as st
 import reference
 from analogia import (
     AnalogyError,
-    AnalogyMap,
-    AnalogyPiece,
     AnalogySpace,
-    Guard,
-    PreferenceRelation,
     Signature,
     TranslationError,
+    TranslationTables,
     analogy_map,
+    make_domain,
+    parse_formula,
+)
+from analogia.analogy import (
+    AnalogyMap,
+    AnalogyPiece,
+    Guard,
     augmented_report,
     check_injective_on,
     classify,
     close_under_combination,
-    conjecture_for,
-    ground_atom_formulas,
-    make_domain,
-    parse_formula,
     translate,
 )
-from analogia.analogy import TranslationTables
+from analogia.entailment import conjecture_for
+from analogia.formula import ground_atom_formulas
+from analogia.preference import PreferenceRelation
 
 SOURCE_CONSTANTS = ("a", "b", "c")
 SOURCE_PREDICATES = (("P", 1), ("Q", 1), ("R", 2))

@@ -10,6 +10,7 @@ only loaded, never changed, and no bytecode is written next to it.
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 
 import pytest
@@ -39,6 +40,19 @@ def test_every_traced_function_resolves(spans):
         if not callable(getattr(importlib.import_module(f"analogia.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_importing_the_cli_loads_every_traced_layer(spans):
+    # perfbench/run.py imports analogia.cli and then reads each layer
+    # from sys.modules, so a fresh process must show them all loaded.
+    layers = [f"analogia.{layer}" for layer in spans.LAYERS]
+    code = (
+        "import sys, analogia.cli; "
+        f"print([m for m in {layers!r} if m not in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_patched_methods_are_defined_on_their_classes():
