@@ -30,11 +30,15 @@ Concrete syntax, shared with the session files:
     primary  := '(' formula ')' | IDENT '(' term (',' term)* ')'
     term     := IDENT ('(' term (',' term)* ')')?
 
-tokenize matches one compiled pattern at the cursor, with one group per
-token class: newline, blanks, comment, identifier, number and symbol;
-each match also takes the blanks after it. The group that matched gives
-the token's kind, and the column is the offset from the start of the
-line. Identifiers match kb.IDENT_PATTERN,
+tokenize scans the text with one findall and returns the token texts
+as plain strings, "" last for end of input; the text alone tells a
+token's kind. Each match is one token and the blanks, newlines and
+comments after it, so every match ends where the next token starts;
+the gap before the first token is skipped by starting the scan past
+it. A character no token class takes matches as "", and tokenize
+raises a ParseError there. No position is kept per token: a ParseError
+repeats the scan match by match up to its token and counts the
+newlines before it. Identifiers match kb.IDENT_PATTERN,
 [A-Za-z_][A-Za-z0-9_']*, the same rule Signature holds symbol names to,
 so primed names like x' are fine.
 
@@ -62,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -469,109 +474,122 @@ def evaluate(f: Formula, domain: KnowledgeDomain) -> TruthValue:
 # Tokens
 # ====================================================================
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "number" | "symbol" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-# One alternative per token class, tried in this order at the cursor;
-# the number of the group that matched tells the class. Each match also
-# takes the blanks that follow it, which saves about a third of the
-# matches on session text. Digits are [0-9] only: \d would also take
-# every other Unicode decimal digit, such as ٣.
-_TOKEN_RE = re.compile(
-    r"(?:(\n)|([ \t\r]+)|(#[^\n]*)"  # 1 newline, 2 blanks, 3 comment
-    f"|({IDENT_PATTERN})"  # 4 identifier
-    r"|([0-9]+)|(->|[!&|(){},;:.=/]))"  # 5 number, 6 symbol
-    r"[ \t\r]*"
-)
-_KIND_OF_GROUP = (None, None, None, None, "ident", "number", "symbol")
+# What may sit between tokens: blanks, newlines and comments.
+_GAP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+_GAP_RE = re.compile(_GAP)
+# One token and the gap after it, so each match ends where the next
+# token starts: findall searches, and with the gap first it could
+# restart inside a comment and take its words as tokens. The group is
+# empty where no token class starts: at a character no class takes,
+# and at end of input. Digits are [0-9] only: \d would also take every
+# other Unicode decimal digit, such as ٣. No possessive quantifiers or
+# atomic groups: re has them only from Python 3.11.
+_TOKEN_RE = re.compile(f"({IDENT_PATTERN}|[0-9]+|->|[!&|(){{}},;:.=/]|){_GAP}")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split text into tokens, tracking 1-based line and column.
+def tokenize(text: str) -> list[str]:
+    """Split text into token texts, ending with "" for end of input.
 
     The token set covers both bare formulas and full session files.
     Comments run from '#' to end of line.
     """
 
-    out: list[Token] = []
-    match = _TOKEN_RE.match
-    pos, line, line_start, n = 0, 1, 0, len(text)
-    while pos < n:
-        m = match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        group = m.lastindex
-        if group == 1:
-            line, line_start = line + 1, pos + 1
-        elif group > 3:
-            out.append(Token(_KIND_OF_GROUP[group], m.group(group), line, pos - line_start + 1))
-        pos = m.end()
-    out.append(Token("eof", "", line, pos - line_start + 1))
-    return out
+    tokens = _TOKEN_RE.findall(text, _GAP_RE.match(text).end())
+    first_empty = tokens.index("")  # the end of input, if nothing earlier
+    if first_empty < len(tokens) - 1:
+        offset, line, col = _where(text, first_empty)
+        raise ParseError(f"unexpected character {text[offset]!r}", line, col)
+    return tokens
+
+
+def token_positions(text: str) -> Iterator[tuple[int, int, int]]:
+    """Yield (offset, line, column) for each entry of tokenize(text).
+
+    Lines and columns are 1-based. This repeats the scan match by match
+    and counts the newlines between two token starts once, so listing
+    every position takes one pass over the text.
+    """
+
+    line, line_start, seen = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text, _GAP_RE.match(text).end()):
+        start = m.start()
+        newlines = text.count("\n", seen, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", seen, start) + 1
+        seen = start
+        yield start, line, start - line_start + 1
+
+
+def _where(text: str, index: int) -> tuple[int, int, int]:
+    """token_positions(text) at entry index."""
+
+    return next(itertools.islice(token_positions(text), index, None))
 
 
 class TokenStream:
-    """Cursor over a token list with positioned errors.
+    """Cursor over tokenize's token texts with positioned errors.
 
-    at, take and expect compare token texts only: the text alone tells
-    the kind (identifiers start with a letter or '_', numbers are
-    digits, symbols are punctuation, and end of input is empty).
+    The text alone tells a token's kind: identifiers start with a
+    letter or '_', numbers are digits, symbols are punctuation, and end
+    of input is "". Positions are not kept: error rescans the text up
+    to the failing token to find its line and column.
     """
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, text: str, tokens: list[str]):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok:
             self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
+        return self.tokens[self.pos] == text
 
     def take(self, text: str) -> bool:
-        if self.tokens[self.pos].text == text:
+        if self.tokens[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text == text:
-            return self.next()
-        self.error(f"expected {text!r}, found {self._describe(tok)}")
+    def expect(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            self.error(f"expected {text!r}, found {self.describe()}")
+        self.pos += 1
 
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return self.next()
-        self.error(f"expected identifier, found {self._describe(tok)}")
+    def expect_ident(self) -> str:
+        tok = self.tokens[self.pos]
+        if tok[:1] not in _IDENT_START:
+            self.error(f"expected identifier, found {self.describe()}")
+        self.pos += 1
+        return tok
 
     def expect_number(self) -> int:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.next()
-            return int(tok.text)
-        self.error(f"expected number, found {self._describe(tok)}")
+        tok = self.tokens[self.pos]
+        if not tok.isdigit():
+            self.error(f"expected number, found {self.describe()}")
+        self.pos += 1
+        return int(tok)
 
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        return "end of input" if tok.kind == "eof" else repr(tok.text)
+    def describe(self) -> str:
+        """The current token as error messages show it."""
 
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        tok = self.tokens[self.pos]
+        return repr(tok) if tok else "end of input"
+
+    def error(self, message: str, index: int | None = None):
+        """Raise a ParseError at token index, by default the current one."""
+
+        _, line, col = _where(self.text, self.pos if index is None else index)
+        raise ParseError(message, line, col)
 
 
 # ====================================================================
@@ -633,20 +651,21 @@ def _parse_unary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula
         ts.next()
         body, reach = _parse_unary(ts, scope, level)
         return Not(body), reach
-    tok = ts.peek()
-    if tok.kind == "ident" and tok.text in RESERVED_WORDS:
+    word = ts.peek()
+    if word in RESERVED_WORDS:
         level = _deeper(ts, depth)
         ts.next()
+        at = ts.pos
         var = ts.expect_ident()
-        if var.text in RESERVED_WORDS:
-            raise ParseError(f"{var.text!r} cannot be a variable", var.line, var.col)
+        if var in RESERVED_WORDS:
+            ts.error(f"{var!r} cannot be a variable", at)
         ts.expect(".")
-        scope.append(var.text)
+        scope.append(var)
         try:
             body, reach = _parse_implies(ts, scope, level)
         finally:
             scope.pop()
-        return (Forall if tok.text == "forall" else Exists)(var.text, body), reach
+        return (Forall if word == "forall" else Exists)(var, body), reach
     return _parse_primary(ts, scope, depth)
 
 
@@ -657,13 +676,12 @@ def _parse_primary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formu
         f, reach = _parse_implies(ts, scope, level)
         ts.expect(")")
         return f, reach
-    tok = ts.peek()
-    if tok.kind != "ident":
-        ts.error(f"expected formula, found {TokenStream._describe(tok)}")
+    if ts.peek()[:1] not in _IDENT_START:
+        ts.error(f"expected formula, found {ts.describe()}")
     level = _deeper(ts, depth)
     name = ts.next()
     args, reach = _parse_args(ts, scope, level)
-    return Atom(name.text, args), reach
+    return Atom(name, args), reach
 
 
 def _parse_args(ts: TokenStream, scope: list[str], depth: int) -> tuple[tuple[Term, ...], int]:
@@ -683,19 +701,19 @@ def _parse_term(ts: TokenStream, scope: list[str], depth: int) -> tuple[Term, in
     name = ts.expect_ident()
     if ts.at("("):
         args, reach = _parse_args(ts, scope, level)
-        return FuncApp(name.text, args), reach
-    if name.text in scope:
-        return Var(name.text), level
-    return Const(name.text), level
+        return FuncApp(name, args), reach
+    if name in scope:
+        return Var(name), level
+    return Const(name), level
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a single formula; trailing input is an error."""
 
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text, tokenize(text))
     f = parse_formula_stream(ts)
-    if ts.peek().kind != "eof":
-        ts.error(f"unexpected trailing input {TokenStream._describe(ts.peek())}")
+    if ts.peek():
+        ts.error(f"unexpected trailing input {ts.describe()}")
     return f
 
 

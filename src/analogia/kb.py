@@ -241,6 +241,14 @@ def _argument(name: str, kind: str, convert, value):
         raise DomainError(f"{name} must be {kind}, not {type(value).__name__}") from None
 
 
+def _names(name: str, values: Iterable) -> None:
+    """A DomainError that names the argument unless every value is a str."""
+
+    for value in values:
+        if not isinstance(value, str):
+            raise DomainError(f"{name} must hold names, not {value!r}")
+
+
 def make_domain(
     signature: Signature,
     universe: Iterable[str],
@@ -261,7 +269,9 @@ def make_domain(
     the unknown ones.
     """
 
-    elems = tuple(sorted(_argument("universe", "an iterable of names", set, universe)))
+    elems = _argument("universe", "an iterable of names", set, universe)
+    _names("universe", elems)
+    elems = tuple(sorted(elems))
     if not elems:
         raise DomainError("universe must be nonempty")
     uset = set(elems)
@@ -276,6 +286,7 @@ def make_domain(
         const_interp = {c: c for c in signature.constants}
     else:
         const_interp = _argument("const_interp", "a mapping", dict, const_interp)
+        _names("const_interp", const_interp.values())
 
     func_interp = _argument("func_interp", "a mapping", dict, func_interp or {})
 

@@ -340,6 +340,21 @@ def dominance_preference(reports: Sequence[SupportReport]) -> PreferenceRelation
     return PreferenceRelation(carrier=names, edges=edges)
 
 
+def check_count_weights(
+    positive_weight: int | Fraction, negative_weight: int | Fraction
+) -> tuple[Fraction, Fraction]:
+    """The two weights as Fractions, or a PreferenceError unless both
+    are positive ints or Fractions (not bools)."""
+
+    weights = (positive_weight, negative_weight)
+    if any(isinstance(w, bool) or not isinstance(w, (int, Fraction)) for w in weights):
+        raise PreferenceError("count weights must be rational numbers")
+    wp, wn = map(Fraction, weights)
+    if wp <= 0 or wn <= 0:
+        raise PreferenceError("count weights must be positive")
+    return wp, wn
+
+
 def count_preference(
     reports: Sequence[SupportReport],
     positive_weight: int | Fraction = 1,
@@ -352,12 +367,7 @@ def count_preference(
     incomparable, which makes the relation ranked by construction.
     """
 
-    weights = (positive_weight, negative_weight)
-    if any(isinstance(w, bool) or not isinstance(w, (int, Fraction)) for w in weights):
-        raise PreferenceError("count weights must be rational numbers")
-    wp, wn = map(Fraction, weights)
-    if wp <= 0 or wn <= 0:
-        raise PreferenceError("count weights must be positive")
+    wp, wn = check_count_weights(positive_weight, negative_weight)
     _shared_basis(reports)
     names = tuple(r.analogy.name for r in reports)
     rank = [wn * len(r.negative) - wp * len(r.positive) for r in reports]

@@ -57,7 +57,7 @@ from .entailment import best as best_names
 from .entailment import entail
 from .errors import (
     DomainError,
-    ParseError,
+    PreferenceError,
     RepcheckError,
     SessionError,
     SignatureError,
@@ -74,12 +74,14 @@ from .formula import (
 from .kb import KnowledgeDomain, Signature, TruthValue, _check_ident, make_domain
 from .preference import (
     PreferenceRelation,
+    check_count_weights,
     count_preference,
     dominance_preference,
 )
 
 PREFERENCE_KINDS = ("dominance", "counts", "explicit")
 SESSION_COMMANDS = ("check", "classify", "report", "best", "entail", "score")
+_TRUTH_WORDS = {v.value: v for v in TruthValue}
 
 
 @dataclass(frozen=True)
@@ -158,11 +160,14 @@ class Session:
         if self.preference_kind not in PREFERENCE_KINDS:
             raise SessionError(f"unknown preference kind {self.preference_kind!r}")
         if self.preference_kind == "counts":
-            if self.count_weights is None:
-                raise SessionError("counts preference needs its two weights")
-            wp, wn = self.count_weights
-            if wp <= 0 or wn <= 0:
-                raise SessionError("count weights must be positive")
+            try:
+                wp, wn = self.count_weights
+            except (TypeError, ValueError):
+                raise SessionError("counts preference needs its two weights") from None
+            try:
+                check_count_weights(wp, wn)
+            except PreferenceError as err:
+                raise SessionError(str(err)) from err
         elif self.count_weights is not None:
             raise SessionError(
                 f"{self.preference_kind} preference takes no weights"
@@ -233,7 +238,7 @@ def parse_session(text: str) -> Session:
     semantic problems raise with the offending entity's name.
     """
 
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text, tokenize(text))
     raw_domains: list[_RawDomain] = []
     raw_analogies: list[_RawAnalogy] = []
     working: list[Formula] | None = None
@@ -244,15 +249,15 @@ def parse_session(text: str) -> Session:
     preference: tuple[str, tuple[Fraction, Fraction] | None, tuple] | None = None
     queries: list[Formula] = []
 
-    while ts.peek().kind != "eof":
-        tok = ts.peek()
+    while ts.peek():
+        at = ts.pos
         if ts.take("domain"):
             raw_domains.append(_parse_domain(ts))
         elif ts.take("analogy"):
             raw_analogies.append(_parse_analogy(ts))
         elif ts.take("workingset"):
             if working is not None or working_atoms:
-                raise ParseError("duplicate workingset declaration", tok.line, tok.col)
+                ts.error("duplicate workingset declaration", at)
             if ts.take("atoms"):
                 ts.expect(";")
                 working_atoms = True
@@ -260,33 +265,33 @@ def parse_session(text: str) -> Session:
                 working = _parse_workingset(ts)
         elif ts.take("preference"):
             if preference is not None:
-                raise ParseError("duplicate preference declaration", tok.line, tok.col)
+                ts.error("duplicate preference declaration", at)
             preference = _parse_preference(ts)
         elif ts.take("query"):
             queries.append(parse_formula_stream(ts))
             ts.expect(";")
         elif ts.take("source"):
             if source_name is not None:
-                raise ParseError("duplicate source declaration", tok.line, tok.col)
-            source_name = ts.expect_ident().text
+                ts.error("duplicate source declaration", at)
+            source_name = ts.expect_ident()
             ts.expect(";")
         elif ts.take("target"):
             if target_name is not None:
-                raise ParseError("duplicate target declaration", tok.line, tok.col)
-            target_name = ts.expect_ident().text
+                ts.error("duplicate target declaration", at)
+            target_name = ts.expect_ident()
             ts.expect(";")
         elif ts.take("closure"):
             if closure is not None:
-                raise ParseError("duplicate closure declaration", tok.line, tok.col)
+                ts.error("duplicate closure declaration", at)
             word = ts.expect_ident()
-            if word.text not in ("on", "off"):
-                raise ParseError("closure must be on or off", word.line, word.col)
+            if word not in ("on", "off"):
+                ts.error("closure must be on or off", ts.pos - 1)
             ts.expect(";")
-            closure = word.text == "on"
+            closure = word == "on"
         else:
             ts.error(
                 "expected domain, analogy, workingset, preference, query, "
-                f"source, target, or closure, found {TokenStream._describe(tok)}"
+                f"source, target, or closure, found {ts.describe()}"
             )
 
     domains = [_build_domain(raw) for raw in raw_domains]
@@ -336,7 +341,7 @@ def parse_session(text: str) -> Session:
 
 
 def _parse_domain(ts: TokenStream) -> _RawDomain:
-    name = ts.expect_ident().text
+    name = ts.expect_ident()
     ts.expect("{")
     raw = _RawDomain(name, [], [], [], [], [])
     while not ts.take("}"):
@@ -349,25 +354,20 @@ def _parse_domain(ts: TokenStream) -> _RawDomain:
         elif ts.take("func"):
             raw.functions.append(_parse_arity_decl(ts))
         elif ts.take("fact"):
-            pred = ts.expect_ident().text
+            pred = ts.expect_ident()
             args = _parse_name_args(ts)
             ts.expect("=")
             word = ts.expect_ident()
-            try:
-                value = TruthValue(word.text)
-            except ValueError:
-                raise ParseError(
-                    f"expected true, false, or unknown, found {word.text!r}",
-                    word.line,
-                    word.col,
-                ) from None
+            value = _TRUTH_WORDS.get(word)
+            if value is None:
+                ts.error(f"expected true, false, or unknown, found {word!r}", ts.pos - 1)
             ts.expect(";")
             raw.facts.append((pred, args, value))
         elif ts.take("interp"):
-            fname = ts.expect_ident().text
+            fname = ts.expect_ident()
             args = _parse_name_args(ts)
             ts.expect("=")
-            result = ts.expect_ident().text
+            result = ts.expect_ident()
             ts.expect(";")
             raw.interps.append((fname, args, result))
         else:
@@ -379,7 +379,7 @@ def _parse_domain(ts: TokenStream) -> _RawDomain:
 
 
 def _parse_arity_decl(ts: TokenStream) -> tuple[str, int]:
-    name = ts.expect_ident().text
+    name = ts.expect_ident()
     ts.expect("/")
     arity = ts.expect_number()
     ts.expect(";")
@@ -387,9 +387,9 @@ def _parse_arity_decl(ts: TokenStream) -> tuple[str, int]:
 
 
 def _parse_ident_list(ts: TokenStream) -> list[str]:
-    names = [ts.expect_ident().text]
+    names = [ts.expect_ident()]
     while ts.take(","):
-        names.append(ts.expect_ident().text)
+        names.append(ts.expect_ident())
     return names
 
 
@@ -401,21 +401,19 @@ def _parse_name_args(ts: TokenStream) -> tuple[str, ...]:
 
 
 def _parse_analogy(ts: TokenStream) -> _RawAnalogy:
-    name = ts.expect_ident().text
+    name = ts.expect_ident()
     ts.expect("from")
-    src = ts.expect_ident().text
+    src = ts.expect_ident()
     ts.expect("to")
-    tgt = ts.expect_ident().text
+    tgt = ts.expect_ident()
     ts.expect("{")
     raw = _RawAnalogy(name, src, tgt, [])
     bare: list[tuple[str, str]] | None = None
     while not ts.take("}"):
-        tok = ts.peek()
+        at = ts.pos
         if ts.take("piece"):
             if bare is not None:
-                raise ParseError(
-                    "cannot mix bare map lines with piece blocks", tok.line, tok.col
-                )
+                ts.error("cannot mix bare map lines with piece blocks", at)
             ts.expect("when")
             ts.expect("mentions")
             ts.expect("{")
@@ -425,9 +423,7 @@ def _parse_analogy(ts: TokenStream) -> _RawAnalogy:
             raw.pieces.append((tuple(consts), _parse_map_lines(ts)))
         elif ts.at("map"):
             if raw.pieces:
-                raise ParseError(
-                    "cannot mix bare map lines with piece blocks", tok.line, tok.col
-                )
+                ts.error("cannot mix bare map lines with piece blocks")
             if bare is None:
                 bare = []
             bare.append(_parse_map_line(ts))
@@ -440,9 +436,9 @@ def _parse_analogy(ts: TokenStream) -> _RawAnalogy:
 
 def _parse_map_line(ts: TokenStream) -> tuple[str, str]:
     ts.expect("map")
-    src = ts.expect_ident().text
+    src = ts.expect_ident()
     ts.expect("->")
-    tgt = ts.expect_ident().text
+    tgt = ts.expect_ident()
     ts.expect(";")
     return src, tgt
 
@@ -466,12 +462,12 @@ def _parse_workingset(ts: TokenStream) -> list[Formula]:
 
 
 def _parse_weight(ts: TokenStream) -> Fraction:
-    tok = ts.peek()
+    at = ts.pos
     numerator = ts.expect_number()
     if ts.take("/"):
         denominator = ts.expect_number()
         if denominator == 0:
-            raise ParseError("weight denominator cannot be zero", tok.line, tok.col)
+            ts.error("weight denominator cannot be zero", at)
         return Fraction(numerator, denominator)
     return Fraction(numerator)
 
@@ -493,9 +489,9 @@ def _parse_preference(ts: TokenStream):
         edges: list[tuple[str, str]] = []
         while not ts.take("}"):
             ts.expect("prefer")
-            a = ts.expect_ident().text
+            a = ts.expect_ident()
             ts.expect("over")
-            b = ts.expect_ident().text
+            b = ts.expect_ident()
             ts.expect(";")
             edges.append((a, b))
         return "explicit", None, tuple(edges)
@@ -570,7 +566,7 @@ def print_session(session: Session) -> str:
             lines.append(f"  {print_formula(f)};")
         lines.append("}")
     if session.preference_kind == "counts":
-        wp, wn = session.count_weights or (Fraction(1), Fraction(1))
+        wp, wn = session.count_weights
         lines.append(f"preference counts({wp}, {wn});")
     elif session.preference_kind == "explicit":
         lines.append("preference explicit {")
@@ -645,7 +641,7 @@ def session_preference(
         )
     reports = [session.tables.classify(a) for a in maps]
     if session.preference_kind == "counts":
-        wp, wn = session.count_weights or (Fraction(1), Fraction(1))
+        wp, wn = session.count_weights
         return count_preference(reports, wp, wn)
     return dominance_preference(reports)
 

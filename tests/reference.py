@@ -19,8 +19,10 @@ test_formula.py.
 
 The scanner: reference_tokenize walks the text one character at a time
 against explicit character sets, as the engine did before it matched
-one compiled pattern; tokenize must agree with it token for token and
-error for error, see test_formula.py.
+one compiled pattern, and lists each token as (kind, text, line,
+column). tokenize's texts, with their kinds told from the text and the
+positions token_positions gives them, must agree with it token for
+token and error for error; see test_formula.py.
 
 The relation kernel: set-based loops over a relation's edges for the
 induced choice, transitivity, smoothness and rankedness, with the same
@@ -52,7 +54,6 @@ from analogia.formula import (
     Implies,
     Not,
     Or,
-    Token,
     Var,
 )
 from analogia.kb import GroundAtom
@@ -180,27 +181,27 @@ def reference_tokenize(text):
             while i < n and text[i] in _IDENT_CONT:
                 i += 1
                 col += 1
-            out.append(Token("ident", text[start:i], line, start_col))
+            out.append(("ident", text[start:i], line, start_col))
             continue
         if ch in _DIGITS:
             start, start_col = i, col
             while i < n and text[i] in _DIGITS:
                 i += 1
                 col += 1
-            out.append(Token("number", text[start:i], line, start_col))
+            out.append(("number", text[start:i], line, start_col))
             continue
         if text.startswith("->", i):
-            out.append(Token("symbol", "->", line, col))
+            out.append(("symbol", "->", line, col))
             i += 2
             col += 2
             continue
         if ch in _SINGLE_SYMBOLS:
-            out.append(Token("symbol", ch, line, col))
+            out.append(("symbol", ch, line, col))
             i += 1
             col += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("eof", "", line, col))
+    out.append(("eof", "", line, col))
     return out
 
 

@@ -1,13 +1,16 @@
 """Command line behaviour: exit codes, text rendering, JSON mode."""
 
 import json
+import os
 import re
+import shutil
 import subprocess
 import sys
 import time
 
 import pytest
 
+import analogia
 from analogia import parse_session, run
 from analogia.cli import main
 from analogia.formula import MAX_FORMULA_DEPTH
@@ -324,6 +327,42 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["best"] == ["mixed"]
+
+
+class TestLowestSupportedPython:
+    """pyproject's requires-python floor gives the same output."""
+
+    @pytest.fixture(scope="class")
+    def python310(self):
+        exe = shutil.which("python3.10")
+        try:
+            started = exe is not None and subprocess.run(
+                [exe, "-c", "pass"], capture_output=True, timeout=60
+            ).returncode == 0
+        except (OSError, subprocess.TimeoutExpired):
+            started = False
+        if not started:
+            pytest.skip("no python3.10 on PATH that starts")
+        return exe
+
+    @pytest.mark.parametrize(
+        "path", sorted(SESSIONS_DIR.glob("*.ana")), ids=lambda path: path.name
+    )
+    def test_check_prints_the_same(self, python310, path):
+        src = os.path.dirname(os.path.dirname(analogia.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        outputs = [
+            subprocess.run(
+                [exe, "-m", "analogia", "--json", "check", str(path)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            for exe in (python310, sys.executable)
+        ]
+        low, current = [(p.returncode, p.stdout, p.stderr) for p in outputs]
+        assert low == current
 
 
 # ====================================================================

@@ -1,6 +1,7 @@
 """Formula parsing, printing, checking, and three-valued evaluation."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from analogia import (
     evaluate,
     make_domain,
     parse_formula,
+    parse_session,
     print_formula,
 )
 from analogia.analogy import translate
@@ -40,6 +42,7 @@ from analogia.formula import (
     formula_nodes,
     ground_atom_formulas,
     mentioned_constants,
+    token_positions,
     tokenize,
 )
 from analogia.kb import RESERVED_WORDS, _check_ident
@@ -58,10 +61,31 @@ U = TruthValue.UNKNOWN
 # ====================================================================
 
 
+def kind_of(text):
+    """A token's kind, told from its text alone."""
+
+    if not text:
+        return "eof"
+    if text[0] in "0123456789":
+        return "number"
+    if text[0].isalpha() or text[0] == "_":
+        return "ident"
+    return "symbol"
+
+
+def located(text):
+    """tokenize's tokens as (kind, text, line, column), the reference's form."""
+
+    tokens = tokenize(text)
+    positions = list(token_positions(text))
+    assert len(positions) == len(tokens)
+    return [(kind_of(t), t, line, col) for t, (_, line, col) in zip(tokens, positions)]
+
+
 class TestTokenize:
     def test_kinds_and_texts(self):
         toks = tokenize("forall x'. P(x', 12) -> !Q")
-        assert [(t.kind, t.text) for t in toks] == [
+        assert [(kind_of(t), t) for t in toks] == [
             ("ident", "forall"),
             ("ident", "x'"),
             ("symbol", "."),
@@ -79,19 +103,20 @@ class TestTokenize:
 
     def test_comments_are_skipped(self):
         toks = tokenize("P(a) # until end of line\n& Q(b)")
-        assert [t.text for t in toks[:-1]] == ["P", "(", "a", ")", "&", "Q", "(", "b", ")"]
+        assert toks[:-1] == ["P", "(", "a", ")", "&", "Q", "(", "b", ")"]
 
     def test_positions_are_one_based(self):
-        toks = tokenize("P(a)\n  & Q(b)")
-        amp = next(t for t in toks if t.text == "&")
-        assert (amp.line, amp.col) == (2, 3)
-        assert (toks[0].line, toks[0].col) == (1, 1)
+        text = "P(a)\n  & Q(b)"
+        positions = dict(zip(tokenize(text), token_positions(text)))
+        assert positions["&"] == (7, 2, 3)
+        assert positions["P"] == (0, 1, 1)
+        assert positions[""] == (len(text), 2, 9)
 
     def test_all_punctuation(self):
         text = "-> ! & | ( ) { } , ; : . = /"
         toks = tokenize(text)
-        assert [t.text for t in toks[:-1]] == text.split()
-        assert all(t.kind == "symbol" for t in toks[:-1])
+        assert toks[:-1] == text.split()
+        assert all(kind_of(t) == "symbol" for t in toks[:-1])
 
     def test_bad_character_reports_position(self):
         with pytest.raises(ParseError) as exc:
@@ -111,25 +136,75 @@ def scan(scanner, text):
 
 # What the drawn texts are made of: every token class, characters just
 # outside each class (a prime, a lone '-', a non-ASCII letter, digit
-# and superscript), and every way a line or a comment can end.
+# and superscript), and every way a line or a comment can end; a text
+# may start with a comment and end inside one.
 SCANNER_PIECES = (
     "x", "x'", "P", "_a1", "b'c", "forall", "0", "12", "٣", "²", "é", "-", "->",
     *"!&|(){},;:.=/", " ", "\t", "\r\n", "\n", "# note", "# note\n", "$",
 )
+
+# The bundled sessions end to end, about 8.7 KB, repeated to a large text.
+BUNDLED = "\n".join(
+    path.read_text(encoding="utf-8") for path in sorted(SESSIONS_DIR.glob("*.ana"))
+)
+
+
+def big_session(facts):
+    """One valid session text with the given number of fact lines."""
+
+    objects = [f"o{i}" for i in range(50)]
+    lines = [f"domain S {{\n  objects: {', '.join(objects)};\n  pred P/1;\n"]
+    lines += [f"  fact P(o{i % 50}) = true;  # fact {i}\n" for i in range(facts)]
+    return "".join(lines) + "}\nsource S;\ntarget S;\n"
 
 
 class TestScannerAgainstReference:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(SCANNER_PIECES), max_size=16).map("".join))
     def test_agrees_with_the_character_loop(self, text):
-        assert scan(tokenize, text) == scan(reference_tokenize, text)
+        assert scan(located, text) == scan(reference_tokenize, text)
+
+    def test_leading_and_trailing_comments(self):
+        for text in ("# note\nP(a)", "P(a) # note", "# note"):
+            assert located(text) == reference_tokenize(text)
 
     @pytest.mark.parametrize(
         "path", sorted(SESSIONS_DIR.glob("*.ana")), ids=lambda path: path.name
     )
     def test_agrees_on_every_bundled_session(self, path):
         text = path.read_text(encoding="utf-8")
-        assert tokenize(text) == reference_tokenize(text)
+        assert located(text) == reference_tokenize(text)
+
+    def test_agrees_on_a_large_text(self):
+        text = BUNDLED * 20
+        assert located(text) == reference_tokenize(text)
+
+    @pytest.mark.parametrize("bad", ["$", "²", "é"])
+    def test_bad_character_near_the_end_of_a_large_text(self, bad):
+        text = BUNDLED * 20 + f"query P(a) {bad} Q(b);\n"
+        assert scan(tokenize, text) == scan(reference_tokenize, text)
+
+    def test_bad_token_near_the_end_of_a_large_text(self):
+        text = big_session(5000).replace("true;  # fact 4990", "maybe;  # fact 4990")
+        with pytest.raises(ParseError) as exc:
+            parse_session(text)
+        (_, _, line, col), = [t for t in reference_tokenize(text) if t[1] == "maybe"]
+        assert (exc.value.bare_message, exc.value.line, exc.value.col) == (
+            "expected true, false, or unknown, found 'maybe'", line, col
+        )
+
+    def test_scanning_a_megabyte_is_linear(self):
+        # Listing every position, or raising at the last token, walks
+        # the text once; a walk per token would take minutes here.
+        text = big_session(30000)
+        assert len(text) > 1_000_000
+        start = time.perf_counter()
+        assert len(list(token_positions(text))) == len(tokenize(text))
+        with pytest.raises(ParseError, match="duplicate source declaration"):
+            parse_session(text + "source S;\n")
+        with pytest.raises(ParseError, match="unexpected character"):
+            tokenize(text + "$")
+        assert time.perf_counter() - start < 5
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
@@ -145,7 +220,7 @@ class TestScannerAgainstReference:
             toks = tokenize(name)
         except ParseError:
             toks = []
-        one_ident = [(t.kind, t.text) for t in toks] == [("ident", name), ("eof", "")]
+        one_ident = [(kind_of(t), t) for t in toks] == [("ident", name), ("eof", "")]
         try:
             _check_ident(name, "constant")
             accepted = True

@@ -295,3 +295,12 @@ class TestMakeDomain:
         kwargs = {"universe": ("mon", "tue"), argument: 5}
         with pytest.raises(DomainError, match=f"^{argument} must be .*, not int$"):
             make_domain(weather_sig, **kwargs)
+
+    def test_non_name_universe_element_is_named(self, weather_sig):
+        with pytest.raises(DomainError, match="^universe must hold names, not 1$"):
+            make_domain(weather_sig, [1, "mon", "tue"])
+
+    def test_non_name_interpretation_is_named(self, weather_sig):
+        const_interp = {"mon": ["mon"], "tue": "tue"}
+        with pytest.raises(DomainError, match=r"^const_interp must hold names, not \['mon'\]$"):
+            make_domain(weather_sig, ("mon", "tue"), const_interp=const_interp)

@@ -1,5 +1,6 @@
 """Session file parsing, validation, canonical printing, and commands."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -256,6 +257,20 @@ class TestSessionValidation:
     def test_rejections(self, mutation, message):
         with pytest.raises((SessionError, Exception), match=message):
             parse_session(MINIMAL + "\n" + mutation)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (("1", 1), "count weights must be rational numbers"),
+            ((0.5, 1), "count weights must be rational numbers"),
+            ((1, 0), "count weights must be positive"),
+            ((1,), "counts preference needs its two weights"),
+        ],
+    )
+    def test_count_weights_checked_at_construction(self, weights, message):
+        session = parse_session(MINIMAL + "\npreference counts(1, 2);")
+        with pytest.raises(SessionError, match=f"^{message}$"):
+            dataclasses.replace(session, count_weights=weights)
 
     def test_domain_errors_carry_the_domain_name(self):
         text = "domain S { objects: a, a; }\ndomain T { objects: b; }\nsource S;\ntarget T;"
