@@ -149,32 +149,18 @@ def entail(space: AnalogySpace, query: Formula) -> Verdict:
         (a for a in space.analogies if a.name in chosen), key=attrgetter("name")
     )
     suggestions = space.tables.conjectures(query, speakers)
-
-    if not suggestions:
-        return Verdict(
-            query=query,
-            status=VerdictStatus.NO_SUPPORT,
-            value=None,
-            support=(),
-            suggestions={},
-            warnings=tuple(warnings),
-        )
     values = set(suggestions.values())
-    support = tuple(sorted(suggestions))
-    if len(values) == 1:
-        return Verdict(
-            query=query,
-            status=VerdictStatus.ENTAILED,
-            value=values.pop(),
-            support=support,
-            suggestions=suggestions,
-            warnings=tuple(warnings),
-        )
+    if not values:
+        status = VerdictStatus.NO_SUPPORT
+    elif len(values) == 1:
+        status = VerdictStatus.ENTAILED
+    else:
+        status = VerdictStatus.CONFLICTED
     return Verdict(
         query=query,
-        status=VerdictStatus.CONFLICTED,
-        value=None,
-        support=support,
+        status=status,
+        value=values.pop() if status is VerdictStatus.ENTAILED else None,
+        support=tuple(sorted(suggestions)),
         suggestions=suggestions,
         warnings=tuple(warnings),
     )

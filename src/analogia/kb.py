@@ -3,22 +3,23 @@
 A KnowledgeDomain is a finite single-sorted structure: a signature of
 constants, predicates, and functions, a nonempty universe of element
 ids, total interpretations for constants and functions, and a fact
-table that assigns true, false, or unknown to every ground atom.
-Atoms that are not listed default to unknown, so the table is total
-without being stored in full.
+table that assigns true, false, or unknown to every ground atom, keyed
+by the plain tuple (predicate, args). Atoms that are not listed default
+to unknown, so the table is total without being stored in full.
 
-Everything here is an immutable value object. Two domains built from
-the same data compare equal, and instances can be shared freely.
+Signature and KnowledgeDomain each check all of their own input and
+name the malformed value in a SignatureError or DomainError;
+make_domain turns names into elements and fact triples into keys. All
+are immutable values: equal data compare equal and can be shared.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .errors import DomainError, SignatureError
 
@@ -56,6 +57,12 @@ class TruthValue(Enum):
         return self.value
 
 
+def format_atom(name: str, args: Iterable[str]) -> str:
+    """name(a, b), as facts and interpretations are written."""
+
+    return f"{name}({', '.join(map(str, args))})"
+
+
 def _check_ident(name: str, what: str) -> None:
     if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
         raise SignatureError(f"invalid {what} identifier {name!r}")
@@ -63,55 +70,57 @@ def _check_ident(name: str, what: str) -> None:
         raise SignatureError(f"{name!r} is a reserved word and cannot name a {what}")
 
 
+def _argument(name: str, kind: str, convert, value, error=DomainError):
+    """convert(value), with an error that names the argument."""
+
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be {kind}, not {type(value).__name__}") from None
+
+
 @dataclass(frozen=True)
 class Signature:
     """Symbol inventory of a domain.
 
     Constants are plain identifiers; predicates and functions carry a
-    positive arity. Identifiers must be unique across all three kinds.
-    The tuples are stored sorted by name so that equal inventories
-    compare equal regardless of declaration order.
+    positive int arity. Identifiers must be unique across all three
+    kinds. The tuples are stored sorted by name so that equal
+    inventories compare equal regardless of declaration order.
     """
 
     name: str
     constants: tuple[str, ...] = ()
     predicates: tuple[tuple[str, int], ...] = ()
     functions: tuple[tuple[str, int], ...] = ()
+    # Symbol -> (kind, arity), filled while checking; not in eq, hash or repr.
+    _kinds: dict[str, tuple[str, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "constants", tuple(sorted(self.constants)))
-        object.__setattr__(
-            self, "predicates", tuple(sorted((n, int(a)) for n, a in self.predicates))
-        )
-        object.__setattr__(
-            self, "functions", tuple(sorted((n, int(a)) for n, a in self.functions))
-        )
         _check_ident(self.name, "signature")
-        seen: set[str] = set()
-        for c in self.constants:
-            _check_ident(c, "constant")
-            if c in seen:
-                raise SignatureError(f"duplicate symbol {c!r}")
-            seen.add(c)
-        for kind, entries in (("predicate", self.predicates), ("function", self.functions)):
-            for name, arity in entries:
+        kinds: dict[str, tuple[str, int]] = {}
+        for kind in ("constant", "predicate", "function"):
+            group = f"{kind}s"
+            checked = []
+            entries = _argument(group, "iterable", tuple, getattr(self, group), SignatureError)
+            for entry in entries:
+                try:
+                    name, arity = (entry, 0) if kind == "constant" else entry
+                except (TypeError, ValueError):
+                    raise SignatureError(
+                        f"{kind} {entry!r} is not a (name, arity) pair"
+                    ) from None
                 _check_ident(name, kind)
-                if name in seen:
+                if name in kinds:
                     raise SignatureError(f"duplicate symbol {name!r}")
-                seen.add(name)
-                if arity < 1:
-                    raise SignatureError(f"{kind} {name!r} must have positive arity, got {arity}")
-
-    @cached_property
-    def _kinds(self) -> dict[str, tuple[str, int]]:
-        table: dict[str, tuple[str, int]] = {}
-        for c in self.constants:
-            table[c] = ("constant", 0)
-        for n, a in self.predicates:
-            table[n] = ("predicate", a)
-        for n, a in self.functions:
-            table[n] = ("function", a)
-        return table
+                if kind != "constant" and (type(arity) is not int or arity < 1):
+                    raise SignatureError(
+                        f"{kind} {name!r} must have positive arity, got {arity!r}"
+                    )
+                kinds[name] = (kind, arity)
+                checked.append(name if kind == "constant" else (name, arity))
+            object.__setattr__(self, group, tuple(sorted(checked)))
+        object.__setattr__(self, "_kinds", kinds)
 
     def kind_of(self, symbol: str) -> str | None:
         entry = self._kinds.get(symbol)
@@ -125,55 +134,65 @@ class Signature:
         return frozenset(self._kinds)
 
 
-class _GroundAtomFields(NamedTuple):
-    predicate: str
-    args: tuple[str, ...]
+def _names(name: str, values: Iterable) -> None:
+    """A DomainError that names the argument unless every value is a str."""
+
+    for value in values:
+        if not isinstance(value, str):
+            raise DomainError(f"{name} must hold names, not {value!r}")
 
 
-class GroundAtom(_GroundAtomFields):
-    """A predicate applied to universe elements, the key of the fact table.
+def _const_interp(value) -> dict[str, str]:
+    """value as a dict of names, or a DomainError that names const_interp."""
 
-    It is a tuple, so the plain tuple (predicate, args) equals it and
-    finds the same fact. args is stored as a tuple whatever it is given
-    as.
-    """
+    const_interp = _argument("const_interp", "a mapping", dict, value)
+    _names("const_interp", const_interp.values())
+    return const_interp
 
-    __slots__ = ()
 
-    def __new__(cls, predicate: str, args: Iterable[str]) -> GroundAtom:
-        return super().__new__(cls, predicate, tuple(args))
+def _key(argument: str, key, kind: str) -> tuple[str, tuple]:
+    """key if it is a (name, args tuple) pair, else a DomainError naming argument."""
 
-    def __str__(self) -> str:
-        return f"{self.predicate}({', '.join(self.args)})"
+    if isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], tuple):
+        return key
+    raise DomainError(f"{argument} key {key!r} is not a ({kind}, arguments) pair")
 
 
 @dataclass(frozen=True)
 class KnowledgeDomain:
     """A signature interpreted over a finite universe, with partial facts.
 
-    The universe is stored sorted; enumeration orders derived from it
-    are therefore stable. facts, the one fact table, keeps only known
-    values, and fact_value answers unknown for everything else. Do not
-    mutate the dict fields; the type is meant to behave as a value.
+    The constructor is the one complete check of a domain, whoever
+    builds it: distinct names in the universe, total interpretations
+    into it, and TruthValue facts on declared predicates with the right
+    arity over its elements. The universe is stored sorted, so orders
+    derived from it are stable. func_interp and facts are keyed by
+    plain (name, args) tuples; facts, the one fact table, keeps only
+    known values, and fact_value answers unknown for the rest. Do not
+    mutate the dicts; the type is meant to behave as a value.
     """
 
     signature: Signature
     universe: tuple[str, ...]
     const_interp: dict[str, str]
     func_interp: dict[tuple[str, tuple[str, ...]], str]
-    facts: dict[GroundAtom, TruthValue]
+    facts: dict[tuple[str, tuple[str, ...]], TruthValue]
 
     def __post_init__(self):
-        elems = tuple(self.universe)
+        sig = self.signature
+        if not isinstance(sig, Signature):
+            raise DomainError(f"signature must be a Signature, not {type(sig).__name__}")
+        elems = _argument("universe", "an iterable of names", tuple, self.universe)
+        _names("universe", elems)
         if not elems:
             raise DomainError("universe must be nonempty")
-        if len(set(elems)) != len(elems):
+        uset = set(elems)
+        if len(uset) != len(elems):
             raise DomainError("duplicate universe element")
         object.__setattr__(self, "universe", tuple(sorted(elems)))
-        uset = set(elems)
 
-        const_interp = dict(self.const_interp)
-        for c in self.signature.constants:
+        const_interp = _const_interp(self.const_interp)
+        for c in sig.constants:
             if c not in const_interp:
                 raise DomainError(f"constant {c!r} has no interpretation")
             if const_interp[c] not in uset:
@@ -182,71 +201,59 @@ class KnowledgeDomain:
                     "which is not a universe element"
                 )
         for c in const_interp:
-            if self.signature.kind_of(c) != "constant":
+            if sig.kind_of(c) != "constant":
                 raise DomainError(f"interpretation given for unknown constant {c!r}")
         object.__setattr__(self, "const_interp", const_interp)
 
-        func_interp = {(f, tuple(args)): v for (f, args), v in self.func_interp.items()}
-        for fname, arity in self.signature.functions:
-            for args in itertools.product(self.universe, repeat=arity):
-                key = (fname, args)
-                if key not in func_interp:
-                    raise DomainError(
-                        f"incomplete interpretation: missing {fname}({', '.join(args)})"
-                    )
-                if func_interp[key] not in uset:
-                    raise DomainError(
-                        f"{fname}({', '.join(args)}) = {func_interp[key]!r} "
-                        "is not a universe element"
-                    )
-        for fname, args in func_interp:
-            if self.signature.kind_of(fname) != "function":
+        func_interp = {}
+        for key, value in _argument("func_interp", "a mapping", dict, self.func_interp).items():
+            fname, args = _key("func_interp", key, "function")
+            _names("func_interp", (*args, value))
+            if sig.kind_of(fname) != "function":
                 raise DomainError(f"interpretation given for unknown function {fname!r}")
-            if self.signature.arity_of(fname) != len(args):
+            if sig.arity_of(fname) != len(args):
                 raise DomainError(f"wrong argument count in interpretation of {fname!r}")
-            if any(a not in uset for a in args):
+            if not uset.issuperset(args):
                 raise DomainError(f"interpretation of {fname!r} uses unknown elements")
+            func_interp[key] = value
+        for fname, arity in sig.functions:
+            for args in itertools.product(self.universe, repeat=arity):
+                value = func_interp.get((fname, args))
+                if value is None:
+                    raise DomainError(
+                        f"incomplete interpretation: missing {format_atom(fname, args)}"
+                    )
+                if value not in uset:
+                    raise DomainError(
+                        f"{format_atom(fname, args)} = {value!r} is not a universe element"
+                    )
         object.__setattr__(self, "func_interp", func_interp)
 
-        table: dict[GroundAtom, TruthValue] = {}
-        for atom, value in self.facts.items():
+        kinds = sig._kinds  # one lookup per fact: this loop runs on every parsed fact
+        table = {}
+        for key, value in _argument("facts", "a mapping", dict, self.facts).items():
+            pred, args = _key("facts", key, "predicate")
             if not isinstance(value, TruthValue):
-                raise DomainError(f"fact {atom} has a non truth-value entry {value!r}")
-            if self.signature.kind_of(atom.predicate) != "predicate":
-                raise DomainError(f"fact uses unknown predicate {atom.predicate!r}")
-            arity = self.signature.arity_of(atom.predicate)
-            if arity != len(atom.args):
                 raise DomainError(
-                    f"arity mismatch: {atom.predicate} expects {arity} "
-                    f"arguments, got {len(atom.args)}"
+                    f"fact {format_atom(pred, args)} has a non truth-value entry {value!r}"
                 )
-            if any(a not in uset for a in atom.args):
-                raise DomainError(f"fact {atom} names unknown elements")
+            kind, arity = kinds.get(pred, (None, None))
+            if kind != "predicate":
+                raise DomainError(f"fact uses unknown predicate {pred!r}")
+            if arity != len(args):
+                raise DomainError(
+                    f"arity mismatch: {pred} expects {arity} arguments, got {len(args)}"
+                )
+            if not uset.issuperset(args):
+                raise DomainError(f"fact {format_atom(pred, args)} names unknown elements")
             if value.known:
-                table[atom] = value
+                table[key] = value
         object.__setattr__(self, "facts", table)
 
-    def fact_value(self, atom: GroundAtom) -> TruthValue:
-        """The atom's value in facts; a plain (predicate, args) tuple works too."""
+    def fact_value(self, atom: tuple[str, tuple[str, ...]]) -> TruthValue:
+        """The value of the atom keyed (predicate, args) in facts."""
 
         return self.facts.get(atom, TruthValue.UNKNOWN)
-
-
-def _argument(name: str, kind: str, convert, value):
-    """convert(value), with a DomainError that names the argument."""
-
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be {kind}, not {type(value).__name__}") from None
-
-
-def _names(name: str, values: Iterable) -> None:
-    """A DomainError that names the argument unless every value is a str."""
-
-    for value in values:
-        if not isinstance(value, str):
-            raise DomainError(f"{name} must hold names, not {value!r}")
 
 
 def make_domain(
@@ -258,39 +265,33 @@ def make_domain(
 ) -> KnowledgeDomain:
     """Build a KnowledgeDomain from names rather than resolved elements.
 
-    When const_interp is omitted every constant must itself be a
-    universe element and denotes itself. Fact arguments may be
-    constants (resolved through the interpretation) or raw universe
-    elements; constants win when a name is both. A fact must be a
-    (predicate, arguments, value) triple of a string, strings and a
-    TruthValue or bool. Listing the same atom twice is fine if the
-    values agree and an error otherwise. Every other check of a fact
-    (its predicate and arity) is KnowledgeDomain's, which also drops
-    the unknown ones.
+    A repeated universe element counts once. When const_interp is
+    omitted every constant must itself be a universe element and
+    denotes itself. Fact arguments may be constants (resolved through
+    the interpretation) or raw universe elements; constants win when a
+    name is both. A fact is a (predicate, arguments, value) triple of
+    a string, strings and a TruthValue or bool. Listing the same atom
+    twice is fine if the values agree and an error otherwise.
+
+    Only what building a key needs is checked here: the triple's shape,
+    the names resolved, the const_interp values substituted, the
+    predicate's type and, before the conflict check, the value. The
+    rest is KnowledgeDomain's, which also drops the unknown facts.
     """
 
-    elems = _argument("universe", "an iterable of names", set, universe)
-    _names("universe", elems)
-    elems = tuple(sorted(elems))
-    if not elems:
-        raise DomainError("universe must be nonempty")
-    uset = set(elems)
-
+    elems = _argument("universe", "an iterable of names", dict.fromkeys, universe)
     if const_interp is None:
-        missing = [c for c in signature.constants if c not in uset]
-        if missing:
-            raise DomainError(
-                f"constant {missing[0]!r} is not a universe element and no "
-                "interpretation was given"
-            )
-        const_interp = {c: c for c in signature.constants}
+        constants = signature.constants if isinstance(signature, Signature) else ()
+        for c in constants:
+            if c not in elems:
+                raise DomainError(
+                    f"constant {c!r} is not a universe element and no interpretation was given"
+                )
+        const_interp = {c: c for c in constants}
     else:
-        const_interp = _argument("const_interp", "a mapping", dict, const_interp)
-        _names("const_interp", const_interp.values())
+        const_interp = _const_interp(const_interp)
 
-    func_interp = _argument("func_interp", "a mapping", dict, func_interp or {})
-
-    seen: dict[GroundAtom, TruthValue] = {}
+    seen: dict[tuple[str, tuple[str, ...]], TruthValue] = {}
     for fact in _argument("facts", "an iterable of facts", tuple, facts):
         try:
             pred, args, value = fact
@@ -302,24 +303,21 @@ def make_domain(
         if isinstance(value, bool):
             value = TruthValue.of(value)
         for a in args:
-            if not isinstance(a, str) or (a not in const_interp and a not in uset):
-                shown = ", ".join(map(str, args))  # args need not be names
-                raise DomainError(f"unknown symbol {a!r} in fact {pred}({shown})")
-        atom = GroundAtom(pred, (const_interp.get(a, a) for a in args))
+            if not isinstance(a, str) or (a not in const_interp and a not in elems):
+                raise DomainError(f"unknown symbol {a!r} in fact {format_atom(pred, args)}")
+        args = tuple([const_interp.get(a, a) for a in args])
         if not isinstance(value, TruthValue):
-            raise DomainError(f"fact {atom} has a non truth-value entry {value!r}")
+            raise DomainError(
+                f"fact {format_atom(pred, args)} has a non truth-value entry {value!r}"
+            )
         if not isinstance(pred, str):
             raise DomainError(f"fact uses unknown predicate {pred!r}")
-        if atom in seen and seen[atom] is not value:
+        key = (pred, args)
+        if key in seen and seen[key] is not value:
             raise DomainError(
-                f"conflicting fact {atom}: {seen[atom]} vs {value}"
+                f"conflicting fact {format_atom(pred, args)}: {seen[key]} vs {value}"
             )
-        seen[atom] = value
+        seen[key] = value
 
-    return KnowledgeDomain(
-        signature=signature,
-        universe=elems,
-        const_interp=const_interp,
-        func_interp=func_interp,
-        facts=seen,
-    )
+    func_interp = {} if func_interp is None else func_interp
+    return KnowledgeDomain(signature, tuple(elems), const_interp, func_interp, seen)

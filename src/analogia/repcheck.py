@@ -406,8 +406,8 @@ class SweepResult:
 
 
 def _check_n(n: int, cap: int, mode: str) -> None:
-    if not 1 <= n <= cap:
-        raise RepcheckError(f"{mode} sweep supports 1 <= n <= {cap}, got {n}")
+    if type(n) is not int or not 1 <= n <= cap:
+        raise RepcheckError(f"{mode} sweep supports 1 <= n <= {cap}, got {n!r}")
 
 
 def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:

@@ -71,7 +71,7 @@ from .formula import (
     print_formula,
     tokenize,
 )
-from .kb import KnowledgeDomain, Signature, TruthValue, _check_ident, make_domain
+from .kb import KnowledgeDomain, Signature, TruthValue, _check_ident, format_atom, make_domain
 from .preference import (
     PreferenceRelation,
     check_count_weights,
@@ -105,21 +105,22 @@ class Session:
     tables: TranslationTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "domains",
-            tuple(sorted(self.domains, key=lambda d: d.signature.name)),
-        )
-        object.__setattr__(
-            self, "analogies", tuple(sorted(self.analogies, key=lambda a: a.name))
-        )
-        object.__setattr__(self, "working_set", tuple(self.working_set))
-        object.__setattr__(self, "queries", tuple(self.queries))
-        object.__setattr__(
-            self,
-            "explicit_edges",
-            tuple(sorted((str(a), str(b)) for a, b in self.explicit_edges)),
-        )
+        domains = _items("domains", self.domains, KnowledgeDomain)
+        object.__setattr__(self, "domains", tuple(sorted(domains, key=lambda d: d.signature.name)))
+        analogies = _items("analogies", self.analogies, AnalogyMap)
+        object.__setattr__(self, "analogies", tuple(sorted(analogies, key=lambda a: a.name)))
+        object.__setattr__(self, "working_set", _items("working_set", self.working_set, Formula))
+        object.__setattr__(self, "queries", _items("queries", self.queries, Formula))
+        edges = []
+        for edge in _items("explicit_edges", self.explicit_edges):
+            try:
+                a, b = edge
+            except (TypeError, ValueError):
+                raise SessionError(f"explicit_edges must hold pairs, not {edge!r}") from None
+            edges.append((str(a), str(b)))
+        object.__setattr__(self, "explicit_edges", tuple(sorted(edges)))
+        if not isinstance(self.closure, bool):
+            raise SessionError(f"closure must be a bool, not {self.closure!r}")
 
         names = [d.signature.name for d in self.domains]
         if len(set(names)) != len(names):
@@ -205,6 +206,19 @@ class Session:
     @property
     def target(self) -> KnowledgeDomain:
         return self.domain(self.target_name)
+
+
+def _items(name: str, value, kind: type = object) -> tuple:
+    """value as a tuple of kind, or a SessionError that names the field."""
+
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise SessionError(f"{name} must be iterable, not {type(value).__name__}") from None
+    for item in items:
+        if not isinstance(item, kind):
+            raise SessionError(f"{name} must hold {kind.__name__} values, not {item!r}")
+    return items
 
 
 # ====================================================================
@@ -594,9 +608,9 @@ def _print_domain(d: KnowledgeDomain, lines: list[str]) -> None:
     for f, a in sig.functions:
         lines.append(f"  func {f}/{a};")
     for (fname, args), v in sorted(d.func_interp.items()):
-        lines.append(f"  interp {fname}({', '.join(args)}) = {v};")
-    for atom, value in sorted(d.facts.items()):
-        lines.append(f"  fact {atom} = {value};")
+        lines.append(f"  interp {format_atom(fname, args)} = {v};")
+    for (pred, args), value in sorted(d.facts.items()):
+        lines.append(f"  fact {format_atom(pred, args)} = {value};")
     lines.append("}")
 
 

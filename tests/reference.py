@@ -56,7 +56,6 @@ from analogia.formula import (
     Or,
     Var,
 )
-from analogia.kb import GroundAtom
 from analogia.preference import ChoiceFunction, PreferenceRelation, subsets_of
 from analogia.repcheck import RelationClass
 
@@ -87,7 +86,7 @@ def _ev(f, d, env):
     TV = TruthValue
     if isinstance(f, Atom):
         args = tuple(reduce_term(t, d, env) for t in f.args)
-        return d.fact_value(GroundAtom(f.predicate, args))
+        return d.fact_value((f.predicate, args))
     if isinstance(f, Not):
         return _ev(f.body, d, env).negate()
     if isinstance(f, And):

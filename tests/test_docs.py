@@ -2,6 +2,7 @@
 sweep, and the package exports what it lists.
 """
 
+import importlib
 import pathlib
 import re
 
@@ -40,6 +41,21 @@ def test_readme_lists_exactly_the_root_exports():
     exported = set(analogia.__all__)
     assert sorted(exported - documented) == []
     assert sorted(documented - exported) == []
+
+
+def test_readme_module_names_resolve():
+    lead = "Every other name is imported from the module that defines it:"
+    paragraph = python_api_section().split(lead, 1)[1].split("\n\n", 1)[0]
+    # Each "`a`, `b` ... from `analogia.m`" part names things that m defines.
+    parts = re.findall(r"(.*?)\bfrom\s+`(analogia\.\w+)`", paragraph, re.S)
+    assert len(parts) == 6
+    missing = [
+        (module, name)
+        for names, module in parts
+        for name in re.findall(r"`(\w+)`", names)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
 
 
 def test_readme_completeness_counts_match_the_sweep():

@@ -1,10 +1,12 @@
 """Knowledge domain construction, validation, and fact lookup."""
 
+import dataclasses
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from analogia import DomainError, Signature, SignatureError, TruthValue, make_domain
-from analogia.kb import GroundAtom, KnowledgeDomain
+from analogia.kb import KnowledgeDomain
 
 # ====================================================================
 # Truth values
@@ -89,6 +91,31 @@ class TestSignature:
         sig = Signature("s", ("a",), (("P", 1),), (("f", 1),))
         assert sig.symbols() == frozenset({"a", "P", "f"})
 
+    def test_symbol_table_is_not_part_of_the_value(self):
+        sig = Signature("s", ("a",), (("P", 1),), ())
+        assert "_kinds" not in repr(sig)
+        assert hash(sig) == hash(Signature("s", ("a",), (("P", 1),), ()))
+        renamed = dataclasses.replace(sig, predicates=(("Q", 2),))
+        assert renamed.kind_of("Q") == "predicate" and renamed.arity_of("Q") == 2
+        assert renamed.kind_of("P") is None
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"constants": (1, "a")}, "^invalid constant identifier 1$"),
+            ({"constants": 5}, "^constants must be iterable, not int$"),
+            ({"predicates": (("P",),)}, r"^predicate \('P',\) is not a \(name, arity\) pair$"),
+            ({"functions": ("f",)}, r"^function 'f' is not a \(name, arity\) pair$"),
+            ({"predicates": (("P", "x"),)}, "^predicate 'P' must have positive arity, got 'x'$"),
+            ({"predicates": (("P", 1.5),)}, "^predicate 'P' must have positive arity, got 1.5$"),
+            ({"predicates": (("P", True),)}, "^predicate 'P' must have positive arity, got True$"),
+            ({"functions": (("f", "2"),)}, "^function 'f' must have positive arity, got '2'$"),
+        ],
+    )
+    def test_malformed_entry_is_a_signature_error(self, kwargs, message):
+        with pytest.raises(SignatureError, match=message):
+            Signature("s", **kwargs)
+
 
 # ====================================================================
 # Domains
@@ -130,24 +157,15 @@ class TestKnowledgeDomain:
             )
 
     def test_fact_value_defaults_to_unknown(self, weather):
-        assert weather.fact_value(GroundAtom("Rain", ("mon",))) is TruthValue.TRUE
-        assert weather.fact_value(GroundAtom("Rain", ("tue",))) is TruthValue.FALSE
-        assert (
-            weather.fact_value(GroundAtom("Windier", ("tue", "mon")))
-            is TruthValue.UNKNOWN
-        )
+        assert weather.fact_value(("Rain", ("mon",))) is TruthValue.TRUE
+        assert weather.fact_value(("Rain", ("tue",))) is TruthValue.FALSE
+        assert weather.fact_value(("Windier", ("tue", "mon"))) is TruthValue.UNKNOWN
 
     def test_facts_is_the_one_fact_table(self):
         sig = Signature("s", ("a",), (("P", 1),), ())
         dom = make_domain(sig, ("a",), facts=[("P", ("a",), True)])
-        assert GroundAtom("P", ("a",)) == ("P", ("a",))
         assert dom.facts[("P", ("a",))] is TruthValue.TRUE
-        assert dom.fact_value(GroundAtom("P", ("a",))) is dom.facts[("P", ("a",))]
         assert dom.fact_value(("P", ("a",))) is TruthValue.TRUE
-        atom = GroundAtom("P", ["a"])
-        assert atom.args == ("a",)
-        assert str(atom) == "P(a)"
-        assert repr(atom) == "GroundAtom(predicate='P', args=('a',))"
 
     def test_unknown_facts_are_not_stored(self, weather_sig):
         dom = make_domain(
@@ -214,7 +232,7 @@ class TestKnowledgeDomain:
 
 class TestMakeDomain:
     def test_bool_facts_are_coerced(self, weather):
-        assert weather.fact_value(GroundAtom("Rain", ("mon",))) is TruthValue.TRUE
+        assert weather.fact_value(("Rain", ("mon",))) is TruthValue.TRUE
 
     def test_conflicting_facts_rejected(self, weather_sig):
         with pytest.raises(DomainError, match="conflicting fact"):
@@ -230,7 +248,7 @@ class TestMakeDomain:
             ("mon", "tue"),
             facts=[("Rain", ("mon",), True), ("Rain", ("mon",), True)],
         )
-        assert dom.fact_value(GroundAtom("Rain", ("mon",))) is TruthValue.TRUE
+        assert dom.fact_value(("Rain", ("mon",))) is TruthValue.TRUE
 
     def test_fact_args_resolve_constants_first(self):
         # "e" is both a constant (pointing at elem2) and a raw element;
@@ -242,8 +260,8 @@ class TestMakeDomain:
             const_interp={"e": "elem2"},
             facts=[("P", ("e",), True)],
         )
-        assert dom.fact_value(GroundAtom("P", ("elem2",))) is TruthValue.TRUE
-        assert dom.fact_value(GroundAtom("P", ("e",))) is TruthValue.UNKNOWN
+        assert dom.fact_value(("P", ("elem2",))) is TruthValue.TRUE
+        assert dom.fact_value(("P", ("e",))) is TruthValue.UNKNOWN
 
     def test_unknown_fact_symbol_rejected(self, weather_sig):
         with pytest.raises(DomainError, match="unknown symbol"):
@@ -304,3 +322,146 @@ class TestMakeDomain:
         const_interp = {"mon": ["mon"], "tue": "tue"}
         with pytest.raises(DomainError, match=r"^const_interp must hold names, not \['mon'\]$"):
             make_domain(weather_sig, ("mon", "tue"), const_interp=const_interp)
+
+
+NOT_A_FACT_KEY = r"is not a \(predicate, arguments\) pair$"
+
+
+class TestKnowledgeDomainChecksItsInput:
+    """KnowledgeDomain takes plain (predicate, args) keys and names each
+    malformed argument in a DomainError, as make_domain does."""
+
+    SIG = Signature("s", ("a",), (("P", 1),), (("f", 1),))
+
+    def build(self, **kwargs):
+        fields = {
+            "signature": self.SIG,
+            "universe": ("a",),
+            "const_interp": {"a": "a"},
+            "func_interp": {("f", ("a",)): "a"},
+            "facts": {},
+        }
+        return KnowledgeDomain(**{**fields, **kwargs})
+
+    def test_plain_tuple_keys(self):
+        dom = self.build(facts={("P", ("a",)): TruthValue.TRUE})
+        assert dom.facts == {("P", ("a",)): TruthValue.TRUE}
+        assert dom.fact_value(("P", ("a",))) is TruthValue.TRUE
+
+    @pytest.mark.parametrize(
+        "func_interp, message",
+        [
+            ({("f", ("a",)): ["a"]}, r"^func_interp must hold names, not \['a'\]$"),
+            ([(("f", (["a"],)), "a")], "^func_interp must be a mapping, not list$"),
+            ({("f",): "a"}, r"^func_interp key \('f',\) is not a \(function, arguments\) pair$"),
+            ({"f": "a"}, "^func_interp key 'f' is not a .function, arguments. pair$"),
+            ({("f", 5): "a"}, r"^func_interp key \('f', 5\) is not a .function, arguments. pair$"),
+            (5, "^func_interp must be a mapping, not int$"),
+        ],
+    )
+    def test_malformed_func_interp(self, func_interp, message):
+        with pytest.raises(DomainError, match=message):
+            self.build(func_interp=func_interp)
+        with pytest.raises(DomainError, match=message):
+            make_domain(self.SIG, ("a",), func_interp=func_interp)
+
+    @pytest.mark.parametrize(
+        "facts, message",
+        [
+            (5, "^facts must be a mapping, not int$"),
+            ([("P", ("a",), True)], "^facts must be a mapping, not list$"),
+            ({("P",): TruthValue.TRUE}, r"^facts key \('P',\) " + NOT_A_FACT_KEY),
+            ({"P": TruthValue.TRUE}, "^facts key 'P' " + NOT_A_FACT_KEY),
+            ({("P", 5): TruthValue.TRUE}, r"^facts key \('P', 5\) " + NOT_A_FACT_KEY),
+            ({("P", ("a",)): True}, r"^fact P\(a\) has a non truth-value entry True$"),
+            ({("P", ("b",)): TruthValue.TRUE}, r"^fact P\(b\) names unknown elements$"),
+            ({("f", ("a",)): TruthValue.TRUE}, "^fact uses unknown predicate 'f'$"),
+        ],
+    )
+    def test_malformed_facts(self, facts, message):
+        with pytest.raises(DomainError, match=message):
+            self.build(facts=facts)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"signature": None}, "^signature must be a Signature, not NoneType$"),
+            ({"universe": 5}, "^universe must be an iterable of names, not int$"),
+            ({"universe": ("a", 1)}, "^universe must hold names, not 1$"),
+            ({"const_interp": {"a": ["a"]}}, r"^const_interp must hold names, not \['a'\]$"),
+        ],
+    )
+    def test_malformed_argument_is_named(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            self.build(**kwargs)
+
+
+# Junk: scalars of each kind and nested containers of them, and values
+# that are almost right (names and keys that the test signature
+# declares, with junk inside), so that draws get past the first checks.
+_NAMES = st.sampled_from(["a", "b", "f", "P", "s", "3x", "forall"])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(), _NAMES, st.text(max_size=3)
+)
+_HASHABLE = st.recursive(
+    _SCALARS, lambda inner: st.tuples(inner) | st.tuples(inner, inner), max_leaves=4
+)
+_JUNK = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.tuples(inner, inner)
+        | st.tuples(inner, inner, inner)
+        | st.dictionaries(_HASHABLE, inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_VALUES = _SCALARS | _JUNK
+_KEYS = st.tuples(_NAMES, st.tuples(_NAMES) | _SCALARS | _HASHABLE) | _HASHABLE
+_SIG = TestKnowledgeDomainChecksItsInput.SIG
+_TOTAL_F = {("f", ("a",)): "a", ("f", ("b",)): "b"}
+_ENTRIES = _JUNK | st.lists(st.tuples(_NAMES, _SCALARS) | _JUNK, max_size=2)
+_UNIVERSES = _JUNK | st.lists(_VALUES, max_size=3)
+_CONST_INTERPS = _JUNK | st.dictionaries(_NAMES, _VALUES, max_size=2)
+_FUNC_INTERPS = st.one_of(
+    _JUNK,
+    st.fixed_dictionaries({key: _VALUES for key in _TOTAL_F}),
+    st.dictionaries(_KEYS, _VALUES, max_size=2),
+)
+
+
+def _call_with_junk(data, build, valid, junk):
+    """build(*valid) with one or two arguments swapped for a draw from
+    junk; it must return or raise SignatureError or DomainError."""
+
+    args = list(valid)
+    for i in data.draw(st.lists(st.integers(0, len(args) - 1), min_size=1, max_size=2)):
+        args[i] = data.draw(junk[i])
+    try:
+        build(*args)
+    except (SignatureError, DomainError):
+        pass
+
+
+class TestNoBareErrors:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_signature(self, data):
+        valid = ("s", ("a", "b"), (("P", 1),), (("f", 1),))
+        _call_with_junk(data, Signature, valid, [_JUNK, _UNIVERSES, _ENTRIES, _ENTRIES])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_make_domain(self, data):
+        valid = (_SIG, ("a", "b"), None, _TOTAL_F, [("P", ("a",), True)])
+        facts = st.tuples(_NAMES | _JUNK, st.tuples(_NAMES) | _JUNK, st.booleans() | _JUNK)
+        junk = [_JUNK, _UNIVERSES, _CONST_INTERPS, _FUNC_INTERPS, st.lists(facts | _JUNK)]
+        _call_with_junk(data, make_domain, valid, junk)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_knowledge_domain(self, data):
+        valid = (_SIG, ("a", "b"), {"a": "a"}, _TOTAL_F, {("P", ("a",)): TruthValue.TRUE})
+        facts = st.dictionaries(_KEYS, st.sampled_from(TruthValue) | _JUNK, max_size=3)
+        junk = [_JUNK, _UNIVERSES, _CONST_INTERPS, _FUNC_INTERPS, _JUNK | facts]
+        _call_with_junk(data, KnowledgeDomain, valid, junk)

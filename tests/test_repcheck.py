@@ -2,7 +2,7 @@
 
 import pytest
 
-from analogia import RepcheckError
+from analogia import RepcheckError, run
 from analogia.preference import (
     ChoiceFunction,
     PreferenceRelation,
@@ -283,10 +283,15 @@ class TestSoundnessSweep:
         assert d["ok"] is True
         assert d["violations"] == []
 
-    @pytest.mark.parametrize("bad", [0, -1, 5])
+    @pytest.mark.parametrize("bad", [0, -1, 5, "2", 2.0, True, None])
     def test_size_bounds(self, bad):
         with pytest.raises(RepcheckError, match="soundness sweep supports"):
             soundness_sweep(bad, RelationClass.ALL)
+
+    @pytest.mark.parametrize("bad", ["3", 2.0, True])
+    def test_run_refuses_a_size_that_is_not_an_int(self, bad):
+        with pytest.raises(RepcheckError, match="sweep supports"):
+            run(None, "repcheck", n=bad)
 
 
 # ====================================================================

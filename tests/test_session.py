@@ -272,6 +272,22 @@ class TestSessionValidation:
         with pytest.raises(SessionError, match=f"^{message}$"):
             dataclasses.replace(session, count_weights=weights)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("closure", "yes"),
+            ("explicit_edges", (("a",),)),
+            ("domains", ("x",)),
+            ("analogies", ("x",)),
+            ("working_set", 5),
+            ("queries", None),
+        ],
+    )
+    def test_fields_checked_at_construction(self, field, value):
+        session = parse_session(MINIMAL)
+        with pytest.raises(SessionError, match=f"^{field} must "):
+            dataclasses.replace(session, **{field: value})
+
     def test_domain_errors_carry_the_domain_name(self):
         text = "domain S { objects: a, a; }\ndomain T { objects: b; }\nsource S;\ntarget T;"
         with pytest.raises(SessionError, match="domain S:"):
