@@ -66,11 +66,21 @@ from .formula import (
     mentioned_constants,
     print_formula,
 )
-from .kb import KnowledgeDomain, TruthValue
+from .kb import KnowledgeDomain, TruthValue, _argument
 
 # ====================================================================
 # Guards and map pieces
 # ====================================================================
+
+
+def _constant_set(constants) -> frozenset[str]:
+    names = _argument(
+        "guard constants", "an iterable of names", frozenset, constants, AnalogyError
+    )
+    for c in names:
+        if not isinstance(c, str):
+            raise AnalogyError(f"guard constants must be names, not {c!r}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -92,11 +102,11 @@ class Guard:
 
     @staticmethod
     def mentions(constants: Iterable[str]) -> Guard:
-        return Guard(frozenset(constants))
+        return Guard(_constant_set(constants))
 
     def __post_init__(self):
         if self.constants is not None:
-            object.__setattr__(self, "constants", frozenset(self.constants))
+            object.__setattr__(self, "constants", _constant_set(self.constants))
 
     @property
     def is_always(self) -> bool:
@@ -129,18 +139,26 @@ class AnalogyPiece:
     mapping: dict[str, str]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", dict(self.mapping))
+        if not isinstance(self.guard, Guard):
+            raise AnalogyError(f"guard must be a Guard, not {type(self.guard).__name__}")
+        mapping = _argument("mapping", "a mapping of names", dict, self.mapping, AnalogyError)
+        for s, t in mapping.items():
+            if not isinstance(s, str) or not isinstance(t, str):
+                raise AnalogyError(f"mapping must map names to names, not {s!r} -> {t!r}")
+        object.__setattr__(self, "mapping", mapping)
 
 
 @dataclass(frozen=True)
 class AnalogyMap:
     """A named, possibly piecewise symbol map between two domains.
 
-    Construction validates each piece: mapped symbols must exist on
-    both sides with the same kind and arity, and each piece must be
-    injective. A one-piece map must carry the always guard; a map with
-    several pieces must use constant guards with pairwise disjoint
-    constant sets drawn from the source's constants.
+    Construction checks the types of its arguments (Guard and
+    AnalogyPiece check their own) and validates each piece: mapped
+    symbols must exist on both sides with the same kind and arity, and
+    each piece must be injective. A one-piece map must carry the
+    always guard; a map with several pieces must use constant guards
+    with pairwise disjoint constant sets drawn from the source's
+    constants.
     """
 
     name: str
@@ -149,9 +167,18 @@ class AnalogyMap:
     pieces: tuple[AnalogyPiece, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        if not self.name:
-            raise AnalogyError("analogy needs a name")
+        if not isinstance(self.name, str) or not self.name:
+            raise AnalogyError(f"analogy needs a name, not {self.name!r}")
+        for side in ("source", "target"):
+            domain = getattr(self, side)
+            if not isinstance(domain, KnowledgeDomain):
+                kind = type(domain).__name__
+                raise AnalogyError(f"{side} must be a KnowledgeDomain, not {kind}")
+        pieces = _argument("pieces", "an iterable of pieces", tuple, self.pieces, AnalogyError)
+        for piece in pieces:
+            if not isinstance(piece, AnalogyPiece):
+                raise AnalogyError(f"pieces must hold AnalogyPiece values, not {piece!r}")
+        object.__setattr__(self, "pieces", pieces)
         if not self.pieces:
             raise AnalogyError(f"analogy {self.name!r} has no pieces")
         src, tgt = self.source.signature, self.target.signature
@@ -219,7 +246,7 @@ def analogy_map(
 ) -> AnalogyMap:
     """Convenience constructor for a one-piece map."""
 
-    return AnalogyMap(name, source, target, (AnalogyPiece(Guard.always(), dict(mapping)),))
+    return AnalogyMap(name, source, target, (AnalogyPiece(Guard.always(), mapping),))
 
 
 # ====================================================================

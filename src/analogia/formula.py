@@ -710,6 +710,8 @@ def _parse_term(ts: TokenStream, scope: list[str], depth: int) -> tuple[Term, in
 def parse_formula(text: str) -> Formula:
     """Parse a single formula; trailing input is an error."""
 
+    if not isinstance(text, str):
+        raise FormulaError(f"formula text must be a str, not {type(text).__name__}")
     ts = TokenStream(text, tokenize(text))
     f = parse_formula_stream(ts)
     if ts.peek():

@@ -30,12 +30,15 @@ signature. Preferences are `dominance` (the default), `counts(w1, w2)`
 with positive weights for positives and negatives, or `explicit {
 prefer a over b; }` lines. `closure on` extends the declared analogies
 with their pairwise single-constant combinations before any command
-runs. Comments run from '#' to end of line.
+runs. Comments run from '#' to end of line. Only domain, analogy and
+query statements may repeat. A fact or interp line may repeat another
+with the same value; with a different value it is an error.
 
 Sessions are values: declaration order is normalized away everywhere
 it has no meaning (domains and analogies sort by name) and kept where
 it does (working set, queries, pieces). print_session emits a
-canonical text whose reparse equals the original session.
+canonical text whose reparse equals the original session. Any syntax
+error, reported with line and column, comes before a semantic error.
 """
 
 from __future__ import annotations
@@ -122,19 +125,13 @@ class Session:
         if not isinstance(self.closure, bool):
             raise SessionError(f"closure must be a bool, not {self.closure!r}")
 
-        names = [d.signature.name for d in self.domains]
-        if len(set(names)) != len(names):
-            dup = sorted(n for n in names if names.count(n) > 1)[0]
-            raise SessionError(f"domain {dup!r} is declared twice")
+        names = _by_name("domain", [(d.signature.name, d) for d in self.domains])
         if self.source_name not in names:
             raise SessionError(f"source domain {self.source_name!r} is not declared")
         if self.target_name not in names:
             raise SessionError(f"target domain {self.target_name!r} is not declared")
 
-        anames = [a.name for a in self.analogies]
-        if len(set(anames)) != len(anames):
-            dup = sorted(n for n in anames if anames.count(n) > 1)[0]
-            raise SessionError(f"analogy {dup!r} is declared twice")
+        anames = _by_name("analogy", [(a.name, a) for a in self.analogies])
         for a in self.analogies:
             try:
                 _check_ident(a.name, "analogy name")
@@ -179,10 +176,9 @@ class Session:
                     "explicit preference cannot rank closure-generated "
                     "analogies; use closure off"
                 )
-            known = set(anames)
             for a, b in self.explicit_edges:
                 for name in (a, b):
-                    if name not in known:
+                    if name not in anames:
                         raise SessionError(
                             f"preference names unknown analogy {name!r}"
                         )
@@ -208,6 +204,18 @@ class Session:
         return self.domain(self.target_name)
 
 
+def _by_name(kind: str, named: list[tuple[str, object]]) -> dict:
+    """{name: value}; in the order given, the first name seen twice is
+    an error (sorted input so reports the least such name)."""
+
+    by_name: dict = {}
+    for name, value in named:
+        if name in by_name:
+            raise SessionError(f"{kind} {name!r} is declared twice")
+        by_name[name] = value
+    return by_name
+
+
 def _items(name: str, value, kind: type = object) -> tuple:
     """value as a tuple of kind, or a SessionError that names the field."""
 
@@ -226,170 +234,91 @@ def _items(name: str, value, kind: type = object) -> tuple:
 # ====================================================================
 
 
-@dataclass
-class _RawDomain:
-    name: str
-    objects: list[str]
-    predicates: list[tuple[str, int]]
-    functions: list[tuple[str, int]]
-    facts: list[tuple[str, tuple[str, ...], TruthValue]]
-    interps: list[tuple[str, tuple[str, ...], str]]
-
-
-@dataclass
-class _RawAnalogy:
-    name: str
-    source: str
-    target: str
-    pieces: list[tuple[tuple[str, ...] | None, list[tuple[str, str]]]]
-
-
 def parse_session(text: str) -> Session:
     """Parse and validate a session file.
 
     Declaration order is free: domains may come after the analogies
-    that mention them. Syntax problems raise with line and column;
-    semantic problems raise with the offending entity's name.
+    that mention them. The whole text is read before any domain or
+    analogy is built, so a syntax error, a ParseError with line and
+    column, wins over every semantic error, which names the offending
+    entity instead. Checks that Session makes are left to it.
     """
 
+    if not isinstance(text, str):
+        raise SessionError(f"session text must be a str, not {type(text).__name__}")
     ts = TokenStream(text, tokenize(text))
-    raw_domains: list[_RawDomain] = []
-    raw_analogies: list[_RawAnalogy] = []
-    working: list[Formula] | None = None
-    working_atoms = False
-    source_name: str | None = None
-    target_name: str | None = None
-    closure: bool | None = None
-    preference: tuple[str, tuple[Fraction, Fraction] | None, tuple] | None = None
-    queries: list[Formula] = []
-
-    while ts.peek():
-        at = ts.pos
-        if ts.take("domain"):
-            raw_domains.append(_parse_domain(ts))
-        elif ts.take("analogy"):
-            raw_analogies.append(_parse_analogy(ts))
-        elif ts.take("workingset"):
-            if working is not None or working_atoms:
-                ts.error("duplicate workingset declaration", at)
-            if ts.take("atoms"):
-                ts.expect(";")
-                working_atoms = True
-            else:
-                working = _parse_workingset(ts)
-        elif ts.take("preference"):
-            if preference is not None:
-                ts.error("duplicate preference declaration", at)
-            preference = _parse_preference(ts)
-        elif ts.take("query"):
-            queries.append(parse_formula_stream(ts))
-            ts.expect(";")
-        elif ts.take("source"):
-            if source_name is not None:
-                ts.error("duplicate source declaration", at)
-            source_name = ts.expect_ident()
-            ts.expect(";")
-        elif ts.take("target"):
-            if target_name is not None:
-                ts.error("duplicate target declaration", at)
-            target_name = ts.expect_ident()
-            ts.expect(";")
-        elif ts.take("closure"):
-            if closure is not None:
-                ts.error("duplicate closure declaration", at)
-            word = ts.expect_ident()
-            if word not in ("on", "off"):
-                ts.error("closure must be on or off", ts.pos - 1)
-            ts.expect(";")
-            closure = word == "on"
+    lists: dict[str, list] = {"domain": [], "analogy": [], "query": []}
+    once: dict[str, object] = {}
+    while word := ts.peek():
+        parse = _STATEMENTS.get(word)
+        if parse is None:
+            *first, last = _STATEMENTS
+            ts.error(f"expected {', '.join(first)}, or {last}, found {ts.describe()}")
+        if word in once:
+            ts.error(f"duplicate {word} declaration")
+        ts.next()
+        if word in lists:
+            lists[word].append(parse(ts))
         else:
-            ts.error(
-                "expected domain, analogy, workingset, preference, query, "
-                f"source, target, or closure, found {ts.describe()}"
-            )
+            once[word] = parse(ts)
 
-    domains = [_build_domain(raw) for raw in raw_domains]
-    by_name = {d.signature.name: d for d in domains}
-    if len(by_name) != len(domains):
-        seen: set[str] = set()
-        for d in domains:
-            if d.signature.name in seen:
-                raise SessionError(f"domain {d.signature.name!r} is declared twice")
-            seen.add(d.signature.name)
+    domains = [_build_domain(*raw) for raw in lists["domain"]]
+    by_name = _by_name("domain", [(d.signature.name, d) for d in domains])
+    for side, end in (("source", 1), ("target", 2)):
+        if side not in once:
+            ends = {raw[end] for raw in lists["analogy"]}
+            if len(ends) != 1:
+                raise SessionError(f"{side} domain is not declared and cannot be inferred")
+            once[side] = ends.pop()
+    analogies = [_build_analogy(*raw, by_name) for raw in lists["analogy"]]
 
-    if source_name is None:
-        froms = {ra.source for ra in raw_analogies}
-        if len(froms) != 1:
-            raise SessionError(
-                "source domain is not declared and cannot be inferred"
-            )
-        source_name = froms.pop()
-    if target_name is None:
-        tos = {ra.target for ra in raw_analogies}
-        if len(tos) != 1:
-            raise SessionError(
-                "target domain is not declared and cannot be inferred"
-            )
-        target_name = tos.pop()
-
-    analogies = [_build_analogy(ra, by_name) for ra in raw_analogies]
-
-    if working_atoms:
-        if source_name not in by_name:
-            raise SessionError(f"source domain {source_name!r} is not declared")
-        working = list(ground_atom_formulas(by_name[source_name].signature))
-
-    kind, weights, edges = preference or ("dominance", None, ())
+    working = once.get("workingset", ())
+    if working is None:  # workingset atoms; Session reports a missing source
+        source = by_name.get(once["source"])
+        working = ground_atom_formulas(source.signature) if source else ()
+    kind, weights, edges = once.get("preference", ("dominance", None, ()))
     return Session(
         domains=tuple(domains),
-        source_name=source_name,
-        target_name=target_name,
+        source_name=once["source"],
+        target_name=once["target"],
         analogies=tuple(analogies),
-        working_set=tuple(working or ()),
-        queries=tuple(queries),
-        closure=bool(closure),
+        working_set=tuple(working),
+        queries=tuple(lists["query"]),
+        closure=once.get("closure", False),
         preference_kind=kind,
         count_weights=weights,
-        explicit_edges=tuple(edges),
+        explicit_edges=edges,
     )
 
 
-def _parse_domain(ts: TokenStream) -> _RawDomain:
+def _parse_domain(ts: TokenStream) -> tuple:
+    """(name, objects, predicates, functions, facts, interps) as written."""
+
     name = ts.expect_ident()
     ts.expect("{")
-    raw = _RawDomain(name, [], [], [], [], [])
-    while not ts.take("}"):
-        if ts.take("objects"):
+    body: dict[str, list] = {"objects": [], "pred": [], "func": [], "fact": [], "interp": []}
+    while True:
+        at = ts.pos
+        word = ts.next()
+        if word == "}":
+            return (name, *body.values())
+        if word == "objects":
             ts.expect(":")
-            raw.objects += _parse_ident_list(ts)
+            body[word] += _parse_names(ts, ";")
+        elif word == "pred" or word == "func":
+            body[word].append(_parse_arity_decl(ts))
+        elif word == "fact" or word == "interp":
+            head, args, value = _parse_equation(ts)
+            if word == "fact":
+                if value not in _TRUTH_WORDS:
+                    ts.error(f"expected true, false, or unknown, found {value!r}", ts.pos - 1)
+                value = _TRUTH_WORDS[value]
             ts.expect(";")
-        elif ts.take("pred"):
-            raw.predicates.append(_parse_arity_decl(ts))
-        elif ts.take("func"):
-            raw.functions.append(_parse_arity_decl(ts))
-        elif ts.take("fact"):
-            pred = ts.expect_ident()
-            args = _parse_name_args(ts)
-            ts.expect("=")
-            word = ts.expect_ident()
-            value = _TRUTH_WORDS.get(word)
-            if value is None:
-                ts.error(f"expected true, false, or unknown, found {word!r}", ts.pos - 1)
-            ts.expect(";")
-            raw.facts.append((pred, args, value))
-        elif ts.take("interp"):
-            fname = ts.expect_ident()
-            args = _parse_name_args(ts)
-            ts.expect("=")
-            result = ts.expect_ident()
-            ts.expect(";")
-            raw.interps.append((fname, args, result))
+            body[word].append((head, args, value))
         else:
             ts.error(
-                "expected objects, pred, func, fact, interp, or '}' in "
-                f"domain {name}"
+                f"expected objects, pred, func, fact, interp, or '}}' in domain {name}", at
             )
-    return raw
 
 
 def _parse_arity_decl(ts: TokenStream) -> tuple[str, int]:
@@ -400,56 +329,61 @@ def _parse_arity_decl(ts: TokenStream) -> tuple[str, int]:
     return name, arity
 
 
-def _parse_ident_list(ts: TokenStream) -> list[str]:
+def _parse_names(ts: TokenStream, end: str) -> list[str]:
+    """a, b, c and the closing end token."""
+
     names = [ts.expect_ident()]
     while ts.take(","):
         names.append(ts.expect_ident())
+    ts.expect(end)
     return names
 
 
-def _parse_name_args(ts: TokenStream) -> tuple[str, ...]:
+def _parse_equation(ts: TokenStream) -> tuple[str, tuple[str, ...], str]:
+    """name(a, b) = word, as fact and interp lines write it."""
+
+    name = ts.expect_ident()
     ts.expect("(")
-    args = _parse_ident_list(ts)
-    ts.expect(")")
-    return tuple(args)
+    args = tuple(_parse_names(ts, ")"))
+    ts.expect("=")
+    return name, args, ts.expect_ident()
 
 
-def _parse_analogy(ts: TokenStream) -> _RawAnalogy:
+def _parse_analogy(ts: TokenStream) -> tuple:
+    """(name, source, target, pieces); bare map lines form one piece
+    whose guard constants are None."""
+
     name = ts.expect_ident()
     ts.expect("from")
     src = ts.expect_ident()
     ts.expect("to")
     tgt = ts.expect_ident()
     ts.expect("{")
-    raw = _RawAnalogy(name, src, tgt, [])
-    bare: list[tuple[str, str]] | None = None
-    while not ts.take("}"):
+    bare: list[tuple[str, str]] = []
+    pieces: list[tuple[tuple[str, ...], list[tuple[str, str]]]] = []
+    while True:
         at = ts.pos
-        if ts.take("piece"):
-            if bare is not None:
-                ts.error("cannot mix bare map lines with piece blocks", at)
+        word = ts.next()
+        if word == "}":
+            return name, src, tgt, pieces or [(None, bare)]
+        if word != "map" and word != "piece":
+            ts.error(f"expected map, piece, or '}}' in analogy {name}", at)
+        if (word == "map" and pieces) or (word == "piece" and bare):
+            ts.error("cannot mix bare map lines with piece blocks", at)
+        if word == "map":
+            bare.append(_parse_map_line(ts))
+        else:
             ts.expect("when")
             ts.expect("mentions")
             ts.expect("{")
-            consts = _parse_ident_list(ts)
-            ts.expect("}")
+            consts = tuple(_parse_names(ts, "}"))
             ts.expect("{")
-            raw.pieces.append((tuple(consts), _parse_map_lines(ts)))
-        elif ts.at("map"):
-            if raw.pieces:
-                ts.error("cannot mix bare map lines with piece blocks")
-            if bare is None:
-                bare = []
-            bare.append(_parse_map_line(ts))
-        else:
-            ts.error(f"expected map, piece, or '}}' in analogy {name}")
-    if not raw.pieces:
-        raw.pieces.append((None, bare or []))
-    return raw
+            pieces.append((consts, _parse_map_lines(ts)))
 
 
 def _parse_map_line(ts: TokenStream) -> tuple[str, str]:
-    ts.expect("map")
+    """source -> target; after the map keyword."""
+
     src = ts.expect_ident()
     ts.expect("->")
     tgt = ts.expect_ident()
@@ -460,19 +394,43 @@ def _parse_map_line(ts: TokenStream) -> tuple[str, str]:
 def _parse_map_lines(ts: TokenStream) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
     while not ts.take("}"):
-        if not ts.at("map"):
+        if not ts.take("map"):
             ts.error("expected map or '}'")
         out.append(_parse_map_line(ts))
     return out
 
 
-def _parse_workingset(ts: TokenStream) -> list[Formula]:
+def _parse_sentence(ts: TokenStream) -> Formula:
+    f = parse_formula_stream(ts)
+    ts.expect(";")
+    return f
+
+
+def _parse_workingset(ts: TokenStream) -> list[Formula] | None:
+    """The listed sentences, or None for `workingset atoms;`."""
+
+    if ts.take("atoms"):
+        ts.expect(";")
+        return None
     ts.expect("{")
     out: list[Formula] = []
     while not ts.take("}"):
-        out.append(parse_formula_stream(ts))
-        ts.expect(";")
+        out.append(_parse_sentence(ts))
     return out
+
+
+def _parse_name(ts: TokenStream) -> str:
+    name = ts.expect_ident()
+    ts.expect(";")
+    return name
+
+
+def _parse_closure(ts: TokenStream) -> bool:
+    word = ts.expect_ident()
+    if word not in ("on", "off"):
+        ts.error("closure must be on or off", ts.pos - 1)
+    ts.expect(";")
+    return word == "on"
 
 
 def _parse_weight(ts: TokenStream) -> Fraction:
@@ -512,49 +470,58 @@ def _parse_preference(ts: TokenStream):
     ts.error("expected dominance, counts, or explicit")
 
 
-def _build_domain(raw: _RawDomain) -> KnowledgeDomain:
+# Each top-level statement keyword and the function that reads the rest
+# of its statement; the order is the one parse errors list them in.
+_STATEMENTS = {
+    "domain": _parse_domain,
+    "analogy": _parse_analogy,
+    "workingset": _parse_workingset,
+    "preference": _parse_preference,
+    "query": _parse_sentence,
+    "source": _parse_name,
+    "target": _parse_name,
+    "closure": _parse_closure,
+}
+
+
+def _build_domain(name, objects, predicates, functions, facts, interps) -> KnowledgeDomain:
     try:
         sig = Signature(
-            name=raw.name,
-            constants=tuple(raw.objects),
-            predicates=tuple(raw.predicates),
-            functions=tuple(raw.functions),
+            name=name,
+            constants=tuple(objects),
+            predicates=tuple(predicates),
+            functions=tuple(functions),
         )
-        return make_domain(
-            sig,
-            universe=raw.objects,
-            func_interp={(f, args): v for f, args, v in raw.interps},
-            facts=raw.facts,
-        )
+        func_interp: dict[tuple[str, tuple[str, ...]], str] = {}
+        for f, args, value in interps:
+            if func_interp.setdefault((f, args), value) != value:
+                raise DomainError(
+                    f"conflicting interpretation {format_atom(f, args)}: "
+                    f"{func_interp[f, args]} vs {value}"
+                )
+        return make_domain(sig, universe=objects, func_interp=func_interp, facts=facts)
     except (SignatureError, DomainError) as err:
-        raise SessionError(f"domain {raw.name}: {err}") from err
+        raise SessionError(f"domain {name}: {err}") from err
 
 
 def _build_analogy(
-    raw: _RawAnalogy, domains: dict[str, KnowledgeDomain]
+    name: str, source: str, target: str, pieces, domains: dict[str, KnowledgeDomain]
 ) -> AnalogyMap:
-    for side, name in (("source", raw.source), ("target", raw.target)):
-        if name not in domains:
+    for side, domain in (("source", source), ("target", target)):
+        if domain not in domains:
             raise SessionError(
-                f"analogy {raw.name!r} names undeclared {side} domain {name!r}"
+                f"analogy {name!r} names undeclared {side} domain {domain!r}"
             )
-    pieces = []
-    for consts, entries in raw.pieces:
+    built = []
+    for consts, entries in pieces:
         mapping: dict[str, str] = {}
         for s, t in entries:
             if s in mapping:
-                raise SessionError(
-                    f"analogy {raw.name!r} maps {s!r} twice in one piece"
-                )
+                raise SessionError(f"analogy {name!r} maps {s!r} twice in one piece")
             mapping[s] = t
         guard = Guard.always() if consts is None else Guard.mentions(consts)
-        pieces.append(AnalogyPiece(guard, mapping))
-    return AnalogyMap(
-        name=raw.name,
-        source=domains[raw.source],
-        target=domains[raw.target],
-        pieces=tuple(pieces),
-    )
+        built.append(AnalogyPiece(guard, mapping))
+    return AnalogyMap(name, domains[source], domains[target], tuple(built))
 
 
 # ====================================================================

@@ -194,6 +194,135 @@ class TestAnalogyMapValidation:
         )
         assert len(amap.pieces) == 2
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(
+                lambda s, t: analogy_map("m", s, t, 5),
+                "^mapping must be a mapping of names, not int$",
+                id="mapping",
+            ),
+            pytest.param(
+                lambda s, t: analogy_map("m", s, t, {"A": ["Aa"]}),
+                r"^mapping must map names to names, not 'A' -> \['Aa'\]$",
+                id="mapping-value",
+            ),
+            pytest.param(
+                lambda s, t: analogy_map("m", None, t, FULL_MAP),
+                "^source must be a KnowledgeDomain, not NoneType$",
+                id="source",
+            ),
+            pytest.param(
+                lambda s, t: AnalogyMap("m", s, t, (AnalogyPiece(None, FULL_MAP),)),
+                "^guard must be a Guard, not NoneType$",
+                id="guard",
+            ),
+            pytest.param(
+                lambda s, t: Guard.mentions(5),
+                "^guard constants must be an iterable of names, not int$",
+                id="constants",
+            ),
+            pytest.param(
+                lambda s, t: Guard.mentions([1]),
+                "^guard constants must be names, not 1$",
+                id="constant",
+            ),
+            pytest.param(
+                lambda s, t: AnalogyMap("m", s, t, 5),
+                "^pieces must be an iterable of pieces, not int$",
+                id="pieces",
+            ),
+            pytest.param(
+                lambda s, t: AnalogyMap("m", s, t, ("p",)),
+                "^pieces must hold AnalogyPiece values, not 'p'$",
+                id="piece",
+            ),
+            pytest.param(
+                lambda s, t: analogy_map(5, s, t, FULL_MAP),
+                "^analogy needs a name, not 5$",
+                id="name",
+            ),
+        ],
+    )
+    def test_malformed_argument_is_named(self, small_source, small_target, build, message):
+        with pytest.raises(AnalogyError, match=message):
+            build(small_source, small_target)
+
+
+# Junk for the constructors' arguments: scalars of each kind, nested
+# containers of them, and near-valid values (symbol names of the two
+# domains below, real guards, pieces and domains) with junk inside.
+_NAMES = st.sampled_from(["A", "Aa", "c1", "c2", "d1", "zz", ""])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(), _NAMES, st.text(max_size=3)
+)
+_JUNK = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.tuples(inner, inner)
+        | st.dictionaries(_NAMES | st.integers(-2, 3) | st.none(), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_SRC = make_domain(Signature("src", ("c1", "c2"), (("A", 1),), ()), ("c1", "c2"))
+_TGT = make_domain(Signature("tgt", ("d1", "d2"), (("Aa", 1),), ()), ("d1", "d2"))
+_DOMAINS = st.sampled_from([_SRC, _TGT]) | _JUNK
+_MAPPINGS = st.one_of(
+    _JUNK,
+    st.dictionaries(_NAMES | _SCALARS, _NAMES | _JUNK, max_size=3),
+    st.dictionaries(st.sampled_from(["A", "c1"]), _JUNK, min_size=1, max_size=2),
+)
+_CONSTANTS = _JUNK | st.lists(_NAMES | _SCALARS, max_size=3) | st.frozensets(_NAMES, max_size=2)
+_GUARDS = st.sampled_from([Guard.always(), Guard.mentions({"c1"}), Guard.mentions({"zz"})]) | _JUNK
+_PIECES = _JUNK | st.lists(
+    st.sampled_from(
+        [AnalogyPiece(Guard.always(), {"A": "Aa"}), AnalogyPiece(Guard.mentions({"c2"}), {})]
+    )
+    | _JUNK,
+    max_size=3,
+)
+_PIECE = (AnalogyPiece(Guard.always(), {"A": "Aa", "c1": "d1"}),)
+
+
+def _call_with_junk(data, build, valid, junk):
+    """build(*valid) with one or two arguments swapped for a draw from
+    junk; it must return or raise AnalogyError."""
+
+    args = list(valid)
+    for i in data.draw(st.lists(st.integers(0, len(args) - 1), min_size=1, max_size=2)):
+        args[i] = data.draw(junk[i])
+    try:
+        build(*args)
+    except AnalogyError:
+        pass
+
+
+class TestNoBareErrors:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_analogy_map(self, data):
+        valid = ("m", _SRC, _TGT, {"A": "Aa"})
+        _call_with_junk(data, analogy_map, valid, [_JUNK, _DOMAINS, _DOMAINS, _MAPPINGS])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_analogy_map_class(self, data):
+        valid = ("m", _SRC, _TGT, _PIECE)
+        _call_with_junk(data, AnalogyMap, valid, [_JUNK, _DOMAINS, _DOMAINS, _PIECES])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_analogy_piece(self, data):
+        valid = (Guard.always(), {"A": "Aa"})
+        _call_with_junk(data, AnalogyPiece, valid, [_GUARDS, _MAPPINGS])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_guard(self, data):
+        _call_with_junk(data, Guard.mentions, ({"c1"},), [_CONSTANTS])
+        _call_with_junk(data, Guard, ({"c1"},), [_CONSTANTS])
+
 
 # ====================================================================
 # Translation

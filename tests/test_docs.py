@@ -1,5 +1,6 @@
 """README's Python API example runs, its completeness counts match the
-sweep, and the package exports what it lists.
+sweep, the package exports what it lists, and its session example
+uses exactly the statements the parser reads.
 """
 
 import importlib
@@ -7,6 +8,7 @@ import pathlib
 import re
 
 import analogia
+from analogia import session
 from analogia.repcheck import RelationClass, completeness_sweep
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -56,6 +58,12 @@ def test_readme_module_names_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_readme_session_example_has_exactly_the_statement_keywords():
+    section = README.read_text().split("\n## Session files\n", 1)[1].split("\n## ", 1)[0]
+    (example,) = re.findall(r"```\n(.*?)```", section, re.S)
+    assert set(re.findall(r"^([a-z]+)\b", example, re.M)) == set(session._STATEMENTS)
 
 
 def test_readme_completeness_counts_match_the_sweep():

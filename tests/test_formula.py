@@ -319,6 +319,10 @@ class TestParseFormula:
             parse_formula("P(a) Q(b)")
         assert exc.value.col == 6
 
+    def test_non_text_input_is_a_formula_error(self):
+        with pytest.raises(FormulaError, match="^formula text must be a str, not NoneType$"):
+            parse_formula(None)
+
     DEEP = {
         "!": lambda k: "!" * k + "P(a)",
         "&": lambda k: " & ".join(["P(a)"] * (k + 1)),

@@ -1,17 +1,23 @@
 """Session file parsing, validation, canonical printing, and commands."""
 
 import dataclasses
+import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import analogia.analogy
 
 from analogia import (
+    AnalogiaError,
     AnalogyError,
     ParseError,
     RepcheckError,
+    Session,
     SessionError,
     TranslationTables,
     TruthValue,
@@ -22,6 +28,7 @@ from analogia import (
     run,
 )
 from analogia.analogy import Guard
+from analogia.formula import token_positions, tokenize
 from analogia.session import SESSION_COMMANDS, resolve_maps, session_preference
 
 from conftest import SESSIONS_DIR
@@ -191,6 +198,29 @@ class TestParseSession:
         with pytest.raises(ParseError, match=message):
             parse_session(MINIMAL + "\n" + snippet)
 
+    @pytest.mark.parametrize(
+        "line, word, col",
+        [
+            ("source S; source T;", "source", 11),
+            ("target T; target S;", "target", 11),
+            ("closure on; closure off;", "closure", 13),
+            ("preference dominance; preference counts(1, 2);", "preference", 23),
+            ("query R(b); workingset atoms;", "workingset", 13),
+        ],
+    )
+    def test_duplicate_declaration_is_reported_at_its_keyword(self, line, word, col):
+        with pytest.raises(ParseError) as exc:
+            parse_session(MINIMAL + line)
+        assert (exc.value.line, exc.value.col) == (17, col)
+        assert str(exc.value) == f"line 17, column {col}: duplicate {word} declaration"
+
+    @pytest.mark.parametrize(
+        "text, kind", [(None, "NoneType"), (MINIMAL.encode(), "bytes")], ids=["none", "bytes"]
+    )
+    def test_non_text_input_is_a_session_error(self, text, kind):
+        with pytest.raises(SessionError, match=f"^session text must be a str, not {kind}$"):
+            parse_session(text)
+
     def test_mixing_bare_maps_and_pieces_is_rejected(self):
         domains = """
         domain S { objects: a, b; pred P/1; }
@@ -292,6 +322,20 @@ class TestSessionValidation:
         text = "domain S { objects: a, a; }\ndomain T { objects: b; }\nsource S;\ntarget T;"
         with pytest.raises(SessionError, match="domain S:"):
             parse_session(text)
+
+    INTERPS = (
+        "domain S {{ objects: a, b; func f/1; interp f(a) = a; {} interp f(b) = b; }}\n"
+        "source S;\ntarget S;"
+    )
+
+    def test_conflicting_interps_are_rejected(self):
+        message = r"^domain S: conflicting interpretation f\(a\): a vs b$"
+        with pytest.raises(SessionError, match=message):
+            parse_session(self.INTERPS.format("interp f(a) = b;"))
+
+    def test_repeated_interp_is_accepted(self):
+        session = parse_session(self.INTERPS.format("interp f(a) = a;"))
+        assert session.domain("S").func_interp == {("f", ("a",)): "a", ("f", ("b",)): "b"}
 
     def test_undeclared_analogy_domain(self):
         text = """
@@ -600,3 +644,73 @@ class TestCorpus:
         session = parse_session((SESSIONS_DIR / "closure.ana").read_text())
         out = run(session, "best")
         assert out["best"] == ["first+second@x", "second+first@x'"]
+
+
+# ====================================================================
+# Token edits
+# ====================================================================
+
+CORPUS = {p.stem: p.read_text() for p in corpus_files()}
+VOCABULARY = sorted({tok for text in CORPUS.values() for tok in tokenize(text) if tok})
+EDITS = ("delete", "replace", "insert")
+
+
+def edit_tokens(text, edits):
+    """text with each (token index, edit, new token) applied. Edits go
+    from the last token back, so the offsets of earlier ones hold."""
+
+    tokens = tokenize(text)
+    starts = [offset for offset, _, _ in token_positions(text)]
+    for index, edit, new in sorted(edits, reverse=True):
+        start, end = starts[index], starts[index] + len(tokens[index])
+        if edit == "delete":
+            text = text[:start] + " " + text[end:]
+        elif edit == "replace":
+            text = text[:start] + f" {new} " + text[end:]
+        else:
+            text = text[:start] + f"{new} " + text[start:]
+    return text
+
+
+@st.composite
+def edited_sessions(draw):
+    """A bundled session with one to three distinct tokens edited."""
+
+    text = CORPUS[draw(st.sampled_from(sorted(CORPUS)))]
+    edit = st.tuples(
+        st.integers(0, len(tokenize(text)) - 1),
+        st.sampled_from(EDITS),
+        st.sampled_from(VOCABULARY),
+    )
+    edits = st.lists(edit, min_size=1, max_size=3, unique_by=lambda e: e[0])
+    return edit_tokens(text, draw(edits))
+
+
+class TestTokenEdits:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(edited_sessions())
+    def test_parse_ends_in_a_session_or_an_analogia_error(self, text):
+        try:
+            session = parse_session(text)
+        except AnalogiaError:
+            return
+        assert isinstance(session, Session)
+
+    def test_cli_reports_an_error_line_and_no_traceback(self, tmp_path):
+        rng = random.Random(14)
+        for i in range(6):
+            text = CORPUS[rng.choice(sorted(CORPUS))]
+            indices = rng.sample(range(len(tokenize(text))), rng.randint(1, 3))
+            edits = [(k, rng.choice(EDITS), rng.choice(VOCABULARY)) for k in indices]
+            path = tmp_path / f"edited{i}.ana"
+            path.write_text(edit_tokens(text, edits))
+            proc = subprocess.run(
+                [sys.executable, "-m", "analogia", "entail", str(path)],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode in (0, 1)
+            assert "Traceback" not in proc.stderr
+            if proc.returncode:
+                assert proc.stderr.startswith("error: ")
