@@ -73,6 +73,15 @@ from .kb import KnowledgeDomain, TruthValue, _argument
 # ====================================================================
 
 
+def _checked(cls, **fields):
+    """An instance of the frozen dataclass cls made from field values
+    that are already checked, without running its __post_init__."""
+
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _constant_set(constants) -> frozenset[str]:
     names = _argument(
         "guard constants", "an iterable of names", frozenset, constants, AnalogyError
@@ -102,7 +111,7 @@ class Guard:
 
     @staticmethod
     def mentions(constants: Iterable[str]) -> Guard:
-        return Guard(_constant_set(constants))
+        return _checked(Guard, constants=_constant_set(constants))
 
     def __post_init__(self):
         if self.constants is not None:
@@ -123,7 +132,7 @@ class Guard:
             return other
         if other.constants is None:
             return self
-        return Guard(self.constants & other.constants)
+        return _checked(Guard, constants=self.constants & other.constants)
 
     def overlaps(self, other: Guard) -> bool:
         if self.constants is None or other.constants is None:
@@ -609,31 +618,28 @@ class TranslationTables:
         out = list(analogies)
         constants = self.source.signature.constants
         images = [self._table(a).images for a in analogies]
-        splits = {
-            c: [(cs == {c}, bool(cs) and c not in cs) for cs in self._constants]
-            for c in constants
-        }
+        splits = []  # per constant c: its two guards, and which sentences each covers
+        for c in constants:
+            rest = frozenset(constants) - {c}
+            if rest:
+                covers = [(cs == {c}, bool(cs) and c not in cs) for cs in self._constants]
+                splits.append((c, Guard.mentions({c}), Guard.mentions(rest), covers))
         taken = {a.name for a in analogies}
         for a, a_images in zip(analogies, images):
             for b, b_images in zip(analogies, images):
                 if a.name == b.name:
                     continue
-                for c in constants:
-                    rest = frozenset(constants) - {c}
-                    if not rest:
-                        continue
+                for c, only_c_guard, rest_guard, covers in splits:
                     name = f"{a.name}+{b.name}@{c}"
                     if name in taken:
                         continue
                     ids = tuple(
                         a_images[i] if only_c else b_images[i] if without_c else None
-                        for i, (only_c, without_c) in enumerate(splits[c])
+                        for i, (only_c, without_c) in enumerate(covers)
                     )
                     try:
                         preimages = self._injective(name, ids)
-                        combo = combine(
-                            a, b, Guard.mentions({c}), Guard.mentions(rest), name=name
-                        )
+                        combo = combine(a, b, only_c_guard, rest_guard, name=name)
                     except AnalogyError:
                         continue
                     self._tables[name] = _Table(combo, ids, preimages)
@@ -659,6 +665,18 @@ def combine(
     Formulas matched by first_guard use first's symbol maps, those
     matched by second_guard use second's. The guards must be constant
     guards with disjoint constant sets.
+
+    The result is built from the parents' pieces without AnalogyMap's
+    checks, because most of them hold by construction: each piece
+    keeps a parent's guard cut down by an outer guard and the parent's
+    symbol map, which AnalogyMap already checked (kinds, arities,
+    injectivity) against the same two signatures, and the pieces of one
+    parent stay disjoint inside the outer guard. What depends on the
+    combination is checked here, with AnalogyMap's messages: the
+    parents share both domains, the outer guards name constants and do
+    not overlap, the name is a nonempty string, at least two pieces
+    survive (a lone piece would carry a constant guard), and every
+    guard constant is a source constant.
     """
 
     if first.source != second.source or first.target != second.target:
@@ -667,20 +685,30 @@ def combine(
         raise AnalogyError("combination guards must name constants")
     if first_guard.overlaps(second_guard):
         raise AnalogyError("combination guards overlap")
+    name = name or f"{first.name}+{second.name}"
+    if not isinstance(name, str):
+        raise AnalogyError(f"analogy needs a name, not {name!r}")
 
     pieces: list[AnalogyPiece] = []
     for outer, amap in ((first_guard, first), (second_guard, second)):
         for piece in amap.pieces:
             merged = outer.intersect(piece.guard)
-            if merged.constants is not None and not merged.constants:
+            if not merged.constants:
                 continue  # dead guard, can never match
-            pieces.append(AnalogyPiece(merged, piece.mapping))
-
-    return AnalogyMap(
-        name=name or f"{first.name}+{second.name}",
-        source=first.source,
-        target=first.target,
-        pieces=tuple(pieces),
+            pieces.append(_checked(AnalogyPiece, guard=merged, mapping=piece.mapping))
+    if not pieces:
+        raise AnalogyError(f"analogy {name!r} has no pieces")
+    if len(pieces) == 1:
+        raise AnalogyError(f"analogy {name!r}: a single piece must be unguarded")
+    known = first.source.signature.constants
+    for piece in pieces:
+        extra = sorted(piece.guard.constants.difference(known))
+        if extra:
+            raise AnalogyError(
+                f"analogy {name!r}: guard constant {extra[0]!r} is not a source constant"
+            )
+    return _checked(
+        AnalogyMap, name=name, source=first.source, target=first.target, pieces=tuple(pieces)
     )
 
 

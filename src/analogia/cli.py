@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .errors import AnalogiaError
@@ -87,11 +88,48 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if json_mode:
-        print(json.dumps(result, indent=2))
+        print(_json_text(result))
     else:
         for line in _render(result):
             print(line)
     return 1 if result.get("violation_count", 0) else 0
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2).
+
+    With an indent the stdlib encodes in pure Python; this writer makes
+    the same text but escapes strings with the C escaper. newline is a
+    line break plus the indent of value's own line. Keys must be
+    strings, as they are in every document run() returns.
+    """
+
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 # ====================================================================

@@ -83,9 +83,15 @@ class AnalogySpace:
         raise EntailmentError(f"no analogy named {name!r} in space")
 
 
+def _check_space(space, what: str) -> None:
+    if not isinstance(space, AnalogySpace):
+        raise EntailmentError(f"{what} needs an AnalogySpace, not {type(space).__name__}")
+
+
 def best(space: AnalogySpace) -> frozenset[str]:
     """Names of the undominated analogies."""
 
+    _check_space(space, "best")
     return undominated(space.preference, (a.name for a in space.analogies))
 
 
@@ -101,6 +107,7 @@ def conjecture_for(
     over the target signature raises a FormulaError, as in entail.
     """
 
+    _check_space(space, "conjecture_for")
     check_formula(query, space.target.signature)
     amap = space.analogy(analogy_name)
     return space.tables.conjectures(query, (amap,)).get(analogy_name)
@@ -129,6 +136,7 @@ class Verdict:
 def entail(space: AnalogySpace, query: Formula) -> Verdict:
     """Answer a target-language query skeptically over the best analogies."""
 
+    _check_space(space, "entail")
     check_formula(query, space.target.signature)
     settled = evaluate(query, space.target)
     if settled.known:

@@ -45,7 +45,9 @@ so primed names like x' are fine.
 Precedence is ! over & over | over ->. A quantifier grabs the longest
 formula it can; the printer therefore parenthesizes quantified
 subformulas whenever they sit under a connective, and the composition
-parse(print_formula(f)) returns f unchanged.
+parse(print_formula(f)) returns f unchanged. print_formula keeps the
+text on the formula it printed, so a working sentence or an image that
+every report prints again is rendered once.
 
 Structural reads go through formula_nodes, which keeps its own stack,
 so they take a tree of any depth. A formula nests at most
@@ -786,10 +788,17 @@ def print_formula(f: Formula) -> str:
     """Canonical text form; parse_formula(print_formula(f)) == f.
 
     The printer counts depth as check_formula does and raises a
-    FormulaError past MAX_FORMULA_DEPTH.
+    FormulaError past MAX_FORMULA_DEPTH. Formulas are frozen, so the
+    text is stored on f the first time f is printed and returned from
+    then on. eq, hash and repr read only the fields, and a copy made by
+    dataclasses.replace starts without the text.
     """
 
-    return _render(f, 1)[0]
+    text = getattr(f, "_text", None)
+    if text is None:
+        text = _render(f, 1)[0]
+        object.__setattr__(f, "_text", text)
+    return text
 
 
 # ====================================================================

@@ -532,6 +532,7 @@ def _build_analogy(
 def print_session(session: Session) -> str:
     """Render the canonical text; reparsing it yields an equal session."""
 
+    _check_session(session, "print_session")
     lines: list[str] = []
     for d in session.domains:
         _print_domain(d, lines)
@@ -557,6 +558,11 @@ def print_session(session: Session) -> str:
     for q in session.queries:
         lines.append(f"query {print_formula(q)};")
     return "\n".join(lines) + "\n"
+
+
+def _check_session(session, what: str) -> None:
+    if not isinstance(session, Session):
+        raise SessionError(f"{what} needs a Session, not {type(session).__name__}")
 
 
 def _print_domain(d: KnowledgeDomain, lines: list[str]) -> None:
@@ -658,6 +664,7 @@ def run(
         raise SessionError(f"unknown command {command!r}")
     if session is None:
         raise SessionError(f"command {command!r} needs a session")
+    _check_session(session, f"command {command!r}")
 
     if command == "check":
         return {

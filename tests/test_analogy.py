@@ -1,5 +1,6 @@
 """Analogy maps: validation, translation, classification, combination."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from analogia import (
     evaluate,
     make_domain,
     parse_formula,
+    parse_session,
     print_formula,
 )
 from analogia.analogy import (
@@ -32,6 +34,8 @@ from analogia.analogy import (
     translate,
 )
 from analogia.formula import ground_atom_formulas
+
+from conftest import SESSIONS_DIR
 
 T = TruthValue.TRUE
 F = TruthValue.FALSE
@@ -624,6 +628,127 @@ class TestCombine:
         )
         # piecewise's x'-piece dies inside the x-guard; two pieces remain
         assert len(combo.pieces) == 2
+
+
+    @pytest.mark.parametrize(
+        "parents, guards, name, kept",
+        [
+            # two piecewise parents, and no piece meets either outer guard
+            (("mixed_map", "mixed_map"), ({"zz"}, {"zy"}), None, ()),
+            # one piece survives, and it carries a constant guard
+            (("first_map", "mixed_map"), ({"x"}, {"zz"}), None, ({"x"},)),
+            (("first_map", "first_map"), ({"x"}, {"x'", "zz"}), None, ({"x"}, {"x'", "zz"})),
+            (("first_map", "first_map"), ({"x"}, {"x'"}), 5, ({"x"}, {"x'"})),
+        ],
+        ids=["no-pieces", "one-guarded-piece", "foreign-constant", "bad-name"],
+    )
+    def test_errors_match_the_public_constructor(self, request, parents, guards, name, kept):
+        first, second = (request.getfixturevalue(p) for p in parents)
+        # the pieces combine keeps, each with first's symbol map
+        pieces = tuple(
+            AnalogyPiece(Guard(frozenset(g)), first.pieces[0].mapping) for g in kept
+        )
+        with pytest.raises(AnalogyError) as direct:
+            AnalogyMap(name or f"{first.name}+{second.name}", first.source, first.target, pieces)
+        with pytest.raises(AnalogyError) as combined:
+            combine(first, second, Guard.mentions(guards[0]), Guard.mentions(guards[1]), name)
+        assert str(combined.value) == str(direct.value)
+
+
+def generated_closure_session(seed: int) -> str:
+    """A closure session over atoms with three flat maps and one
+    piecewise map, drawn from seed."""
+
+    rng = random.Random(seed)
+    src = [f"s{i}" for i in range(5)]
+    tgt = [f"t{i}" for i in range(5)]
+
+    def facts(preds, objects):
+        lines = []
+        for pred, arity in preds:
+            for args in ([(o,) for o in objects] if arity == 1 else
+                         [(a, b) for a in objects for b in objects]):
+                value = rng.choice(("true", "false", None))
+                if value:
+                    lines.append(f"  fact {pred}({', '.join(args)}) = {value};")
+        return lines
+
+    def symbol_map(objects):
+        unary = rng.sample(("A", "B", "C"), 2)
+        perm = rng.sample(tgt, len(tgt))
+        pairs = [("P", unary[0]), ("Q", unary[1]), ("R", rng.choice(("D", "E")))]
+        return pairs + [(o, perm[int(o[1:])]) for o in objects]
+
+    src_preds = (("P", 1), ("Q", 1), ("R", 2))
+    tgt_preds = (("A", 1), ("B", 1), ("C", 1), ("D", 2), ("E", 2))
+    lines = []
+    for name, objects, preds in (("S", src, src_preds), ("T", tgt, tgt_preds)):
+        lines.append(f"domain {name} {{")
+        lines.append(f"  objects: {', '.join(objects)};")
+        lines += [f"  pred {p}/{a};" for p, a in preds]
+        lines += facts(preds, objects)
+        lines.append("}")
+    lines += ["source S;", "target T;", "closure on;", "workingset atoms;"]
+    for k in range(3):
+        lines.append(f"analogy flat{k} from S to T {{")
+        lines += [f"  map {s} -> {t};" for s, t in symbol_map(src)]
+        lines.append("}")
+    lines.append("analogy halves from S to T {")
+    for guard in (src[:2], src[2:]):
+        lines.append(f"  piece when mentions {{{', '.join(guard)}}} {{")
+        lines += [f"    map {s} -> {t};" for s, t in symbol_map(guard)]
+        lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def rebuilt_combination(first, second, c, constants):
+    """first+second@c made through the public, fully checking constructors."""
+
+    pieces = []
+    for outer, parent in ((frozenset({c}), first), (frozenset(constants) - {c}, second)):
+        for piece in parent.pieces:
+            guard = outer if piece.guard.is_always else outer & piece.guard.constants
+            if guard:
+                pieces.append(AnalogyPiece(Guard(guard), dict(piece.mapping)))
+    return AnalogyMap(f"{first.name}+{second.name}@{c}", first.source, first.target, tuple(pieces))
+
+
+CLOSURE_SESSIONS = {
+    "closure.ana": (SESSIONS_DIR / "closure.ana").read_text(),
+    "combi.ana": (SESSIONS_DIR / "combi.ana").read_text(),
+    "generated-1": generated_closure_session(1),
+    "generated-2": generated_closure_session(2),
+}
+
+
+class TestClosureBuildsCheckedMaps:
+    """close builds its maps without re-running the constructors' checks;
+    the same maps, and only those, pass those checks."""
+
+    @pytest.mark.parametrize("text", CLOSURE_SESSIONS.values(), ids=CLOSURE_SESSIONS.keys())
+    def test_every_closure_map_equals_its_checked_rebuild(self, text):
+        session = parse_session(text)
+        declared, working = session.analogies, session.working_set
+        constants = session.tables.source.signature.constants
+        splits = constants if len(constants) > 1 else ()  # c and a nonempty rest
+        expected = []
+        for a in declared:
+            for b in declared:
+                if a.name == b.name:
+                    continue
+                for c in splits:
+                    try:
+                        rebuilt = rebuilt_combination(a, b, c, constants)
+                        check_injective_on(rebuilt, working)
+                    except AnalogyError:
+                        continue
+                    expected.append(rebuilt)
+        closed = close_under_combination(declared, working)
+        assert closed[: len(declared)] == declared
+        assert [m.name for m in closed[len(declared):]] == [m.name for m in expected]
+        assert closed[len(declared):] == tuple(expected)
+        assert expected
 
 
 class TestCloseUnderCombination:

@@ -9,10 +9,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import analogia
-from analogia import parse_session, run
-from analogia.cli import main
+from analogia import AnalogiaError, parse_session, run
+from analogia.cli import _json_text, main
 from analogia.formula import MAX_FORMULA_DEPTH
 
 from conftest import SESSIONS_DIR
@@ -304,6 +305,68 @@ class TestJsonMode:
         assert doc["examined"] == 4
 
 
+# Strings that exercise every escape: quotes, backslashes, control
+# characters, DEL, non-ASCII and astral text, and lone surrogates.
+JSON_STRINGS = st.text(
+    st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\ud800\U0001d11e')
+    | st.characters(blacklist_categories=())
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+REPCHECK_SWEEPS = [
+    (mode, n, cls)
+    for mode in ("soundness", "completeness")
+    for n in (1, 2, 3)
+    for cls in ("all", "smooth", "ranked")
+]
+
+
+class TestJsonWriter:
+    """The CLI prints exactly json.dumps(run(...), indent=2)."""
+
+    @given(JSON_VALUES)
+    @example({})
+    @example([])
+    @example(())
+    @example({"": {"": []}, "a": [{}, [], [[]]]})
+    @example([None, True, False, 0, -1, 2**70, "", "\"\\"])
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_text_is_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "command", ["check", "classify", "report", "score", "best", "entail"]
+    )
+    @pytest.mark.parametrize(
+        "path", sorted(SESSIONS_DIR.glob("*.ana")), ids=lambda path: path.name
+    )
+    def test_every_bundled_session(self, capsys, path, command):
+        code, out, err = run_cli(capsys, "--json", command, str(path))
+        try:
+            expected = run(parse_session(path.read_text(encoding="utf-8")), command)
+        except AnalogiaError as failure:
+            assert (code, out, err) == (1, "", f"error: {failure}\n")
+            return
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "mode, n, cls", REPCHECK_SWEEPS, ids=[f"{m}-{n}-{c}" for m, n, c in REPCHECK_SWEEPS]
+    )
+    def test_repcheck_sweeps(self, capsys, mode, n, cls):
+        code, out, _ = run_cli(
+            capsys, "--json", "repcheck", "--mode", mode, "--n", str(n), "--class", cls
+        )
+        expected = run(None, "repcheck", n=n, relation_class=cls, mode=mode)
+        assert out == json.dumps(expected, indent=2) + "\n"
+        assert code == (1 if expected["violation_count"] else 0)
+
+
 # ====================================================================
 # Entry points
 # ====================================================================
@@ -349,11 +412,22 @@ class TestLowestSupportedPython:
         "path", sorted(SESSIONS_DIR.glob("*.ana")), ids=lambda path: path.name
     )
     def test_check_prints_the_same(self, python310, path):
+        self.assert_same_output(python310, "check", path)
+
+    @pytest.mark.parametrize("command", ["classify", "report", "best", "entail"])
+    @pytest.mark.parametrize(
+        "path", sorted(SESSIONS_DIR.glob("*.ana")), ids=lambda path: path.name
+    )
+    def test_json_prints_the_same(self, python310, path, command):
+        self.assert_same_output(python310, command, path)
+
+    @staticmethod
+    def assert_same_output(python310, command, path):
         src = os.path.dirname(os.path.dirname(analogia.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         outputs = [
             subprocess.run(
-                [exe, "-m", "analogia", "--json", "check", str(path)],
+                [exe, "-m", "analogia", "--json", command, str(path)],
                 capture_output=True,
                 text=True,
                 env=env,

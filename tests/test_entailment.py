@@ -133,6 +133,21 @@ class TestBest:
         assert best(space) == frozenset()
 
 
+class TestSpaceArgument:
+    @pytest.mark.parametrize("value", [5, None, "space"])
+    def test_something_else_than_a_space_is_named(self, value):
+        kind = type(value).__name__
+        query = parse_formula("Qa(y)")
+        calls = {
+            "best": lambda: best(value),
+            "entail": lambda: entail(value, query),
+            "conjecture_for": lambda: conjecture_for(value, "first", query),
+        }
+        for name, call in calls.items():
+            with pytest.raises(EntailmentError, match=f"^{name} needs an AnalogySpace, not {kind}$"):
+                call()
+
+
 class TestConjectureFor:
     def test_reads_the_source_value_of_the_preimage(self, rivals_space):
         q = parse_formula("Qa(y)")

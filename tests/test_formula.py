@@ -1,5 +1,7 @@
 """Formula parsing, printing, checking, and three-valued evaluation."""
 
+import copy
+import dataclasses
 import itertools
 import time
 
@@ -33,6 +35,7 @@ from analogia.formula import (
     Const,
     Exists,
     Forall,
+    Formula,
     FuncApp,
     Implies,
     MAX_FORMULA_DEPTH,
@@ -605,6 +608,55 @@ class TestBuiltPastTheCap:
         for entry in (print_formula, lambda f: translate(amap, f)):
             with pytest.raises(FormulaError, match="nests deeper than"):
                 entry(build(MAX_FORMULA_DEPTH - 1))
+
+
+class TestStoredText:
+    """print_formula keeps each formula's text once it has rendered it."""
+
+    @given(gen_formulas())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_stored_text_is_a_fresh_render(self, f):
+        twin = copy.deepcopy(f)  # equal, and never printed
+        text = print_formula(f)
+        assert print_formula(f) is text
+        assert print_formula(twin) == text
+        assert parse_formula(text) == f
+
+    @given(gen_formulas())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_eq_hash_and_repr_ignore_the_text(self, f):
+        twin = copy.deepcopy(f)
+        before = (hash(f), repr(f))
+        print_formula(f)
+        assert f == twin and twin == f
+        assert (hash(f), repr(f)) == before == (hash(twin), repr(twin))
+
+    @given(gen_formulas(), gen_formulas())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_replace_gets_its_own_text(self, f, g):
+        print_formula(f)
+        field = dataclasses.fields(f)[-1].name  # args, body or right
+        value = g if isinstance(getattr(f, field), Formula) else (Const("b"),) * len(f.args)
+        changed = dataclasses.replace(f, **{field: value})
+        expected = print_formula(copy.deepcopy(changed))
+        assert print_formula(changed) == expected
+        assert parse_formula(expected) == changed
+        assert (expected == print_formula(f)) == (changed == f)
+
+    @pytest.mark.parametrize("shape", BUILT)
+    def test_past_the_cap_raises_on_every_call(self, shape):
+        deep = BUILT[shape](MAX_FORMULA_DEPTH - 1)
+        for _ in range(2):
+            with pytest.raises(FormulaError, match="nests deeper than"):
+                print_formula(deep)
+
+    def test_printed_part_still_counts_toward_the_cap(self):
+        inner = BUILT["Not"](MAX_FORMULA_DEPTH - 2)
+        assert print_formula(inner) == "!" * (MAX_FORMULA_DEPTH - 2) + "P(a)"
+        outer = Not(inner)
+        for _ in range(2):
+            with pytest.raises(FormulaError, match="nests deeper than"):
+                print_formula(outer)
 
 
 # ====================================================================

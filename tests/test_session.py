@@ -382,6 +382,12 @@ class TestPrintSession:
             parse_session(MINIMAL)
         )
 
+    @pytest.mark.parametrize("value", [5, None, MINIMAL])
+    def test_something_else_than_a_session_is_named(self, value):
+        kind = type(value).__name__
+        with pytest.raises(SessionError, match=f"^print_session needs a Session, not {kind}$"):
+            print_session(value)
+
     def test_interpreted_constants_cannot_be_written_out(self):
         from analogia import Signature, make_domain, Session
 
@@ -586,6 +592,17 @@ class TestRun:
     def test_session_commands_need_a_session(self):
         with pytest.raises(SessionError, match="needs a session"):
             run(None, "entail")
+
+    @pytest.mark.parametrize("command", SESSION_COMMANDS)
+    @pytest.mark.parametrize("value", [5, "combi.ana", {}], ids=["int", "str", "dict"])
+    def test_something_else_than_a_session_is_named(self, command, value):
+        kind = type(value).__name__
+        with pytest.raises(SessionError, match=f"^command {command!r} needs a Session, not {kind}$"):
+            run(value, command)
+
+    def test_none_keeps_its_message(self):
+        with pytest.raises(SessionError, match="^command 'check' needs a session$"):
+            run(None, "check")
 
 
 # ====================================================================
