@@ -22,13 +22,14 @@ translated sentence in the target:
 Sentences the map cannot carry over at all are listed separately and
 take no part in the partition. The augmented report splits negatives
 by direction (true here but false there, false here but true there)
-and pairs every sentence with its image, which is what the numeric
-score consumes: p = n / (n + r + s + 1) with n matching positives, r
-and s the two negative counts, computed in exact rational arithmetic.
+and pairs each positive, negative and open sentence with its image.
+The numeric score consumes it: p = n / (n + r + s + 1) with n matching
+positives, r and s the two negative counts, in exact rational arithmetic.
 
 All of these read TranslationTables, made once per session and shared
 by every command and the space: each working sentence is translated,
-evaluated and checked once, and closure derives from its parents'.
+evaluated and checked once, classify and the augmented report read one
+pass over the table by position, and closure derives from its parents'.
 """
 
 from __future__ import annotations
@@ -46,18 +47,15 @@ from .errors import (
     UntranslatableSymbol,
 )
 from .formula import (
+    _BINARY,
+    _QUANT,
     _TOO_DEEP,
     MAX_FORMULA_DEPTH,
-    And,
     Atom,
     Const,
-    Exists,
-    Forall,
     Formula,
     FuncApp,
-    Implies,
     Not,
-    Or,
     Term,
     Var,
     check_formula,
@@ -291,7 +289,7 @@ def translate(amap: AnalogyMap, f: Formula) -> Formula:
         kind = type(node)
         if kind is Var:
             taken.add(node.name)
-        elif kind is Forall or kind is Exists:
+        elif kind in _QUANT:
             taken.add(node.var)
 
     def map_symbol(s: str) -> str:
@@ -310,17 +308,14 @@ def translate(amap: AnalogyMap, f: Formula) -> Formula:
         raise TranslationError(f"not a term node: {t!r}")
 
     def walk(g: Formula, renames: dict[str, str]) -> Formula:
-        if isinstance(g, Atom):
+        kind = type(g)
+        if kind is Atom:
             return Atom(map_symbol(g.predicate), tuple(term(a, renames) for a in g.args))
-        if isinstance(g, Not):
+        if kind is Not:
             return Not(walk(g.body, renames))
-        if isinstance(g, And):
-            return And(walk(g.left, renames), walk(g.right, renames))
-        if isinstance(g, Or):
-            return Or(walk(g.left, renames), walk(g.right, renames))
-        if isinstance(g, Implies):
-            return Implies(walk(g.left, renames), walk(g.right, renames))
-        if isinstance(g, (Forall, Exists)):
+        if kind in _BINARY:
+            return kind(walk(g.left, renames), walk(g.right, renames))
+        if kind in _QUANT:
             new = g.var
             while amap.target.signature.kind_of(new) is not None or (
                 new != g.var and new in taken
@@ -331,7 +326,6 @@ def translate(amap: AnalogyMap, f: Formula) -> Formula:
                 renames = {**renames, g.var: new}
             elif g.var in renames:
                 renames = {k: v for k, v in renames.items() if k != g.var}
-            kind = Forall if isinstance(g, Forall) else Exists
             return kind(new, walk(g.body, renames))
         raise TranslationError(f"not a formula node: {g!r}")
 
@@ -348,8 +342,7 @@ class SupportReport:
     """The four-way partition of a working set under one analogy.
 
     All tuples preserve working-set order. conjectures maps each open
-    formula to its source value; images maps every translatable
-    formula to its translation.
+    formula to its source value, in the order of open.
     """
 
     analogy: AnalogyMap
@@ -360,7 +353,6 @@ class SupportReport:
     not_applicable: tuple[Formula, ...]
     untranslatable: tuple[Formula, ...]
     conjectures: dict[Formula, TruthValue]
-    images: dict[Formula, Formula]
 
     def to_json_dict(self) -> dict:
         return {
@@ -371,9 +363,7 @@ class SupportReport:
             "open": [print_formula(f) for f in self.open],
             "not_applicable": [print_formula(f) for f in self.not_applicable],
             "untranslatable": [print_formula(f) for f in self.untranslatable],
-            "conjectures": {
-                print_formula(f): str(self.conjectures[f]) for f in self.open
-            },
+            "conjectures": {print_formula(f): str(v) for f, v in self.conjectures.items()},
         }
 
 
@@ -445,8 +435,8 @@ class TranslationTables:
         for f in self.formulas:  # before hashing, which recurses
             check_formula(f, source.signature)
         self.sentences = tuple(dict.fromkeys(self.formulas))
-        self._index = {f: i for i, f in enumerate(self.sentences)}
-        self._positions = tuple(self._index[f] for f in self.formulas)
+        index = {f: i for i, f in enumerate(self.sentences)}
+        self._positions = tuple(index[f] for f in self.formulas)
         self._source_values: list[TruthValue | None] = [None] * len(self.sentences)
         self._images: list[Formula] = []
         self._image_ids: dict[Formula, int] = {}
@@ -516,32 +506,36 @@ class TranslationTables:
             self._target_values[image] = value
         return value
 
-    def classify(self, amap: AnalogyMap) -> SupportReport:
+    def _support(self, amap: AnalogyMap):
+        """Each working-set entry in order as (formula, source value, image,
+        target value). A formula no piece carries gets None for the other
+        three; the target value is None unless the source value is known."""
+
         ids = self._table(amap).images
-        positive: list[Formula] = []
-        negative: list[Formula] = []
-        open_: list[Formula] = []
-        not_applicable: list[Formula] = []
-        untranslatable: list[Formula] = []
-        conjectures: dict[Formula, TruthValue] = {}
         for f, i in zip(self.formulas, self._positions):
             image = ids[i]
             if image is None:
-                untranslatable.append(f)
+                yield f, None, None, None
                 continue
             vs = self._source_value(i)
-            if not vs.known:
+            vt = self._target_value(image) if vs.known else None
+            yield f, vs, self._images[image], vt
+
+    def classify(self, amap: AnalogyMap) -> SupportReport:
+        positive, negative, open_, not_applicable, untranslatable = [], [], [], [], []
+        conjectures: dict[Formula, TruthValue] = {}
+        for f, vs, image, vt in self._support(amap):
+            if image is None:
+                untranslatable.append(f)
+            elif vt is None:
                 not_applicable.append(f)
-                continue
-            vt = self._target_value(image)
-            if not vt.known:
+            elif not vt.known:
                 open_.append(f)
                 conjectures[f] = vs
             elif vs is vt:
                 positive.append(f)
             else:
                 negative.append(f)
-
         return SupportReport(
             analogy=amap,
             formulas=self.formulas,
@@ -551,30 +545,27 @@ class TranslationTables:
             not_applicable=tuple(not_applicable),
             untranslatable=tuple(untranslatable),
             conjectures=conjectures,
-            images={
-                f: self._images[image]
-                for f, image in zip(self.sentences, ids)
-                if image is not None
-            },
         )
 
     def augmented_report(self, amap: AnalogyMap) -> AugmentedReport:
-        report = self.classify(amap)
-        neg_true: list[tuple[Formula, Formula]] = []
-        neg_false: list[tuple[Formula, Formula]] = []
-        for f in report.negative:
-            if self._source_value(self._index[f]) is TruthValue.TRUE:
-                neg_true.append((f, report.images[f]))
+        positive, neg_true, neg_false, plausible = [], [], [], []
+        for f, vs, image, vt in self._support(amap):
+            if vt is None:
+                continue
+            if not vt.known:
+                plausible.append((f, image, vs))
+            elif vs is vt:
+                positive.append((f, image))
+            elif vs is TruthValue.TRUE:
+                neg_true.append((f, image))
             else:
-                neg_false.append((f, report.images[f]))
+                neg_false.append((f, image))
         return AugmentedReport(
             analogy=amap,
-            positive_pairs=tuple((f, report.images[f]) for f in report.positive),
+            positive_pairs=tuple(positive),
             negative_source_true=tuple(neg_true),
             negative_source_false=tuple(neg_false),
-            plausible=tuple(
-                (f, report.images[f], report.conjectures[f]) for f in report.open
-            ),
+            plausible=tuple(plausible),
         )
 
     def conjectures(
@@ -766,11 +757,7 @@ class AugmentedReport:
             "negative_source_true": pairs(self.negative_source_true),
             "negative_source_false": pairs(self.negative_source_false),
             "plausible": [
-                {
-                    "source": print_formula(a),
-                    "target": print_formula(b),
-                    "conjecture": str(v),
-                }
+                {"source": print_formula(a), "target": print_formula(b), "conjecture": str(v)}
                 for a, b, v in self.plausible
             ],
         }
@@ -804,7 +791,7 @@ def straight_rule(n: int, r: int, s: int) -> StraightRuleScore:
     """
 
     for label, v in (("n", n), ("r", r), ("s", s)):
-        if not isinstance(v, int) or v < 0:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise AnalogyError(f"count {label} must be a nonnegative integer")
     if n == 0:
         raise AnalogyError("no positive analogy: n must be at least 1")

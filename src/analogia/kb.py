@@ -71,9 +71,12 @@ def _check_ident(name: str, what: str) -> None:
 
 
 def _argument(name: str, kind: str, convert, value, error=DomainError):
-    """convert(value), with an error that names the argument."""
+    """convert(value), with an error that names the argument. A str is
+    refused too: converting it would split it into characters."""
 
     try:
+        if isinstance(value, str):
+            raise TypeError
         return convert(value)
     except (TypeError, ValueError):
         raise error(f"{name} must be {kind}, not {type(value).__name__}") from None
@@ -295,6 +298,10 @@ def make_domain(
     for fact in _argument("facts", "an iterable of facts", tuple, facts):
         try:
             pred, args, value = fact
+            if isinstance(args, str):
+                raise DomainError(
+                    f"arguments of fact {fact!r} must be an iterable of names, not str"
+                )
             args = tuple(args)
         except (TypeError, ValueError):
             raise DomainError(

@@ -208,14 +208,13 @@ def classify(amap, formulas):
     for f in formulas:
         check_formula(f, amap.source.signature)
     positive, negative, open_, not_applicable, untranslatable = [], [], [], [], []
-    conjectures, images = {}, {}
+    conjectures = {}
     for f in formulas:
         try:
             image = translate(amap, f)
         except TranslationError:
             untranslatable.append(f)
             continue
-        images[f] = image
         vs = evaluate(f, amap.source)
         vt = evaluate(image, amap.target)
         if not vs.known:
@@ -236,7 +235,6 @@ def classify(amap, formulas):
         not_applicable=tuple(not_applicable),
         untranslatable=tuple(untranslatable),
         conjectures=conjectures,
-        images=images,
     )
 
 
@@ -286,19 +284,21 @@ def close_under_combination(analogies, working_set):
 
 def augmented_report(amap, formulas):
     report = classify(amap, formulas)
+    paired = report.positive + report.negative + report.open
+    images = {f: translate(amap, f) for f in paired}
     neg_true, neg_false = [], []
     for f in report.negative:
         if evaluate(f, amap.source) is TruthValue.TRUE:
-            neg_true.append((f, report.images[f]))
+            neg_true.append((f, images[f]))
         else:
-            neg_false.append((f, report.images[f]))
+            neg_false.append((f, images[f]))
     return AugmentedReport(
         analogy=amap,
-        positive_pairs=tuple((f, report.images[f]) for f in report.positive),
+        positive_pairs=tuple((f, images[f]) for f in report.positive),
         negative_source_true=tuple(neg_true),
         negative_source_false=tuple(neg_false),
         plausible=tuple(
-            (f, report.images[f], report.conjectures[f]) for f in report.open
+            (f, images[f], report.conjectures[f]) for f in report.open
         ),
     )
 

@@ -33,7 +33,20 @@ from analogia.analogy import (
     straight_rule,
     translate,
 )
-from analogia.formula import ground_atom_formulas
+from analogia.formula import (
+    And,
+    Atom,
+    Const,
+    Exists,
+    Forall,
+    FuncApp,
+    Implies,
+    Not,
+    Or,
+    Var,
+    ground_atom_formulas,
+)
+from analogia.session import resolve_maps
 
 from conftest import SESSIONS_DIR
 
@@ -225,6 +238,16 @@ class TestAnalogyMapValidation:
                 lambda s, t: Guard.mentions(5),
                 "^guard constants must be an iterable of names, not int$",
                 id="constants",
+            ),
+            pytest.param(
+                lambda s, t: Guard.mentions("c1"),
+                "^guard constants must be an iterable of names, not str$",
+                id="constants-str",
+            ),
+            pytest.param(
+                lambda s, t: Guard("c1"),
+                "^guard constants must be an iterable of names, not str$",
+                id="guard-str",
             ),
             pytest.param(
                 lambda s, t: Guard.mentions([1]),
@@ -480,7 +503,12 @@ class TestClassify:
         assert len(report.positive) + len(report.negative) + len(report.open) + len(
             report.not_applicable
         ) == 1
-        assert parse_formula("B(c1, c2)") not in report.images
+        with pytest.raises(TranslationError):
+            translate(amap, parse_formula("B(c1, c2)"))
+        rep = augmented_report(amap, fs)
+        pairs = rep.positive_pairs + rep.negative_source_true + rep.negative_source_false
+        paired = [entry[0] for entry in pairs + rep.plausible]
+        assert paired == [parse_formula("A(c1)")]
 
     def test_working_formulas_must_fit_the_source_signature(
         self, small_source, small_target
@@ -542,7 +570,11 @@ class TestClassify:
         assert set(report.conjectures) == set(report.open)
         for f in report.open:
             assert report.conjectures[f] is evaluate(f, src)
-            assert not evaluate(report.images[f], tgt).known
+            assert not evaluate(translate(amap, f), tgt).known
+        plausible = augmented_report(amap, working).plausible
+        assert plausible == tuple(
+            (f, translate(amap, f), report.conjectures[f]) for f in report.open
+        )
 
 
 # ====================================================================
@@ -834,6 +866,42 @@ class TestAugmentedReport:
         }
 
 
+_FORMULA_NODES = (Var, Const, FuncApp, Atom, Not, And, Or, Implies, Forall, Exists)
+
+
+class TestSupportPassReadsByPosition:
+    """With the tables warm, classify and augmented_report read each
+    entry's values and image by position: no formula is hashed except
+    to key conjectures by the open sentences."""
+
+    def test_no_formula_hash_beyond_the_conjecture_keys(self, monkeypatch):
+        session = parse_session((SESSIONS_DIR / "closure.ana").read_text())
+        maps = resolve_maps(session)
+        tables = session.tables
+        reports = [tables.classify(a) for a in maps]
+        for a in maps:
+            tables.augmented_report(a)
+        hashed = []
+        for cls in _FORMULA_NODES:
+            def counted(node, node_hash=cls.__hash__):
+                hashed.append(node)
+                return node_hash(node)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
+
+        for a in maps:
+            tables.augmented_report(a)
+        assert hashed == []
+
+        for a in maps:
+            tables.classify(a)
+        by_classify = len(hashed)
+        hashed.clear()
+        for report in reports:
+            dict.fromkeys(report.open)
+        assert by_classify == len(hashed) > 0
+
+
 class TestStraightRule:
     def test_exact_values(self):
         assert straight_rule(1, 0, 0).p == Fraction(1, 2)
@@ -853,6 +921,11 @@ class TestStraightRule:
     def test_non_integer_counts_rejected(self):
         with pytest.raises(AnalogyError, match="nonnegative integer"):
             straight_rule(1.5, 0, 0)
+
+    @pytest.mark.parametrize("bad", [(True, False, 0), (1, True, 0), (1, 0, False)])
+    def test_bool_counts_rejected(self, bad):
+        with pytest.raises(AnalogyError, match="nonnegative integer"):
+            straight_rule(*bad)
 
     def test_json_dict_keeps_the_fraction_as_text(self):
         assert straight_rule(3, 1, 2).to_json_dict() == {

@@ -82,3 +82,37 @@ def test_readme_completeness_counts_match_the_sweep():
         result = completeness_sweep(3, cls)
         swept.append((len(result.violations), result.considered))
     assert claimed == swept
+
+
+def json_key_table():
+    """README's JSON key table: command -> (top-level keys, nested keys by key)."""
+
+    section = README.read_text().split("\n## JSON output\n", 1)[1].split("\n## ", 1)[0]
+    body = section.split("|----------|------|\n", 1)[1]
+    rows = re.findall(r"^\| (\w+) +\| (.+?) +\|$", body, re.M)
+    table = {}
+    for command, cell in rows:
+        entries = re.findall(r"(\w+)(?: \(([^)]*)\))?", cell)
+        nested = {key: inner.split(", ") for key, inner in entries if inner}
+        table[command] = ([key for key, _ in entries], nested)
+    return table
+
+
+def test_readme_json_key_table_matches_run():
+    text = (README.parent / "sessions" / "closure.ana").read_text()
+    documented = json_key_table()
+    assert sorted(documented) == sorted(session.SESSION_COMMANDS + ("repcheck",))
+    for command, (keys, nested) in documented.items():
+        if command == "repcheck":
+            doc = analogia.run(None, "repcheck", n=2)
+        else:
+            doc = analogia.run(analogia.parse_session(text), command)
+        assert list(doc) == keys, command
+        for key, inner in nested.items():
+            assert doc[key], (command, key)
+            assert [list(entry) for entry in doc[key]] == [inner] * len(doc[key]), command
+    assert {key for _, nested in documented.values() for key in nested} == {
+        "reports",
+        "scores",
+        "verdicts",
+    }

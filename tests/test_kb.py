@@ -110,6 +110,7 @@ class TestSignature:
             ({"predicates": (("P", 1.5),)}, "^predicate 'P' must have positive arity, got 1.5$"),
             ({"predicates": (("P", True),)}, "^predicate 'P' must have positive arity, got True$"),
             ({"functions": (("f", "2"),)}, "^function 'f' must have positive arity, got '2'$"),
+            ({"constants": "ab"}, "^constants must be iterable, not str$"),
         ],
     )
     def test_malformed_entry_is_a_signature_error(self, kwargs, message):
@@ -300,6 +301,7 @@ class TestMakeDomain:
             (("Rain", None, True), "not a .predicate, arguments, value. triple"),
             (5, "fact 5 is not a"),
             (("Rain", ("mon",)), "not a .predicate, arguments, value. triple"),
+            (("Rain", "mon", True), "^arguments of fact .* iterable of names, not str$"),
         ],
     )
     def test_malformed_fact_is_a_domain_error(self, weather_sig, fact, message):
@@ -313,6 +315,10 @@ class TestMakeDomain:
         kwargs = {"universe": ("mon", "tue"), argument: 5}
         with pytest.raises(DomainError, match=f"^{argument} must be .*, not int$"):
             make_domain(weather_sig, **kwargs)
+
+    def test_str_universe_is_not_split_into_characters(self, weather_sig):
+        with pytest.raises(DomainError, match="^universe must be an iterable of names, not str$"):
+            make_domain(weather_sig, "mon")
 
     def test_non_name_universe_element_is_named(self, weather_sig):
         with pytest.raises(DomainError, match="^universe must hold names, not 1$"):
@@ -389,6 +395,7 @@ class TestKnowledgeDomainChecksItsInput:
             ({"universe": 5}, "^universe must be an iterable of names, not int$"),
             ({"universe": ("a", 1)}, "^universe must hold names, not 1$"),
             ({"const_interp": {"a": ["a"]}}, r"^const_interp must hold names, not \['a'\]$"),
+            ({"universe": "ab"}, "^universe must be an iterable of names, not str$"),
         ],
     )
     def test_malformed_argument_is_named(self, kwargs, message):

@@ -388,7 +388,6 @@ class TestDominancePreference:
                 not_applicable=(),
                 untranslatable=(),
                 conjectures={},
-                images={},
             )
             for i, (pos, neg) in enumerate(profiles)
         ]
@@ -476,7 +475,6 @@ class TestCountPreference:
                 not_applicable=(),
                 untranslatable=(),
                 conjectures={},
-                images={},
             )
             for i, (pos, neg) in enumerate(counts)
         ]
