@@ -27,9 +27,11 @@ The numeric score consumes it: p = n / (n + r + s + 1) with n matching
 positives, r and s the two negative counts, in exact rational arithmetic.
 
 All of these read TranslationTables, made once per session and shared
-by every command and the space: each working sentence is translated,
-evaluated and checked once, classify and the augmented report read one
-pass over the table by position, and closure derives from its parents'.
+by every command and the space: each working sentence is checked and
+evaluated once, and its image under an analogy is keyed by the
+sentence's shape and the target symbols the map puts into it, which
+determine the image. classify and the augmented report read one pass
+over the table by position, and closure derives from its parents'.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .formula import (
     _QUANT,
     _TOO_DEEP,
     MAX_FORMULA_DEPTH,
+    _Compiler,
     Atom,
     Const,
     Formula,
@@ -64,7 +67,7 @@ from .formula import (
     mentioned_constants,
     print_formula,
 )
-from .kb import KnowledgeDomain, TruthValue, _argument
+from .kb import KnowledgeDomain, Signature, TruthValue, _argument
 
 # ====================================================================
 # Guards and map pieces
@@ -120,10 +123,10 @@ class Guard:
         return self.constants is None
 
     def matches(self, f: Formula) -> bool:
-        if self.constants is None:
-            return True
-        cs = mentioned_constants(f)
-        return bool(cs) and cs <= self.constants
+        return self._covers(mentioned_constants(f))
+
+    def _covers(self, constants: frozenset[str]) -> bool:  # matches, given f's constants
+        return self.constants is None or (bool(constants) and constants <= self.constants)
 
     def intersect(self, other: Guard) -> Guard:
         if self.constants is None:
@@ -261,11 +264,78 @@ def analogy_map(
 # ====================================================================
 
 
-def _matching_piece(amap: AnalogyMap, f: Formula) -> AnalogyPiece:
+def _piece(amap: AnalogyMap, constants: frozenset[str]) -> AnalogyPiece | None:
+    """The piece whose guard covers a formula mentioning constants, if any."""
+
     for piece in amap.pieces:
-        if piece.guard.matches(f):
+        if piece.guard._covers(constants):
             return piece
-    raise NoGuardMatch(f"no piece of {amap.name!r} covers the formula's constants")
+    return None
+
+
+def _carry(f: Formula, map_symbol, signature: Signature | None) -> Formula:
+    """f with every constant, predicate and function name passed through
+    map_symbol, in formula_nodes order. Connectives and variables pass
+    through unchanged, except that, given a target signature, a bound
+    variable whose name is one of its symbols is primed until it no
+    longer collides with a symbol or another variable of f. The first
+    node in formula_nodes order past MAX_FORMULA_DEPTH raises a
+    FormulaError, as check_formula does."""
+
+    taken: set[str] = set()  # the symbols and variables, once a binder collides
+
+    def term(t: Term, renames: dict[str, str], depth: int) -> Term:
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaError(_TOO_DEEP)
+        if isinstance(t, Var):
+            return Var(renames.get(t.name, t.name))
+        if isinstance(t, Const):
+            return Const(map_symbol(t.name))
+        if isinstance(t, FuncApp):
+            return FuncApp(map_symbol(t.func), tuple(term(a, renames, depth + 1) for a in t.args))
+        raise TranslationError(f"not a term node: {t!r}")
+
+    def walk(g: Formula, renames: dict[str, str], depth: int) -> Formula:
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaError(_TOO_DEEP)
+        kind = type(g)
+        depth += 1
+        if kind is Atom:
+            return Atom(map_symbol(g.predicate), tuple([term(a, renames, depth) for a in g.args]))
+        if kind is Not:
+            return Not(walk(g.body, renames, depth))
+        if kind in _BINARY:
+            return kind(walk(g.left, renames, depth), walk(g.right, renames, depth))
+        if kind in _QUANT:
+            new = g.var
+            if signature is not None and signature.kind_of(new) is not None:
+                if not taken:
+                    taken.update(signature.symbols())
+                    for node, _, _, _ in formula_nodes(f):
+                        if type(node) is Var:
+                            taken.add(node.name)
+                        elif type(node) in _QUANT:
+                            taken.add(node.var)
+                while new in taken:
+                    new = new + "'"
+                taken.add(new)
+                renames = {**renames, g.var: new}
+            elif g.var in renames:
+                renames = {k: v for k, v in renames.items() if k != g.var}
+            return kind(new, walk(g.body, renames, depth))
+        raise TranslationError(f"not a formula node: {g!r}")
+
+    return walk(f, {}, 1)
+
+
+def _blank(f: Formula, signature: Signature | None) -> tuple[Formula, tuple[str, ...]]:
+    """f's shape, _carry(f, lambda s: "", signature), and the symbols it
+    blanks out in order: the shape with those symbols put back in is
+    _carry(f, lambda s: s, signature)."""
+
+    symbols: list[str] = []
+    shape = _carry(f, lambda s: symbols.append(s) or "", signature)
+    return shape, tuple(symbols)
 
 
 def translate(amap: AnalogyMap, f: Formula) -> Formula:
@@ -280,17 +350,10 @@ def translate(amap: AnalogyMap, f: Formula) -> Formula:
     MAX_FORMULA_DEPTH raises a FormulaError, as check_formula does.
     """
 
-    piece = _matching_piece(amap, f)
+    piece = _piece(amap, mentioned_constants(f))
+    if piece is None:
+        raise NoGuardMatch(f"no piece of {amap.name!r} covers the formula's constants")
     mapping = piece.mapping
-    taken = set(amap.target.signature.symbols())
-    for node, _, depth, _ in formula_nodes(f):
-        if depth > MAX_FORMULA_DEPTH:
-            raise FormulaError(_TOO_DEEP)
-        kind = type(node)
-        if kind is Var:
-            taken.add(node.name)
-        elif kind in _QUANT:
-            taken.add(node.var)
 
     def map_symbol(s: str) -> str:
         try:
@@ -298,38 +361,7 @@ def translate(amap: AnalogyMap, f: Formula) -> Formula:
         except KeyError:
             raise UntranslatableSymbol(s) from None
 
-    def term(t: Term, renames: dict[str, str]) -> Term:
-        if isinstance(t, Var):
-            return Var(renames.get(t.name, t.name))
-        if isinstance(t, Const):
-            return Const(map_symbol(t.name))
-        if isinstance(t, FuncApp):
-            return FuncApp(map_symbol(t.func), tuple(term(a, renames) for a in t.args))
-        raise TranslationError(f"not a term node: {t!r}")
-
-    def walk(g: Formula, renames: dict[str, str]) -> Formula:
-        kind = type(g)
-        if kind is Atom:
-            return Atom(map_symbol(g.predicate), tuple(term(a, renames) for a in g.args))
-        if kind is Not:
-            return Not(walk(g.body, renames))
-        if kind in _BINARY:
-            return kind(walk(g.left, renames), walk(g.right, renames))
-        if kind in _QUANT:
-            new = g.var
-            while amap.target.signature.kind_of(new) is not None or (
-                new != g.var and new in taken
-            ):
-                new = new + "'"
-            if new != g.var:
-                taken.add(new)
-                renames = {**renames, g.var: new}
-            elif g.var in renames:
-                renames = {k: v for k, v in renames.items() if k != g.var}
-            return kind(new, walk(g.body, renames))
-        raise TranslationError(f"not a formula node: {g!r}")
-
-    return walk(f, {})
+    return _carry(f, map_symbol, amap.target.signature)
 
 
 # ====================================================================
@@ -413,14 +445,17 @@ class TranslationTables:
     session and shared by every command and the space.
 
     The working set is checked to be sentences over the source
-    signature once, here. A declared analogy's table translates each
-    distinct sentence once, and translate picks the piece; a sentence
-    no piece covers gets no image. Closure combinations derive their
-    tables from their parents' and translate nothing. Images are
-    interned, so a table holds image ids. Source values are evaluated
-    once per sentence and target values once per image, each on first
-    use. Every analogy given to one instance must run between its
-    source and target.
+    signature once, here, and each distinct sentence is read once into
+    its shape (every symbol blanked, binders primed as translate primes
+    them) and its symbols. A declared analogy's table keys each image by
+    (shape id, the target symbols its piece puts in), which determine
+    the image; a sentence no piece carries gets no image. Closure
+    combinations derive their tables from their parents' and key
+    nothing. Each image id keeps the sentence and map it was keyed
+    from. Source values, target values (the sentence compiled for the
+    target through the map) and image formulas, which only reports
+    print, are each made once, on first use. Every analogy given to one
+    instance must run between its source and target.
     """
 
     def __init__(
@@ -434,18 +469,25 @@ class TranslationTables:
         self.formulas = tuple(formulas)
         for f in self.formulas:  # before hashing, which recurses
             check_formula(f, source.signature)
-        self.sentences = tuple(dict.fromkeys(self.formulas))
-        index = {f: i for i, f in enumerate(self.sentences)}
-        self._positions = tuple(index[f] for f in self.formulas)
+        index: dict[Formula, int] = {}
+        self._positions = tuple(index.setdefault(f, len(index)) for f in self.formulas)
+        self.sentences = tuple(index)
+        self._shapes: dict[Formula, int] = {}
+        self._keys: list[tuple[int, tuple[str, ...]]] = []  # per sentence: shape id, symbols
+        for f in self.sentences:
+            shape, symbols = _blank(f, target.signature)
+            self._keys.append((self._shapes.setdefault(shape, len(self._shapes)), symbols))
         self._source_values: list[TruthValue | None] = [None] * len(self.sentences)
-        self._images: list[Formula] = []
-        self._image_ids: dict[Formula, int] = {}
-        self._target_values: list[TruthValue | None] = []
+        self._image_ids: dict[tuple[int, tuple[str, ...]], int] = {}
+        self._recipes: list[tuple[int, dict[str, str]]] = []  # per image: sentence, map
+        self._images: dict[int, Formula] = {}
+        self._target_values: dict[int, TruthValue] = {}
         self._tables: dict[str, _Table] = {}
 
     @cached_property
     def _constants(self) -> tuple[frozenset[str], ...]:
-        return tuple(mentioned_constants(f) for f in self.sentences)
+        constants = frozenset(self.source.signature.constants)
+        return tuple(constants.intersection(s) for _, s in self._keys)
 
     def _table(self, amap: AnalogyMap) -> _Table:
         table = self._tables.get(amap.name)
@@ -454,21 +496,23 @@ class TranslationTables:
                 raise AnalogyError(f"analogy {amap.name!r} runs from a different source domain")
             if amap.target != self.target:
                 raise AnalogyError(f"analogy {amap.name!r} runs to a different target domain")
-            images = tuple(self._intern(amap, f) for f in self.sentences)
+            images = tuple(self._intern(amap, i) for i in range(len(self.sentences)))
             table = self._tables[amap.name] = _Table(amap, images)
         return table
 
-    def _intern(self, amap: AnalogyMap, f: Formula) -> int | None:
-        try:
-            image = translate(amap, f)
-        except TranslationError:
+    def _intern(self, amap: AnalogyMap, i: int) -> int | None:
+        piece = _piece(amap, self._constants[i])
+        if piece is None:
             return None
-        image_id = self._image_ids.get(image)
-        if image_id is None:
-            image_id = self._image_ids[image] = len(self._images)
-            self._images.append(image)
-            self._target_values.append(None)
-        return image_id
+        shape, symbols = self._keys[i]
+        try:
+            key = (shape, tuple(map(piece.mapping.__getitem__, symbols)))
+        except KeyError:
+            return None
+        image = self._image_ids.setdefault(key, len(self._recipes))
+        if image == len(self._recipes):
+            self._recipes.append((i, piece.mapping))
+        return image
 
     def _injective(self, name: str, ids: tuple[int | None, ...]) -> dict[int, int]:
         seen: dict[int, int] = {}
@@ -500,16 +544,25 @@ class TranslationTables:
         return value
 
     def _target_value(self, image: int) -> TruthValue:
-        value = self._target_values[image]
+        value = self._target_values.get(image)
         if value is None:
-            value = evaluate(self._images[image], self.target)
+            i, mapping = self._recipes[image]
+            value = _Compiler(self.target, mapping).formula(self.sentences[i], {}, 1)[0]
             self._target_values[image] = value
         return value
 
+    def _image(self, image: int) -> Formula:
+        f = self._images.get(image)
+        if f is None:
+            i, mapping = self._recipes[image]
+            f = _carry(self.sentences[i], mapping.__getitem__, self.target.signature)
+            self._images[image] = f
+        return f
+
     def _support(self, amap: AnalogyMap):
-        """Each working-set entry in order as (formula, source value, image,
-        target value). A formula no piece carries gets None for the other
-        three; the target value is None unless the source value is known."""
+        """Each working-set entry in order as (formula, source value,
+        image id, target value). A formula no piece carries gets None for
+        the other three; the target value is None unless vs is known."""
 
         ids = self._table(amap).images
         for f, i in zip(self.formulas, self._positions):
@@ -519,7 +572,7 @@ class TranslationTables:
                 continue
             vs = self._source_value(i)
             vt = self._target_value(image) if vs.known else None
-            yield f, vs, self._images[image], vt
+            yield f, vs, image, vt
 
     def classify(self, amap: AnalogyMap) -> SupportReport:
         positive, negative, open_, not_applicable, untranslatable = [], [], [], [], []
@@ -552,6 +605,7 @@ class TranslationTables:
         for f, vs, image, vt in self._support(amap):
             if vt is None:
                 continue
+            image = self._image(image)
             if not vt.known:
                 plausible.append((f, image, vs))
             elif vs is vt:
@@ -575,13 +629,13 @@ class TranslationTables:
         order given: the source value of query's preimage, when it has
         one and that value is known. Silent analogies are left out.
 
-        A query nested past MAX_FORMULA_DEPTH raises a FormulaError
-        before it is hashed, since hashing recurses.
+        query is keyed by its shape, left unprimed as an image is, and
+        its symbols. A query nested past MAX_FORMULA_DEPTH raises a
+        FormulaError before it is hashed, since hashing recurses.
         """
 
-        if any(depth > MAX_FORMULA_DEPTH for _, _, depth, _ in formula_nodes(query)):
-            raise FormulaError(_TOO_DEEP)
-        image = self._image_ids.get(query)
+        shape, symbols = _blank(query, None)
+        image = self._image_ids.get((self._shapes.get(shape), symbols))
         if image is None:
             return {}
         suggestions: dict[str, TruthValue] = {}

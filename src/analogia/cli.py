@@ -10,6 +10,7 @@ errored and, for repcheck, no violations were found.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -21,6 +22,7 @@ from .session import parse_session, run
 _TEXT_VIOLATION_CAP = 5
 
 
+@functools.cache  # parse_args keeps no state, so every main call shares one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="analogia",

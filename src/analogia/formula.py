@@ -53,10 +53,11 @@ Structural reads go through formula_nodes, which keeps its own stack,
 so they take a tree of any depth. A formula nests at most
 MAX_FORMULA_DEPTH levels deep: the parser raises a ParseError at the
 token that crosses the cap, and check_formula, the evaluator's
-compiler, the printer, translate and TranslationTables.conjectures a
-FormulaError for a deeper tree built in code. The parser, the
-compiler and its closures, the printer, translation and the
-dataclasses' hash and equality still recurse, a few frames per level.
+compiler, the printer and the translation walk (translate, and the
+key TranslationTables.conjectures reads off a query) a FormulaError
+for a deeper tree built in code. The parser, the compiler and its
+closures, the printer, the translation walk and the dataclasses' hash
+and equality still recurse, a few frames per level.
 
 An occurrence of an identifier in term position is a variable when
 some enclosing quantifier binds it and a constant otherwise. To keep
@@ -358,13 +359,15 @@ def _negation(code):
 
 
 class _Compiler:
-    """Compiles sentences for one domain into (code, slots) nodes."""
+    """Compiles sentences for one domain into (code, slots) nodes, reading
+    every constant, predicate and function name through symbols if given."""
 
-    __slots__ = ("domain", "env")
+    __slots__ = ("domain", "env", "symbols")
 
-    def __init__(self, domain: KnowledgeDomain):
+    def __init__(self, domain: KnowledgeDomain, symbols: dict[str, str] | None = None):
         self.domain = domain
         self.env: list[str] = []
+        self.symbols = symbols
 
     def term(self, t: Term, scope: dict[str, int], depth: int):
         if depth > MAX_FORMULA_DEPTH:
@@ -377,18 +380,20 @@ class _Compiler:
                 raise FormulaError(f"free variable {t.name!r}") from None
             return itemgetter(slot), 1 << slot
         if kind is Const:
+            name = t.name if self.symbols is None else self.symbols[t.name]
             try:
-                return self.domain.const_interp[t.name], 0
+                return self.domain.const_interp[name], 0
             except KeyError:
-                raise FormulaError(f"unknown symbol {t.name!r}") from None
+                raise FormulaError(f"unknown symbol {name!r}") from None
         if kind is not FuncApp:
             raise FormulaError(f"not a term node: {t!r}")
-        if self.domain.signature.arity_of(t.func) != len(t.args) or (
-            self.domain.signature.kind_of(t.func) != "function"
+        func = t.func if self.symbols is None else self.symbols[t.func]
+        if self.domain.signature.arity_of(func) != len(t.args) or (
+            self.domain.signature.kind_of(func) != "function"
         ):
-            raise FormulaError(f"no interpretation for {t.func}/{len(t.args)}")
+            raise FormulaError(f"no interpretation for {func}/{len(t.args)}")
         args, slots = self.args(t.args, scope, depth + 1)
-        table, func = self.domain.func_interp, t.func
+        table = self.domain.func_interp
         if not slots:
             return table[(func, args)], 0
         return (lambda env: table[(func, args(env))]), slots
@@ -427,7 +432,8 @@ class _Compiler:
 
     def atom(self, f: Atom, scope: dict[str, int], depth: int):
         args, slots = self.args(f.args, scope, depth + 1)
-        get, pred = self.domain.facts.get, f.predicate
+        get = self.domain.facts.get
+        pred = f.predicate if self.symbols is None else self.symbols[f.predicate]
         if not slots:
             return get((pred, args), _U), 0
         return (lambda env: get((pred, args(env)), _U)), slots

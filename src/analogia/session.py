@@ -74,7 +74,9 @@ from .formula import (
     print_formula,
     tokenize,
 )
-from .kb import KnowledgeDomain, Signature, TruthValue, _check_ident, format_atom, make_domain
+from .kb import (
+    KnowledgeDomain, Signature, TruthValue, _argument, _check_ident, format_atom, make_domain,
+)
 from .preference import (
     PreferenceRelation,
     check_count_weights,
@@ -116,11 +118,10 @@ class Session:
         object.__setattr__(self, "queries", _items("queries", self.queries, Formula))
         edges = []
         for edge in _items("explicit_edges", self.explicit_edges):
-            try:
-                a, b = edge
-            except (TypeError, ValueError):
-                raise SessionError(f"explicit_edges must hold pairs, not {edge!r}") from None
-            edges.append((str(a), str(b)))
+            names = _items("explicit_edges", edge, str)  # neither splits a str nor coerces
+            if len(names) != 2:
+                raise SessionError(f"explicit_edges must hold pairs, not {edge!r}")
+            edges.append(names)
         object.__setattr__(self, "explicit_edges", tuple(sorted(edges)))
         if not isinstance(self.closure, bool):
             raise SessionError(f"closure must be a bool, not {self.closure!r}")
@@ -219,10 +220,7 @@ def _by_name(kind: str, named: list[tuple[str, object]]) -> dict:
 def _items(name: str, value, kind: type = object) -> tuple:
     """value as a tuple of kind, or a SessionError that names the field."""
 
-    try:
-        items = tuple(value)
-    except TypeError:
-        raise SessionError(f"{name} must be iterable, not {type(value).__name__}") from None
+    items = _argument(name, "iterable", tuple, value, SessionError)
     for item in items:
         if not isinstance(item, kind):
             raise SessionError(f"{name} must hold {kind.__name__} values, not {item!r}")

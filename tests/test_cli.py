@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import analogia
 from analogia import AnalogiaError, parse_session, run
-from analogia.cli import _json_text, main
+from analogia.cli import _build_parser, _json_text, main
 from analogia.formula import MAX_FORMULA_DEPTH
 
 from conftest import SESSIONS_DIR
@@ -47,6 +47,28 @@ class TestArguments:
         with pytest.raises(SystemExit) as exc:
             main(["repcheck", "--n", "2", "--class", "wild"])
         assert exc.value.code == 2
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # --json before the subcommand, a usage error, --json after it:
+        # the parser built once prints what a fresh one prints each time.
+        calls = (["--json", "best", COMBI], ["best"], ["best", COMBI, "--json"])
+
+        def outputs(fresh):
+            got = []
+            for argv in calls:
+                if fresh:
+                    _build_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                got.append((code, *capsys.readouterr()))
+            return got
+
+        shared = outputs(fresh=False)
+        assert _build_parser() is _build_parser()
+        assert [code for code, _, _ in shared] == [0, 2, 0]
+        assert shared == outputs(fresh=True)
 
     def test_missing_file_reports_and_fails(self, capsys):
         code, out, err = run_cli(capsys, "check", "no_such_session.ana")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -28,7 +29,20 @@ from analogia import (
     run,
 )
 from analogia.analogy import Guard
-from analogia.formula import token_positions, tokenize
+from analogia.formula import (
+    And,
+    Atom,
+    Const,
+    Exists,
+    Forall,
+    FuncApp,
+    Implies,
+    Not,
+    Or,
+    Var,
+    token_positions,
+    tokenize,
+)
 from analogia.session import SESSION_COMMANDS, resolve_maps, session_preference
 
 from conftest import SESSIONS_DIR
@@ -318,6 +332,22 @@ class TestSessionValidation:
         with pytest.raises(SessionError, match=f"^{field} must "):
             dataclasses.replace(session, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # a str edge is not split into its characters
+            ("explicit_edges", ("ab",), "explicit_edges must be iterable, not str"),
+            # nor is an end that is not a name made into one
+            ("explicit_edges", ((1, "plain"),), "explicit_edges must hold str values, not 1"),
+            # a str field is refused whole, as kb's arguments are
+            ("working_set", "P(a)", "working_set must be iterable, not str"),
+        ],
+    )
+    def test_fields_are_neither_split_nor_coerced(self, field, value, message):
+        session = parse_session(MINIMAL)
+        with pytest.raises(SessionError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(session, **{field: value})
+
     def test_domain_errors_carry_the_domain_name(self):
         text = "domain S { objects: a, a; }\ndomain T { objects: b; }\nsource S;\ntarget T;"
         with pytest.raises(SessionError, match="domain S:"):
@@ -468,23 +498,60 @@ class TestResolution:
 
     @pytest.mark.parametrize("text, command", translation_cases())
     def test_each_declared_pair_is_translated_once(self, monkeypatch, text, command):
-        calls = Counter()
-        translate = analogia.analogy.translate
+        # A declared analogy's table keys each distinct sentence once by
+        # its shape and target symbols; closure combinations derive their
+        # tables and key nothing. No command calls translate: report and
+        # score carry each image they print once, from the id's recipe.
+        keyed, translated = Counter(), Counter()
+        intern, translate = TranslationTables._intern, analogia.analogy.translate
 
-        def counting(amap, f):
-            calls[amap.name, f] += 1
+        def counting_intern(self, amap, i):
+            keyed[amap.name, self.sentences[i]] += 1
+            return intern(self, amap, i)
+
+        def counting_translate(amap, f):
+            translated[amap.name, f] += 1
             return translate(amap, f)
 
-        monkeypatch.setattr(analogia.analogy, "translate", counting)
+        monkeypatch.setattr(TranslationTables, "_intern", counting_intern)
+        monkeypatch.setattr(analogia.analogy, "translate", counting_translate)
         session = parse_session(text)
+        carried = []
+        carry = analogia.analogy._carry
+
+        def counting_carry(f, map_symbol, signature):
+            if signature is not None:  # an image, not a query's blank shape
+                carried.append(f)
+            return carry(f, map_symbol, signature)
+
+        monkeypatch.setattr(analogia.analogy, "_carry", counting_carry)
         run(session, command)
+        assert not translated
         if command == "check":
-            assert not calls
+            assert not keyed
         else:
-            # closure combinations derive their tables and translate nothing
-            assert calls == Counter(
+            assert keyed == Counter(
                 {(a.name, f): 1 for a in session.analogies for f in session.working_set}
             )
+        assert len(carried) == len(session.tables._images)
+        if command not in ("report", "score"):
+            assert not carried
+
+    def test_tables_hash_each_sentence_and_each_shape_once(self, monkeypatch):
+        hashed = Counter()
+        for cls in (Var, Const, FuncApp, Atom, Not, And, Or, Implies, Forall, Exists):
+
+            def counting(node, hash_node=cls.__hash__):
+                hashed[type(node).__name__] += 1
+                return hash_node(node)
+
+            monkeypatch.setattr(cls, "__hash__", counting)
+        session = parse_session((SESSIONS_DIR / "closure.ana").read_text())
+        hashed.clear()
+        TranslationTables(session.source, session.target, session.working_set)
+        # four atoms of one constant each: the sentences' 8 nodes, and the
+        # 8 nodes of their blank shapes, all one shape
+        assert hashed == {"Atom": 8, "Const": 8}
 
     def test_repeated_runs_keep_the_tables_bounded(self):
         session = parse_session((SESSIONS_DIR / "closure.ana").read_text())
@@ -499,6 +566,42 @@ class TestResolution:
 # ====================================================================
 # Commands
 # ====================================================================
+
+
+class TestPrimedBinders:
+    """The target names an object x, so translation primes a bound x:
+    forall x. P(x) and forall x'. P(x') share the image forall x'. Q(x')."""
+
+    TEXT = """
+    domain S { objects: a; pred P/1; fact P(a) = true; }
+    domain T { objects: x; pred Q/1; }
+    analogy m from S to T { map P -> Q; map a -> x; }
+    workingset { %s }
+    query forall x'. Q(x');
+    """
+
+    @pytest.mark.parametrize("command", ["best", "entail"])
+    def test_sentences_with_one_primed_image_are_not_injective(self, command):
+        session = parse_session(self.TEXT % "forall x. P(x); forall x'. P(x');")
+        message = (
+            "analogy 'm': translation is not injective on the working set "
+            "(forall x. P(x) and forall x'. P(x') share an image)"
+        )
+        with pytest.raises(AnalogiaError, match=f"^{re.escape(message)}$"):
+            run(session, command)
+
+    def test_a_query_is_answered_from_the_sentence_it_primes(self):
+        out = run(parse_session(self.TEXT % "forall x. P(x);"), "entail")
+        assert out["verdicts"] == [
+            {
+                "query": "forall x'. Q(x')",
+                "status": "entailed",
+                "value": "true",
+                "support": ["m"],
+                "suggestions": {"m": "true"},
+                "warnings": [],
+            }
+        ]
 
 
 class TestRun:

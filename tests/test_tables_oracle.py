@@ -15,9 +15,12 @@ small three-valued domains, generated analogies and working sets:
   * working sets with repeated sentences.
 """
 
+import importlib.util
 import itertools
 import re
+import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
@@ -28,8 +31,10 @@ from analogia import (
     TranslationError,
     TranslationTables,
     analogy_map,
+    evaluate,
     make_domain,
     parse_formula,
+    parse_session,
 )
 from analogia.analogy import (
     AnalogyMap,
@@ -44,6 +49,9 @@ from analogia.analogy import (
 from analogia.entailment import conjecture_for
 from analogia.formula import ground_atom_formulas
 from analogia.preference import PreferenceRelation
+from analogia.session import resolve_maps
+
+from conftest import SESSIONS_DIR
 
 SOURCE_CONSTANTS = ("a", "b", "c")
 SOURCE_PREDICATES = (("P", 1), ("Q", 1), ("R", 2))
@@ -246,3 +254,68 @@ def test_closure_drops_combinations_left_with_one_guarded_piece():
     assert "halves+whole@b" not in names
     assert "whole+halves@a" in names
     assert names == [m.name for m in reference.close_under_combination((halves, whole), working)]
+
+
+# ====================================================================
+# Image keys against translate, on the bundled and benchmark sessions
+# ====================================================================
+
+
+def _benchmark_pool(variants):
+    """The first variants sessions of each stratum of the benchmark's
+    session pools, by label; perfbench/workloads.py generates them."""
+
+    perfbench = SESSIONS_DIR.parent / "perfbench"
+    for name in ("sessiongen", "workloads"):  # workloads imports sessiongen
+        spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    workloads = module
+    return {
+        f"{workload}-s{s}v{v}": workloads.generate(params, f"{workload}:{s}:{v}")
+        for workload, strata in workloads.SESSION_WORKLOADS.items()
+        for s, params in enumerate(strata)
+        for v in range(variants)
+    }
+
+
+KEYED_SESSIONS = {
+    **{p.stem: p.read_text(encoding="utf-8") for p in sorted(SESSIONS_DIR.glob("*.ana"))},
+    **_benchmark_pool(4),
+}
+
+
+@pytest.mark.parametrize("text", KEYED_SESSIONS.values(), ids=KEYED_SESSIONS)
+def test_keyed_images_agree_with_translate(text):
+    """Tables key images by shape and symbols and evaluate them through
+    the piece's map; every image id, closure maps included, must build
+    translate's image and give its value in the target, and conjectures
+    must agree with the reference on the session's queries and on a
+    dozen images."""
+
+    session = parse_session(text)
+    tables = session.tables
+    maps = resolve_maps(session)
+    for amap in maps:
+        for f, image in zip(tables.sentences, tables._table(amap).images):
+            try:
+                expected = translate(amap, f)
+            except TranslationError:
+                assert image is None
+                continue
+            assert tables._image(image) == expected
+            assert tables._target_value(image) is evaluate(expected, tables.target)
+
+    injective = [m for m in maps if outcome(tables.preimages, m) is None]
+    space = AnalogySpace(
+        tables=tables,
+        analogies=injective,
+        preference=PreferenceRelation(tuple(m.name for m in injective), frozenset()),
+    )
+    images = list(tables._images.values())
+    queries = list(session.queries) + images[:: len(images) // 12 + 1]
+    for amap in injective:
+        for query in queries:
+            assert tables.conjectures(query, (amap,)).get(amap.name) == (
+                reference.conjecture_for(space, amap.name, query)
+            )
