@@ -23,15 +23,17 @@ Sentences the map cannot carry over at all are listed separately and
 take no part in the partition. The augmented report splits negatives
 by direction (true here but false there, false here but true there)
 and pairs each positive, negative and open sentence with its image.
-The numeric score consumes it: p = n / (n + r + s + 1) with n matching
-positives, r and s the two negative counts, in exact rational arithmetic.
+The numeric score counts the same groups: p = n / (n + r + s + 1) with
+n matching positives, r and s the two negative counts, in exact
+rational arithmetic.
 
 All of these read TranslationTables, made once per session and shared
 by every command and the space: each working sentence is checked and
 evaluated once, and its image under an analogy is keyed by the
 sentence's shape and the target symbols the map puts into it, which
-determine the image. classify and the augmented report read one pass
-over the table by position, and closure derives from its parents'.
+determine the image. TranslationTables.support sorts an analogy's
+working-set positions into the groups once; classify, the augmented
+report and the score read them, and closure derives from its parents'.
 """
 
 from __future__ import annotations
@@ -158,6 +160,34 @@ class AnalogyPiece:
         object.__setattr__(self, "mapping", mapping)
 
 
+def _check_guards(name: str, pieces: Sequence[AnalogyPiece], constants: Sequence[str]) -> None:
+    """A map's piece-and-guard rules: at least one piece; a single piece
+    unguarded; otherwise constant guards, drawn from the source
+    constants, that do not overlap."""
+
+    if not pieces:
+        raise AnalogyError(f"analogy {name!r} has no pieces")
+    if len(pieces) == 1:
+        if not pieces[0].guard.is_always:
+            raise AnalogyError(f"analogy {name!r}: a single piece must be unguarded")
+        return
+    guards = [p.guard for p in pieces]
+    for g in guards:
+        if g.is_always:
+            raise AnalogyError(
+                f"analogy {name!r}: every piece of a piecewise map needs a constant guard"
+            )
+        extra = sorted(g.constants.difference(constants))
+        if extra:
+            raise AnalogyError(
+                f"analogy {name!r}: guard constant {extra[0]!r} is not a source constant"
+            )
+    for i, g in enumerate(guards):
+        for h in guards[i + 1 :]:
+            if g.overlaps(h):
+                raise AnalogyError(f"analogy {name!r}: overlapping guards")
+
+
 @dataclass(frozen=True)
 class AnalogyMap:
     """A named, possibly piecewise symbol map between two domains.
@@ -189,34 +219,8 @@ class AnalogyMap:
             if not isinstance(piece, AnalogyPiece):
                 raise AnalogyError(f"pieces must hold AnalogyPiece values, not {piece!r}")
         object.__setattr__(self, "pieces", pieces)
-        if not self.pieces:
-            raise AnalogyError(f"analogy {self.name!r} has no pieces")
+        _check_guards(self.name, pieces, self.source.signature.constants)
         src, tgt = self.source.signature, self.target.signature
-        if len(self.pieces) == 1:
-            if not self.pieces[0].guard.is_always:
-                raise AnalogyError(
-                    f"analogy {self.name!r}: a single piece must be unguarded"
-                )
-        else:
-            guards = [p.guard for p in self.pieces]
-            for g in guards:
-                if g.is_always:
-                    raise AnalogyError(
-                        f"analogy {self.name!r}: every piece of a piecewise map "
-                        "needs a constant guard"
-                    )
-                extra = sorted(set(g.constants or ()) - set(src.constants))
-                if extra:
-                    raise AnalogyError(
-                        f"analogy {self.name!r}: guard constant {extra[0]!r} "
-                        "is not a source constant"
-                    )
-            for i, g in enumerate(guards):
-                for h in guards[i + 1 :]:
-                    if g.overlaps(h):
-                        raise AnalogyError(
-                            f"analogy {self.name!r}: overlapping guards"
-                        )
         for piece in self.pieces:
             seen_targets: set[str] = set()
             for s, t in piece.mapping.items():
@@ -453,9 +457,10 @@ class TranslationTables:
     combinations derive their tables from their parents' and key
     nothing. Each image id keeps the sentence and map it was keyed
     from. Source values, target values (the sentence compiled for the
-    target through the map) and image formulas, which only reports
-    print, are each made once, on first use. Every analogy given to one
-    instance must run between its source and target.
+    target through the map) and image formulas, which only the
+    augmented report carries, are each made once, on first use. support
+    is the one place a source value meets a target value. Every analogy
+    given to one instance must run between its source and target.
     """
 
     def __init__(
@@ -559,67 +564,66 @@ class TranslationTables:
             self._images[image] = f
         return f
 
-    def _support(self, amap: AnalogyMap):
-        """Each working-set entry in order as (formula, source value,
-        image id, target value). A formula no piece carries gets None for
-        the other three; the target value is None unless vs is known."""
+    def support(self, amap: AnalogyMap) -> tuple[list[int], ...]:
+        """amap's working-set positions (indices into formulas) in six
+        groups, each in working-set order: untranslatable, not applicable,
+        open, positive, negative with the source true, and negative with
+        the source false. The source is evaluated only for entries amap
+        carries over, the target only when the source value is known."""
 
+        groups: tuple[list[int], ...] = ([], [], [], [], [], [])
+        untranslatable, not_applicable, open_, positive, neg_true, neg_false = groups
         ids = self._table(amap).images
-        for f, i in zip(self.formulas, self._positions):
+        for k, i in enumerate(self._positions):
             image = ids[i]
             if image is None:
-                yield f, None, None, None
+                untranslatable.append(k)
                 continue
             vs = self._source_value(i)
-            vt = self._target_value(image) if vs.known else None
-            yield f, vs, image, vt
+            if not vs.known:
+                not_applicable.append(k)
+                continue
+            vt = self._target_value(image)
+            if not vt.known:
+                open_.append(k)
+            elif vs is vt:
+                positive.append(k)
+            elif vs is TruthValue.TRUE:
+                neg_true.append(k)
+            else:
+                neg_false.append(k)
+        return groups
 
     def classify(self, amap: AnalogyMap) -> SupportReport:
-        positive, negative, open_, not_applicable, untranslatable = [], [], [], [], []
-        conjectures: dict[Formula, TruthValue] = {}
-        for f, vs, image, vt in self._support(amap):
-            if image is None:
-                untranslatable.append(f)
-            elif vt is None:
-                not_applicable.append(f)
-            elif not vt.known:
-                open_.append(f)
-                conjectures[f] = vs
-            elif vs is vt:
-                positive.append(f)
-            else:
-                negative.append(f)
+        untranslatable, not_applicable, open_, positive, neg_true, neg_false = self.support(amap)
+        at = self.formulas.__getitem__
         return SupportReport(
             analogy=amap,
             formulas=self.formulas,
-            positive=tuple(positive),
-            negative=tuple(negative),
-            open=tuple(open_),
-            not_applicable=tuple(not_applicable),
-            untranslatable=tuple(untranslatable),
-            conjectures=conjectures,
+            positive=tuple(map(at, positive)),
+            negative=tuple(map(at, sorted(neg_true + neg_false))),
+            open=tuple(map(at, open_)),
+            not_applicable=tuple(map(at, not_applicable)),
+            untranslatable=tuple(map(at, untranslatable)),
+            conjectures={at(k): self._source_value(self._positions[k]) for k in open_},
         )
 
     def augmented_report(self, amap: AnalogyMap) -> AugmentedReport:
-        positive, neg_true, neg_false, plausible = [], [], [], []
-        for f, vs, image, vt in self._support(amap):
-            if vt is None:
-                continue
-            image = self._image(image)
-            if not vt.known:
-                plausible.append((f, image, vs))
-            elif vs is vt:
-                positive.append((f, image))
-            elif vs is TruthValue.TRUE:
-                neg_true.append((f, image))
-            else:
-                neg_false.append((f, image))
+        _, _, open_, positive, neg_true, neg_false = self.support(amap)
+        ids, formulas, positions = self._table(amap).images, self.formulas, self._positions
+
+        def pairs(group: list[int]) -> tuple[tuple[Formula, Formula], ...]:
+            return tuple((formulas[k], self._image(ids[positions[k]])) for k in group)
+
         return AugmentedReport(
             analogy=amap,
-            positive_pairs=tuple(positive),
-            negative_source_true=tuple(neg_true),
-            negative_source_false=tuple(neg_false),
-            plausible=tuple(plausible),
+            positive_pairs=pairs(positive),
+            negative_source_true=pairs(neg_true),
+            negative_source_false=pairs(neg_false),
+            plausible=tuple(
+                (f, image, self._source_value(positions[k]))
+                for k, (f, image) in zip(open_, pairs(open_))
+            ),
         )
 
     def conjectures(
@@ -630,22 +634,25 @@ class TranslationTables:
         one and that value is known. Silent analogies are left out.
 
         query is keyed by its shape, left unprimed as an image is, and
-        its symbols. A query nested past MAX_FORMULA_DEPTH raises a
-        FormulaError before it is hashed, since hashing recurses.
+        its symbols, and looked up once the analogies' tables are made;
+        only then is each analogy's injectivity checked. A query nested
+        past MAX_FORMULA_DEPTH raises a FormulaError before it is
+        hashed, since hashing recurses.
         """
 
         shape, symbols = _blank(query, None)
+        tables = [self._table(amap) for amap in analogies]
         image = self._image_ids.get((self._shapes.get(shape), symbols))
         if image is None:
             return {}
         suggestions: dict[str, TruthValue] = {}
-        for amap in analogies:
-            i = self.preimages(amap).get(image)
+        for table in tables:
+            i = self.preimages(table.analogy).get(image)
             if i is None:
                 continue
             value = self._source_value(i)
             if value.known:
-                suggestions[amap.name] = value
+                suggestions[table.analogy.name] = value
         return suggestions
 
     def close(self, analogies: Sequence[AnalogyMap]) -> tuple[AnalogyMap, ...]:
@@ -717,11 +724,12 @@ def combine(
     symbol map, which AnalogyMap already checked (kinds, arities,
     injectivity) against the same two signatures, and the pieces of one
     parent stay disjoint inside the outer guard. What depends on the
-    combination is checked here, with AnalogyMap's messages: the
-    parents share both domains, the outer guards name constants and do
-    not overlap, the name is a nonempty string, at least two pieces
-    survive (a lone piece would carry a constant guard), and every
-    guard constant is a source constant.
+    combination is checked here: the parents share both domains, the
+    outer guards name constants and do not overlap, and the name is a
+    nonempty string. The surviving pieces then pass AnalogyMap's own
+    piece-and-guard check, with its messages: at least two survive (a
+    lone piece would carry a constant guard), every guard constant is a
+    source constant, and no two guards overlap.
     """
 
     if first.source != second.source or first.target != second.target:
@@ -741,17 +749,7 @@ def combine(
             if not merged.constants:
                 continue  # dead guard, can never match
             pieces.append(_checked(AnalogyPiece, guard=merged, mapping=piece.mapping))
-    if not pieces:
-        raise AnalogyError(f"analogy {name!r} has no pieces")
-    if len(pieces) == 1:
-        raise AnalogyError(f"analogy {name!r}: a single piece must be unguarded")
-    known = first.source.signature.constants
-    for piece in pieces:
-        extra = sorted(piece.guard.constants.difference(known))
-        if extra:
-            raise AnalogyError(
-                f"analogy {name!r}: guard constant {extra[0]!r} is not a source constant"
-            )
+    _check_guards(name, pieces, first.source.signature.constants)
     return _checked(
         AnalogyMap, name=name, source=first.source, target=first.target, pieces=tuple(pieces)
     )

@@ -703,16 +703,12 @@ def run(
         }
     scores = []
     for a in maps:
-        ar = session.tables.augmented_report(a)
-        n_pos = len(ar.positive_pairs)
-        n_r = len(ar.negative_source_true)
-        n_s = len(ar.negative_source_false)
-        if n_pos == 0:
-            scores.append({"analogy": a.name, "n": 0, "r": n_r, "s": n_s, "p": None})
+        *_, positive, neg_true, neg_false = session.tables.support(a)
+        n_pos, n_r, n_s = len(positive), len(neg_true), len(neg_false)
+        if n_pos:
+            scores.append({"analogy": a.name, **straight_rule(n_pos, n_r, n_s).to_json_dict()})
         else:
-            entry = {"analogy": a.name}
-            entry.update(straight_rule(n_pos, n_r, n_s).to_json_dict())
-            scores.append(entry)
+            scores.append({"analogy": a.name, "n": 0, "r": n_r, "s": n_s, "p": None})
     return {"command": "score", "scores": scores}
 
 

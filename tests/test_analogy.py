@@ -25,6 +25,7 @@ from analogia.analogy import (
     AnalogyMap,
     AnalogyPiece,
     Guard,
+    TranslationTables,
     augmented_report,
     check_injective_on,
     classify,
@@ -900,6 +901,40 @@ class TestSupportPassReadsByPosition:
         for report in reports:
             dict.fromkeys(report.open)
         assert by_classify == len(hashed) > 0
+
+
+class TestConjectures:
+    """conjectures makes the given analogies' tables before it looks the
+    query's image up, and checks injectivity only for a query that has
+    an image."""
+
+    @pytest.fixture
+    def combi(self):
+        session = parse_session((SESSIONS_DIR / "combi.ana").read_text())
+        fresh = TranslationTables(session.source, session.target, session.working_set)
+        return fresh, {a.name: a for a in session.analogies}
+
+    def test_fresh_tables_find_the_query(self, combi):
+        tables, maps = combi
+        assert tables.conjectures(parse_formula("Qa(y)"), [maps["mixed"]]) == {"mixed": T}
+
+    def test_a_query_with_no_image_raises_nothing(self, combi):
+        tables, maps = combi
+        mixed = maps["mixed"]
+        # both pieces send P to Pa and their constant to y: P(x) and
+        # P(x') share the image Pa(y)
+        collide = AnalogyMap(
+            "collide",
+            mixed.source,
+            mixed.target,
+            (
+                AnalogyPiece(Guard.mentions({"x"}), {"P": "Pa", "x": "y"}),
+                AnalogyPiece(Guard.mentions({"x'"}), {"P": "Pa", "x'": "y"}),
+            ),
+        )
+        assert tables.conjectures(parse_formula("Qb(y')"), [collide]) == {}
+        with pytest.raises(AnalogyError, match="not injective"):
+            tables.conjectures(parse_formula("Pa(y)"), [collide])
 
 
 class TestStraightRule:

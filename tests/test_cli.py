@@ -414,21 +414,40 @@ class TestEntryPoints:
         assert json.loads(proc.stdout)["best"] == ["mixed"]
 
 
+def _starts(exe, env=None):
+    try:
+        proc = subprocess.run([exe, "-c", "pass"], capture_output=True, timeout=60, env=env)
+        return proc.returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+
+
 class TestLowestSupportedPython:
     """pyproject's requires-python floor gives the same output."""
 
     @pytest.fixture(scope="class")
     def python310(self):
+        """The python3.10 on PATH and the environment it starts in. A
+        pyenv shim starts only with a version selected, so when it does
+        not start as it is, the 3.10 that pyenv names is selected."""
+
         exe = shutil.which("python3.10")
+        if exe is None:
+            pytest.skip("no python3.10 on PATH")
+        if _starts(exe):
+            return exe, os.environ
+        pyenv = shutil.which("pyenv")
         try:
-            started = exe is not None and subprocess.run(
-                [exe, "-c", "pass"], capture_output=True, timeout=60
-            ).returncode == 0
+            found = pyenv and subprocess.run(
+                [pyenv, "whence", "python3.10"], capture_output=True, text=True, timeout=60
+            ).stdout.split()
         except (OSError, subprocess.TimeoutExpired):
-            started = False
-        if not started:
-            pytest.skip("no python3.10 on PATH that starts")
-        return exe
+            found = None
+        if found:
+            env = {**os.environ, "PYENV_VERSION": found[0]}
+            if _starts(exe, env):
+                return exe, env
+        pytest.skip("no python3.10 on PATH that starts")
 
     @pytest.mark.parametrize(
         "path", sorted(SESSIONS_DIR.glob("*.ana")), ids=lambda path: path.name
@@ -446,16 +465,15 @@ class TestLowestSupportedPython:
     @staticmethod
     def assert_same_output(python310, command, path):
         src = os.path.dirname(os.path.dirname(analogia.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
         outputs = [
             subprocess.run(
                 [exe, "-m", "analogia", "--json", command, str(path)],
                 capture_output=True,
                 text=True,
-                env=env,
+                env={**env, "PYTHONPATH": src},
                 timeout=60,
             )
-            for exe in (python310, sys.executable)
+            for exe, env in (python310, (sys.executable, os.environ))
         ]
         low, current = [(p.returncode, p.stdout, p.stderr) for p in outputs]
         assert low == current

@@ -500,8 +500,9 @@ class TestResolution:
     def test_each_declared_pair_is_translated_once(self, monkeypatch, text, command):
         # A declared analogy's table keys each distinct sentence once by
         # its shape and target symbols; closure combinations derive their
-        # tables and key nothing. No command calls translate: report and
-        # score carry each image they print once, from the id's recipe.
+        # tables and key nothing. No command calls translate: report
+        # carries each image it prints once, from the id's recipe, and
+        # no other command carries one.
         keyed, translated = Counter(), Counter()
         intern, translate = TranslationTables._intern, analogia.analogy.translate
 
@@ -534,7 +535,7 @@ class TestResolution:
                 {(a.name, f): 1 for a in session.analogies for f in session.working_set}
             )
         assert len(carried) == len(session.tables._images)
-        if command not in ("report", "score"):
+        if command != "report":
             assert not carried
 
     def test_tables_hash_each_sentence_and_each_shape_once(self, monkeypatch):

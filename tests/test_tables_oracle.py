@@ -208,7 +208,15 @@ def test_tables_agree_with_the_per_call_reference(case):
     tables = TranslationTables(source, target, working)
     for amap in closed:
         assert tables.classify(amap) == reference.classify(amap, working)
-        assert tables.augmented_report(amap) == reference.augmented_report(amap, working)
+        expected = reference.augmented_report(amap, working)
+        assert tables.augmented_report(amap) == expected
+        # score's counts: the positive and the two negative groups
+        *_, positive, neg_true, neg_false = tables.support(amap)
+        assert (len(positive), len(neg_true), len(neg_false)) == (
+            len(expected.positive_pairs),
+            len(expected.negative_source_true),
+            len(expected.negative_source_false),
+        )
 
     injective = [
         m for m in closed if outcome(reference.check_injective_on, m, working) is None
@@ -220,11 +228,18 @@ def test_tables_agree_with_the_per_call_reference(case):
     )
     queries = [image for m in closed for image in images_of(m, working)]
     queries.append(parse_formula("Pa(x)"))
+    suggested = {}
     for amap in injective:
         for query in queries:
-            assert conjecture_for(space, amap.name, query) == reference.conjecture_for(
-                space, amap.name, query
-            )
+            expected = reference.conjecture_for(space, amap.name, query)
+            assert conjecture_for(space, amap.name, query) == expected
+            if expected is not None:
+                suggested.setdefault(query, {})[amap.name] = expected
+    # tables no command has used yet must find each query too
+    for query in dict.fromkeys(queries):
+        fresh = TranslationTables(source, target, working)
+        got = fresh.conjectures(query, injective)
+        assert list(got.items()) == list(suggested.get(query, {}).items())
 
 
 def test_closure_drops_combinations_left_with_one_guarded_piece():
