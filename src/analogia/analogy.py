@@ -469,9 +469,13 @@ class TranslationTables:
         target: KnowledgeDomain,
         formulas: Sequence[Formula],
     ):
+        for name, domain in (("source", source), ("target", target)):
+            if not isinstance(domain, KnowledgeDomain):
+                kind = type(domain).__name__
+                raise AnalogyError(f"{name} must be a KnowledgeDomain, not {kind}")
         self.source = source
         self.target = target
-        self.formulas = tuple(formulas)
+        self.formulas = _argument("formulas", "iterable", tuple, formulas, AnalogyError)
         for f in self.formulas:  # before hashing, which recurses
             check_formula(f, source.signature)
         index: dict[Formula, int] = {}
@@ -495,8 +499,13 @@ class TranslationTables:
         return tuple(constants.intersection(s) for _, s in self._keys)
 
     def _table(self, amap: AnalogyMap) -> _Table:
-        table = self._tables.get(amap.name)
+        try:
+            table = self._tables.get(amap.name)
+        except (AttributeError, TypeError):  # not an AnalogyMap: refused below
+            table = None
         if table is None or table.analogy is not amap:
+            if not isinstance(amap, AnalogyMap):
+                raise AnalogyError(f"amap must be an AnalogyMap, not {type(amap).__name__}")
             if amap.source != self.source:
                 raise AnalogyError(f"analogy {amap.name!r} runs from a different source domain")
             if amap.target != self.target:
@@ -641,6 +650,7 @@ class TranslationTables:
         """
 
         shape, symbols = _blank(query, None)
+        analogies = _argument("analogies", "iterable", tuple, analogies, AnalogyError)
         tables = [self._table(amap) for amap in analogies]
         image = self._image_ids.get((self._shapes.get(shape), symbols))
         if image is None:
@@ -667,6 +677,7 @@ class TranslationTables:
         target signature.
         """
 
+        analogies = _argument("analogies", "iterable", tuple, analogies, AnalogyError)
         out = list(analogies)
         constants = self.source.signature.constants
         images = [self._table(a).images for a in analogies]
@@ -674,8 +685,11 @@ class TranslationTables:
         for c in constants:
             rest = frozenset(constants) - {c}
             if rest:
-                covers = [(cs == {c}, bool(cs) and c not in cs) for cs in self._constants]
-                splits.append((c, Guard.mentions({c}), Guard.mentions(rest), covers))
+                only_c_guard, rest_guard = Guard.mentions({c}), Guard.mentions(rest)
+                covers = [
+                    (only_c_guard._covers(cs), rest_guard._covers(cs)) for cs in self._constants
+                ]
+                splits.append((c, only_c_guard, rest_guard, covers))
         taken = {a.name for a in analogies}
         for a, a_images in zip(analogies, images):
             for b, b_images in zip(analogies, images):

@@ -19,7 +19,7 @@ from operator import attrgetter
 from .analogy import AnalogyMap, TranslationTables
 from .errors import AnalogyError, EntailmentError
 from .formula import Formula, check_formula, evaluate
-from .kb import KnowledgeDomain, TruthValue
+from .kb import KnowledgeDomain, TruthValue, _argument
 from .preference import PreferenceRelation, undominated
 
 
@@ -50,7 +50,15 @@ class AnalogySpace:
     preference: PreferenceRelation
 
     def __post_init__(self):
-        object.__setattr__(self, "analogies", tuple(self.analogies))
+        for name, kind in (("tables", TranslationTables), ("preference", PreferenceRelation)):
+            found = type(getattr(self, name))
+            if not issubclass(found, kind):
+                raise EntailmentError(f"{name} must be a {kind.__name__}, not {found.__name__}")
+        analogies = _argument("analogies", "iterable", tuple, self.analogies, EntailmentError)
+        for a in analogies:
+            if not isinstance(a, AnalogyMap):
+                raise EntailmentError(f"analogies must hold AnalogyMap values, not {a!r}")
+        object.__setattr__(self, "analogies", analogies)
         names = [a.name for a in self.analogies]
         if len(set(names)) != len(names):
             raise EntailmentError("duplicate analogy name in space")

@@ -42,9 +42,17 @@ newlines before it. Identifiers match kb.IDENT_PATTERN,
 [A-Za-z_][A-Za-z0-9_']*, the same rule Signature holds symbol names to,
 so primed names like x' are fine.
 
-Precedence is ! over & over | over ->. A quantifier grabs the longest
-formula it can; the printer therefore parenthesizes quantified
-subformulas whenever they sit under a connective, and the composition
+Each node class defines its connective once: And, Or and Implies
+subclass one dataclass with the fields left and right, Forall and
+Exists one with var and body, Var and Const one with name. A class
+carries its token, its precedence prec (higher binds tighter), for a
+binary one right_assoc, and for And, Or and the quantifiers that fold
+them the absorbing value absorb; the parser, the printer and the
+compiler read them there. ! binds tighter than &, & than |, | than ->,
+and a quantifier, which grabs the longest formula it can, loosest; ->
+associates to the right, & and | to the left. The printer
+parenthesizes a side that binds more loosely than its connective, or
+as loosely on the side the connective does not associate to, so
 parse(print_formula(f)) returns f unchanged. print_formula keeps the
 text on the formula it printed, so a working sentence or an image that
 every report prints again is rendered once.
@@ -94,13 +102,16 @@ class Term:
 
 
 @dataclass(frozen=True)
-class Var(Term):
+class _Name(Term):
     name: str
 
 
-@dataclass(frozen=True)
-class Const(Term):
-    name: str
+class Var(_Name):
+    pass
+
+
+class Const(_Name):
+    pass
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,9 @@ class FuncApp(Term):
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
+
+
+_T, _F, _U = TruthValue.TRUE, TruthValue.FALSE, TruthValue.UNKNOWN
 
 
 class Formula:
@@ -125,6 +139,7 @@ class Formula:
 class Atom(Formula):
     predicate: str
     args: tuple[Term, ...]
+    prec = 5
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
@@ -133,36 +148,42 @@ class Atom(Formula):
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
+    prec = 4
+    token = "!"
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Binary(Formula):
     left: Formula
     right: Formula
+    right_assoc = False
+
+
+class And(_Binary):
+    prec, token, absorb = 3, "&", _F
+
+
+class Or(_Binary):
+    prec, token, absorb = 2, "|", _T
+
+
+class Implies(_Binary):
+    prec, token, right_assoc = 1, "->", True
 
 
 @dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Forall(Formula):
+class _Quantifier(Formula):
     var: str
     body: Formula
+    prec = 0
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    body: Formula
+class Forall(_Quantifier):
+    token, absorb = "forall", And.absorb
+
+
+class Exists(_Quantifier):
+    token, absorb = "exists", Or.absorb
 
 
 _BINARY = (And, Or, Implies)
@@ -256,6 +277,8 @@ def check_formula(f: Formula, sig: Signature) -> None:
     that shadow a declared symbol.
     """
 
+    if not isinstance(sig, Signature):
+        raise FormulaError(f"sig must be a Signature, not {type(sig).__name__}")
     for node, scope, depth, in_term in formula_nodes(f):
         if depth > MAX_FORMULA_DEPTH:
             raise FormulaError(_TOO_DEEP)
@@ -287,8 +310,7 @@ def check_formula(f: Formula, sig: Signature) -> None:
 # Evaluation
 # ====================================================================
 
-_T, _F, _U = TruthValue.TRUE, TruthValue.FALSE, TruthValue.UNKNOWN
-_NEG = {_T: _F, _F: _T, _U: _U}
+_NEG = {v: v.negate() for v in TruthValue}
 
 # A compiled node is a pair (code, slots). slots is the bitmask of the
 # binder slots the node reads, and a binder's slot is its depth in the
@@ -425,7 +447,7 @@ class _Compiler:
             b, sb = self.formula(f.right, scope, depth + 1)
             if kind is Implies:
                 return _implies(a, sa, b, sb)
-            return _junction(_F if kind is And else _T, a, sa, b, sb)
+            return _junction(kind.absorb, a, sa, b, sb)
         if kind in _QUANT:
             return self.quantifier(f, scope, depth)
         raise FormulaError(f"not a formula node: {f!r}")
@@ -446,7 +468,7 @@ class _Compiler:
             # The body does not read the binder: over a nonempty universe
             # the fold of one value is that value.
             return body, slots
-        short = _F if type(f) is Forall else _T
+        short = f.absorb
         rest = _NEG[short]
         universe = self.domain.universe
 
@@ -475,6 +497,8 @@ def evaluate(f: Formula, domain: KnowledgeDomain) -> TruthValue:
     a FormulaError, as check_formula does.
     """
 
+    if not isinstance(domain, KnowledgeDomain):
+        raise FormulaError(f"domain must be a KnowledgeDomain, not {type(domain).__name__}")
     return _Compiler(domain).formula(f, {}, 1)[0]
 
 
@@ -607,7 +631,7 @@ class TokenStream:
 def parse_formula_stream(ts: TokenStream) -> Formula:
     """Parse one formula from the stream, leaving the cursor after it."""
 
-    return _parse_implies(ts, [], 0)[0]
+    return _parse_chain(ts, [], 0)[0]
 
 
 # Each parse function gets the depth of the position it fills, the
@@ -623,44 +647,39 @@ def _deeper(ts: TokenStream, depth: int) -> int:
     return depth + 1
 
 
-def _parse_implies(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
-    left, reach = _parse_or(ts, scope, depth)
-    if ts.at("->"):
-        reach = _deeper(ts, reach)  # the left side moves under the Implies
+# The binary connectives from the loosest binding to the tightest: the
+# chain at level i parses operands at level i + 1, and unary ones below
+# the last level.
+_CHAIN = sorted(_BINARY, key=lambda kind: kind.prec)
+_QUANTIFIER_WORDS = {kind.token: kind for kind in _QUANT}
+
+
+def _parse_chain(
+    ts: TokenStream, scope: list[str], depth: int, level: int = 0
+) -> tuple[Formula, int]:
+    if level == len(_CHAIN):
+        return _parse_unary(ts, scope, depth)
+    kind = _CHAIN[level]
+    # A right-associative connective takes the rest of its chain as its
+    # right side, so the loop below runs at most once for it.
+    right_level = level if kind.right_assoc else level + 1
+    f, reach = _parse_chain(ts, scope, depth, level + 1)
+    while ts.at(kind.token):
+        reach = _deeper(ts, reach)  # the chain so far moves under the new node
         ts.next()
-        right, right_reach = _parse_implies(ts, scope, depth + 1)
-        return Implies(left, right), max(reach, right_reach)
-    return left, reach
-
-
-def _parse_or(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
-    f, reach = _parse_and(ts, scope, depth)
-    while ts.at("|"):
-        reach = _deeper(ts, reach)  # the chain so far moves under the new Or
-        ts.next()
-        right, right_reach = _parse_and(ts, scope, depth + 1)
-        f, reach = Or(f, right), max(reach, right_reach)
-    return f, reach
-
-
-def _parse_and(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
-    f, reach = _parse_unary(ts, scope, depth)
-    while ts.at("&"):
-        reach = _deeper(ts, reach)  # the chain so far moves under the new And
-        ts.next()
-        right, right_reach = _parse_unary(ts, scope, depth + 1)
-        f, reach = And(f, right), max(reach, right_reach)
+        right, right_reach = _parse_chain(ts, scope, depth + 1, right_level)
+        f, reach = kind(f, right), max(reach, right_reach)
     return f, reach
 
 
 def _parse_unary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula, int]:
-    if ts.at("!"):
+    if ts.at(Not.token):
         level = _deeper(ts, depth)
         ts.next()
         body, reach = _parse_unary(ts, scope, level)
         return Not(body), reach
-    word = ts.peek()
-    if word in RESERVED_WORDS:
+    quantifier = _QUANTIFIER_WORDS.get(ts.peek())
+    if quantifier is not None:
         level = _deeper(ts, depth)
         ts.next()
         at = ts.pos
@@ -670,10 +689,10 @@ def _parse_unary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formula
         ts.expect(".")
         scope.append(var)
         try:
-            body, reach = _parse_implies(ts, scope, level)
+            body, reach = _parse_chain(ts, scope, level)
         finally:
             scope.pop()
-        return (Forall if word == "forall" else Exists)(var, body), reach
+        return quantifier(var, body), reach
     return _parse_primary(ts, scope, depth)
 
 
@@ -681,7 +700,7 @@ def _parse_primary(ts: TokenStream, scope: list[str], depth: int) -> tuple[Formu
     if ts.at("("):
         level = _deeper(ts, depth)  # parentheses nest the parser, not the tree
         ts.next()
-        f, reach = _parse_implies(ts, scope, level)
+        f, reach = _parse_chain(ts, scope, level)
         ts.expect(")")
         return f, reach
     if ts.peek()[:1] not in _IDENT_START:
@@ -731,18 +750,10 @@ def parse_formula(text: str) -> Formula:
 # Printing
 # ====================================================================
 
-_PREC_QUANT = 0
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_NOT = 4
-_PREC_ATOM = 5
-
-
 def _term_str(t: Term, depth: int) -> str:
     if depth > MAX_FORMULA_DEPTH:
         raise FormulaError(_TOO_DEEP)
-    if isinstance(t, (Var, Const)):
+    if isinstance(t, _Name):
         return t.name
     if isinstance(t, FuncApp):
         return f"{t.func}({', '.join([_term_str(a, depth + 1) for a in t.args])})"
@@ -754,39 +765,23 @@ def _render(f: Formula, depth: int) -> tuple[str, int]:
         raise FormulaError(_TOO_DEEP)
     depth += 1
     if isinstance(f, Atom):
-        return f"{f.predicate}({', '.join([_term_str(a, depth) for a in f.args])})", _PREC_ATOM
+        return f"{f.predicate}({', '.join([_term_str(a, depth) for a in f.args])})", Atom.prec
     if isinstance(f, Not):
         s, p = _render(f.body, depth)
-        if p < _PREC_NOT:
+        if p < Not.prec:
             s = f"({s})"
-        return f"!{s}", _PREC_NOT
-    if isinstance(f, And):
+        return f"{Not.token}{s}", Not.prec
+    if isinstance(f, _Binary):
         ls, lp = _render(f.left, depth)
         rs, rp = _render(f.right, depth)
-        if lp < _PREC_AND:
+        prec, right_assoc = f.prec, f.right_assoc
+        if lp < prec + right_assoc:
             ls = f"({ls})"
-        if rp < _PREC_NOT:  # a right-hand & is reparenthesized to keep shape
+        if rp <= prec - right_assoc:
             rs = f"({rs})"
-        return f"{ls} & {rs}", _PREC_AND
-    if isinstance(f, Or):
-        ls, lp = _render(f.left, depth)
-        rs, rp = _render(f.right, depth)
-        if lp < _PREC_OR:
-            ls = f"({ls})"
-        if rp < _PREC_AND:
-            rs = f"({rs})"
-        return f"{ls} | {rs}", _PREC_OR
-    if isinstance(f, Implies):
-        ls, lp = _render(f.left, depth)
-        rs, rp = _render(f.right, depth)
-        if lp < _PREC_OR:  # implication associates to the right
-            ls = f"({ls})"
-        if rp < _PREC_IMPLIES:
-            rs = f"({rs})"
-        return f"{ls} -> {rs}", _PREC_IMPLIES
-    if isinstance(f, (Forall, Exists)):
-        word = "forall" if isinstance(f, Forall) else "exists"
-        return f"{word} {f.var}. {_render(f.body, depth)[0]}", _PREC_QUANT
+        return f"{ls} {f.token} {rs}", prec
+    if isinstance(f, _Quantifier):
+        return f"{f.token} {f.var}. {_render(f.body, depth)[0]}", f.prec
     raise FormulaError(f"not a formula node: {f!r}")
 
 

@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analogy import SupportReport
 from .errors import PreferenceError
+from .kb import _argument
 
 CHOICE_CAP = 4
 
@@ -297,9 +298,17 @@ def ranked_failure(
 # ====================================================================
 
 
-def _shared_basis(reports: Sequence[SupportReport]) -> None:
+def _shared_basis(reports: Sequence[SupportReport]) -> tuple[SupportReport, ...]:
+    """reports as a tuple, or a PreferenceError unless they are
+    SupportReports with distinct analogy names, one working set and one
+    domain pair."""
+
+    reports = _argument("reports", "iterable", tuple, reports, PreferenceError)
+    for r in reports:
+        if not isinstance(r, SupportReport):
+            raise PreferenceError(f"reports must hold SupportReport values, not {r!r}")
     if not reports:
-        return
+        return reports
     names = [r.analogy.name for r in reports]
     if len(set(names)) != len(names):
         raise PreferenceError("duplicate analogy name in reports")
@@ -312,6 +321,7 @@ def _shared_basis(reports: Sequence[SupportReport]) -> None:
             or r.analogy.target != first.analogy.target
         ):
             raise PreferenceError("reports do not share the domain pair")
+    return reports
 
 
 def dominance_preference(reports: Sequence[SupportReport]) -> PreferenceRelation:
@@ -323,7 +333,7 @@ def dominance_preference(reports: Sequence[SupportReport]) -> PreferenceRelation
     transitive by construction but usually partial.
     """
 
-    _shared_basis(reports)
+    reports = _shared_basis(reports)
     names = tuple(r.analogy.name for r in reports)
     # A report need not draw its profile from formulas, so index them all.
     index: dict = {}
@@ -368,7 +378,7 @@ def count_preference(
     """
 
     wp, wn = check_count_weights(positive_weight, negative_weight)
-    _shared_basis(reports)
+    reports = _shared_basis(reports)
     names = tuple(r.analogy.name for r in reports)
     rank = [wn * len(r.negative) - wp * len(r.positive) for r in reports]
     # Compare each rank's position among the distinct ranks, not the Fractions.

@@ -294,6 +294,9 @@ def represent(
     to reproduce cf exactly and to lie in the class.
     """
 
+    if not isinstance(cf, ChoiceFunction):
+        raise RepcheckError(f"cf must be a ChoiceFunction, not {type(cf).__name__}")
+    _check_class(cls)
     items = tuple(cf.carrier)
     n = len(items)
     if n > REPRESENT_MAX_N:
@@ -410,6 +413,11 @@ def _check_n(n: int, cap: int, mode: str) -> None:
         raise RepcheckError(f"{mode} sweep supports 1 <= n <= {cap}, got {n!r}")
 
 
+def _check_class(cls: RelationClass) -> None:
+    if not isinstance(cls, RelationClass):
+        raise RepcheckError(f"cls must be a RelationClass, not {cls!r}")
+
+
 def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
     """Check the class's laws on every irreflexive relation of size n.
 
@@ -420,6 +428,7 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
     """
 
     _check_n(n, SOUNDNESS_MAX_N, "soundness")
+    _check_class(cls)
     items = ITEMS[:n]
     props = CLASS_PROPERTIES[cls]
     examined = 0
@@ -482,6 +491,7 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
     """
 
     _check_n(n, COMPLETENESS_MAX_N, "completeness")
+    _check_class(cls)
     items = ITEMS[:n]
     props = CLASS_PROPERTIES[cls]
     stat = {

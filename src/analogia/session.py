@@ -126,6 +126,10 @@ class Session:
         if not isinstance(self.closure, bool):
             raise SessionError(f"closure must be a bool, not {self.closure!r}")
 
+        for role in ("source_name", "target_name"):
+            found = type(getattr(self, role))
+            if not issubclass(found, str):
+                raise SessionError(f"{role} must be a str, not {found.__name__}")
         names = _by_name("domain", [(d.signature.name, d) for d in self.domains])
         if self.source_name not in names:
             raise SessionError(f"source domain {self.source_name!r} is not declared")
@@ -634,6 +638,7 @@ def session_preference(
 def resolve_space(session: Session) -> AnalogySpace:
     """The space best and entail answer over, on the session's tables."""
 
+    _check_session(session, "resolve_space")
     maps = resolve_maps(session)
     return AnalogySpace(
         tables=session.tables,

@@ -313,17 +313,22 @@ _PIECES = _JUNK | st.lists(
 _PIECE = (AnalogyPiece(Guard.always(), {"A": "Aa", "c1": "d1"}),)
 
 
-def _call_with_junk(data, build, valid, junk):
+def _call_with_junk(data, build, valid, junk, errors=AnalogyError):
     """build(*valid) with one or two arguments swapped for a draw from
-    junk; it must return or raise AnalogyError."""
+    junk; it must return or raise one of errors."""
 
     args = list(valid)
     for i in data.draw(st.lists(st.integers(0, len(args) - 1), min_size=1, max_size=2)):
         args[i] = data.draw(junk[i])
     try:
         build(*args)
-    except AnalogyError:
+    except errors:
         pass
+
+
+_WORKING = (parse_formula("A(c1)"), parse_formula("A(c2)"))
+_MAP = analogy_map("m", _SRC, _TGT, {"A": "Aa", "c1": "d1", "c2": "d2"})
+_ANALOGIES = _JUNK | st.lists(st.just(_MAP) | _JUNK, max_size=3)
 
 
 class TestNoBareErrors:
@@ -350,6 +355,57 @@ class TestNoBareErrors:
     def test_guard(self, data):
         _call_with_junk(data, Guard.mentions, ({"c1"},), [_CONSTANTS])
         _call_with_junk(data, Guard, ({"c1"},), [_CONSTANTS])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_translation_tables(self, data):
+        # Swapped domains make the working set ill-formed: a FormulaError.
+        errors = (AnalogyError, FormulaError)
+        junk = [_DOMAINS, _DOMAINS, _JUNK]
+        _call_with_junk(data, TranslationTables, (_SRC, _TGT, _WORKING), junk, errors)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_translation_tables_methods(self, data):
+        tables = TranslationTables(_SRC, _TGT, _WORKING)
+        query = parse_formula("Aa(d1)")
+        methods = [tables.classify, tables.support, tables.augmented_report, tables.preimages]
+        _call_with_junk(data, data.draw(st.sampled_from(methods)), (_MAP,), [_JUNK])
+        methods = [tables.close, lambda analogies: tables.conjectures(query, analogies)]
+        _call_with_junk(data, data.draw(st.sampled_from(methods)), ((_MAP,),), [_ANALOGIES])
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda t: TranslationTables(_SRC, _TGT, 5), "formulas must be iterable, not int"),
+            (
+                lambda t: TranslationTables(None, _TGT, ()),
+                "source must be a KnowledgeDomain, not NoneType",
+            ),
+            (lambda t: t.classify(None), "amap must be an AnalogyMap, not NoneType"),
+            (lambda t: t.support(None), "amap must be an AnalogyMap, not NoneType"),
+            (lambda t: t.augmented_report(None), "amap must be an AnalogyMap, not NoneType"),
+            (lambda t: t.preimages(None), "amap must be an AnalogyMap, not NoneType"),
+            (lambda t: t.close(5), "analogies must be iterable, not int"),
+            (
+                lambda t: t.conjectures(parse_formula("Aa(d1)"), 5),
+                "analogies must be iterable, not int",
+            ),
+        ],
+        ids=[
+            "formulas",
+            "source",
+            "classify",
+            "support",
+            "augmented_report",
+            "preimages",
+            "close",
+            "conjectures",
+        ],
+    )
+    def test_tables_name_the_argument(self, call, message):
+        with pytest.raises(AnalogyError, match=f"^{message}$"):
+            call(TranslationTables(_SRC, _TGT, _WORKING))
 
 
 # ====================================================================

@@ -11,7 +11,6 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import analogia
 from analogia import AnalogiaError, parse_session, run
 from analogia.cli import _build_parser, _json_text, main
 from analogia.formula import MAX_FORMULA_DEPTH
@@ -449,34 +448,67 @@ class TestLowestSupportedPython:
                 return exe, env
         pytest.skip("no python3.10 on PATH that starts")
 
+    @pytest.fixture(scope="class")
+    def outputs310(self, python310):
+        """(exit code, stdout, stderr) of main for every case, keyed by
+        (command, session path), all run in one python3.10 process."""
+
+        exe, env = python310
+        proc = subprocess.run(
+            [exe, "-c", _MAIN_PER_CASE],
+            input=json.dumps([_argv(command, path) for command, path in _CASES]),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return dict(zip(_CASES, (tuple(out) for out in json.loads(proc.stdout))))
+
     @pytest.mark.parametrize(
         "path", sorted(SESSIONS_DIR.glob("*.ana")), ids=lambda path: path.name
     )
-    def test_check_prints_the_same(self, python310, path):
-        self.assert_same_output(python310, "check", path)
+    def test_check_prints_the_same(self, outputs310, capsys, path):
+        assert outputs310["check", path] == run_cli(capsys, *_argv("check", path))
 
     @pytest.mark.parametrize("command", ["classify", "report", "best", "entail"])
     @pytest.mark.parametrize(
         "path", sorted(SESSIONS_DIR.glob("*.ana")), ids=lambda path: path.name
     )
-    def test_json_prints_the_same(self, python310, path, command):
-        self.assert_same_output(python310, command, path)
+    def test_json_prints_the_same(self, outputs310, capsys, path, command):
+        assert outputs310[command, path] == run_cli(capsys, *_argv(command, path))
 
-    @staticmethod
-    def assert_same_output(python310, command, path):
-        src = os.path.dirname(os.path.dirname(analogia.__file__))
-        outputs = [
-            subprocess.run(
-                [exe, "-m", "analogia", "--json", command, str(path)],
-                capture_output=True,
-                text=True,
-                env={**env, "PYTHONPATH": src},
-                timeout=60,
-            )
-            for exe, env in (python310, (sys.executable, os.environ))
-        ]
-        low, current = [(p.returncode, p.stdout, p.stderr) for p in outputs]
-        assert low == current
+    def test_package_invocation(self, python310, capsys):
+        exe, env = python310
+        argv = _argv("best", COMBI)
+        proc = subprocess.run(
+            [exe, "-m", "analogia", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+
+
+def _argv(command, path):
+    return ["--json", command, str(path)]
+
+
+_CASES = [
+    (command, path)
+    for command in ("check", "classify", "report", "best", "entail")
+    for path in sorted(SESSIONS_DIR.glob("*.ana"))
+]
+# Reads a JSON list of argument lists on stdin and writes a JSON list of
+# [exit code, stdout, stderr], one per call of main.
+_MAIN_PER_CASE = """
+import contextlib, io, json, sys
+from analogia.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
 
 
 # ====================================================================

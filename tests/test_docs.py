@@ -1,6 +1,7 @@
 """README's Python API example runs, its completeness counts match the
-sweep, the package exports what it lists, and its session example
-uses exactly the statements the parser reads.
+sweep, the package exports what it lists, its session example uses
+exactly the statements the parser reads, and its list of connectives
+matches the node classes' precedences.
 """
 
 import importlib
@@ -9,6 +10,7 @@ import re
 
 import analogia
 from analogia import session
+from analogia.formula import _BINARY, Implies, Not
 from analogia.repcheck import RelationClass, completeness_sweep
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -116,3 +118,17 @@ def test_readme_json_key_table_matches_run():
         "scores",
         "verdicts",
     }
+
+
+def test_readme_connectives_match_the_node_classes():
+    text = " ".join(README.read_text().split())
+    claim = (
+        r"Formulas use (.*?) "
+        r"\(in decreasing binding strength, implication associating to the right\)"
+    )
+    tokens = re.findall(r"`([^`]+)`", re.search(claim, text).group(1))
+    connectives = sorted((Not, *_BINARY), key=lambda kind: kind.prec, reverse=True)
+    assert tokens == [kind.token for kind in connectives]
+    assert len({kind.prec for kind in connectives}) == len(connectives)
+    assert [kind for kind in _BINARY if kind.right_assoc] == [Implies]
+    assert Implies.token == "->"

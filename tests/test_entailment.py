@@ -133,6 +133,21 @@ class TestBest:
         assert best(space) == frozenset()
 
 
+class TestNoBareErrors:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("tables", 5, "tables must be a TranslationTables, not int"),
+            ("analogies", 5, "analogies must be iterable, not int"),
+            ("analogies", [None], "analogies must hold AnalogyMap values, not None"),
+            ("preference", None, "preference must be a PreferenceRelation, not NoneType"),
+        ],
+    )
+    def test_space_fields_are_named(self, rivals_space, field, value, message):
+        with pytest.raises(EntailmentError, match=f"^{message}$"):
+            dataclasses.replace(rivals_space, **{field: value})
+
+
 class TestSpaceArgument:
     @pytest.mark.parametrize("value", [5, None, "space"])
     def test_something_else_than_a_space_is_named(self, value):

@@ -526,6 +526,10 @@ class TestCheckFormula:
         with pytest.raises(FormulaError, match=msg):
             check_formula(f, self.SIG)
 
+    def test_a_signature_is_required(self):
+        with pytest.raises(FormulaError, match="^sig must be a Signature, not NoneType$"):
+            check_formula(P_A, None)
+
     def test_first_offender_in_depth_first_order_is_reported(self):
         unknown = Atom("Zz", (Const("a"),))
         free = Atom("P", (Var("v"),))
@@ -710,6 +714,11 @@ class TestEvaluate:
         assert evaluate(atoms[F], dom) is F
         assert evaluate(atoms[U], dom) is U
         assert not evaluate(atoms[U], dom).known
+
+    def test_a_domain_is_required(self, three_values):
+        _, atoms = three_values
+        with pytest.raises(FormulaError, match="^domain must be a KnowledgeDomain, not NoneType$"):
+            evaluate(atoms[T], None)
 
     @pytest.mark.parametrize("left", [T, F, U])
     @pytest.mark.parametrize("right", [T, F, U])

@@ -330,6 +330,18 @@ class TestDominancePreference:
         assert set(pref.carrier) == {"first", "second", "mixed"}
         assert pref.edges == {("mixed", "first"), ("mixed", "second")}
 
+    @pytest.mark.parametrize("build", [dominance_preference, count_preference])
+    @pytest.mark.parametrize(
+        "reports, message",
+        [
+            ([None], "reports must hold SupportReport values, not None"),
+            (5, "reports must be iterable, not int"),
+        ],
+    )
+    def test_reports_are_named(self, build, reports, message):
+        with pytest.raises(PreferenceError, match=f"^{message}$"):
+            build(reports)
+
     def test_empty_reports(self):
         pref = dominance_preference([])
         assert pref.carrier == ()

@@ -241,6 +241,25 @@ SOUNDNESS_EXPECTED = {
 }
 
 
+class TestArgumentsAreNamed:
+    def test_represent_needs_a_choice_function(self):
+        with pytest.raises(RepcheckError, match="^cf must be a ChoiceFunction, not int$"):
+            represent(5, RelationClass.ALL)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: soundness_sweep(2, "all"),
+            lambda: completeness_sweep(2, "all"),
+            lambda: represent(choice_of(PreferenceRelation(("a",), frozenset())), "all"),
+        ],
+        ids=["soundness_sweep", "completeness_sweep", "represent"],
+    )
+    def test_a_class_name_is_refused(self, call):
+        with pytest.raises(RepcheckError, match="^cls must be a RelationClass, not 'all'$"):
+            call()
+
+
 class TestSoundnessSweep:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("cls", list(RelationClass), ids=lambda c: c.value)

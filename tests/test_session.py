@@ -325,6 +325,8 @@ class TestSessionValidation:
             ("analogies", ("x",)),
             ("working_set", 5),
             ("queries", None),
+            ("source_name", []),
+            ("target_name", ["T"]),
         ],
     )
     def test_fields_checked_at_construction(self, field, value):
@@ -435,6 +437,12 @@ class TestPrintSession:
 
 
 class TestResolution:
+    @pytest.mark.parametrize("value", [5, None, MINIMAL])
+    def test_something_else_than_a_session_is_named(self, value):
+        kind = type(value).__name__
+        with pytest.raises(SessionError, match=f"^resolve_space needs a Session, not {kind}$"):
+            resolve_space(value)
+
     def test_closure_expands_the_analogies(self):
         text = (SESSIONS_DIR / "closure.ana").read_text()
         s = parse_session(text)
