@@ -41,11 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     AnalogyError,
-    FormulaError,
     NoGuardMatch,
     TranslationError,
     UntranslatableSymbol,
@@ -53,8 +52,7 @@ from .errors import (
 from .formula import (
     _BINARY,
     _QUANT,
-    _TOO_DEEP,
-    MAX_FORMULA_DEPTH,
+    _check_depth,
     _Compiler,
     Atom,
     Const,
@@ -64,7 +62,6 @@ from .formula import (
     Term,
     Var,
     check_formula,
-    evaluate,
     formula_nodes,
     mentioned_constants,
     print_formula,
@@ -282,34 +279,28 @@ def _carry(f: Formula, map_symbol, signature: Signature | None) -> Formula:
     map_symbol, in formula_nodes order. Connectives and variables pass
     through unchanged, except that, given a target signature, a bound
     variable whose name is one of its symbols is primed until it no
-    longer collides with a symbol or another variable of f. The first
-    node in formula_nodes order past MAX_FORMULA_DEPTH raises a
-    FormulaError, as check_formula does."""
+    longer collides with a symbol or another variable of f. f has
+    passed check_formula or _check_depth: the walk counts no depth."""
 
     taken: set[str] = set()  # the symbols and variables, once a binder collides
 
-    def term(t: Term, renames: dict[str, str], depth: int) -> Term:
-        if depth > MAX_FORMULA_DEPTH:
-            raise FormulaError(_TOO_DEEP)
+    def term(t: Term, renames: dict[str, str]) -> Term:
         if isinstance(t, Var):
             return Var(renames.get(t.name, t.name))
         if isinstance(t, Const):
             return Const(map_symbol(t.name))
         if isinstance(t, FuncApp):
-            return FuncApp(map_symbol(t.func), tuple(term(a, renames, depth + 1) for a in t.args))
+            return FuncApp(map_symbol(t.func), tuple(term(a, renames) for a in t.args))
         raise TranslationError(f"not a term node: {t!r}")
 
-    def walk(g: Formula, renames: dict[str, str], depth: int) -> Formula:
-        if depth > MAX_FORMULA_DEPTH:
-            raise FormulaError(_TOO_DEEP)
+    def walk(g: Formula, renames: dict[str, str]) -> Formula:
         kind = type(g)
-        depth += 1
         if kind is Atom:
-            return Atom(map_symbol(g.predicate), tuple([term(a, renames, depth) for a in g.args]))
+            return Atom(map_symbol(g.predicate), tuple([term(a, renames) for a in g.args]))
         if kind is Not:
-            return Not(walk(g.body, renames, depth))
+            return Not(walk(g.body, renames))
         if kind in _BINARY:
-            return kind(walk(g.left, renames, depth), walk(g.right, renames, depth))
+            return kind(walk(g.left, renames), walk(g.right, renames))
         if kind in _QUANT:
             new = g.var
             if signature is not None and signature.kind_of(new) is not None:
@@ -326,10 +317,10 @@ def _carry(f: Formula, map_symbol, signature: Signature | None) -> Formula:
                 renames = {**renames, g.var: new}
             elif g.var in renames:
                 renames = {k: v for k, v in renames.items() if k != g.var}
-            return kind(new, walk(g.body, renames, depth))
+            return kind(new, walk(g.body, renames))
         raise TranslationError(f"not a formula node: {g!r}")
 
-    return walk(f, {}, 1)
+    return walk(f, {})
 
 
 def _blank(f: Formula, signature: Signature | None) -> tuple[Formula, tuple[str, ...]]:
@@ -350,10 +341,11 @@ def translate(amap: AnalogyMap, f: Formula) -> Formula:
     variables pass through unchanged, with one exception: a bound
     variable whose name collides with a target symbol is primed until
     it no longer does, which keeps the result well formed over the
-    target signature without changing its meaning. A tree nested past
-    MAX_FORMULA_DEPTH raises a FormulaError, as check_formula does.
+    target signature without changing its meaning. Only f's depth is
+    checked: past MAX_FORMULA_DEPTH it raises a FormulaError.
     """
 
+    _check_depth(f)
     piece = _piece(amap, mentioned_constants(f))
     if piece is None:
         raise NoGuardMatch(f"no piece of {amap.name!r} covers the formula's constants")
@@ -488,7 +480,7 @@ class TranslationTables:
             self._keys.append((self._shapes.setdefault(shape, len(self._shapes)), symbols))
         self._source_values: list[TruthValue | None] = [None] * len(self.sentences)
         self._image_ids: dict[tuple[int, tuple[str, ...]], int] = {}
-        self._recipes: list[tuple[int, dict[str, str]]] = []  # per image: sentence, map
+        self._recipes: list[tuple[int, Callable[[str], str]]] = []  # per image: sentence, map
         self._images: dict[int, Formula] = {}
         self._target_values: dict[int, TruthValue] = {}
         self._tables: dict[str, _Table] = {}
@@ -525,7 +517,7 @@ class TranslationTables:
             return None
         image = self._image_ids.setdefault(key, len(self._recipes))
         if image == len(self._recipes):
-            self._recipes.append((i, piece.mapping))
+            self._recipes.append((i, piece.mapping.__getitem__))
         return image
 
     def _injective(self, name: str, ids: tuple[int | None, ...]) -> dict[int, int]:
@@ -553,23 +545,23 @@ class TranslationTables:
     def _source_value(self, i: int) -> TruthValue:
         value = self._source_values[i]
         if value is None:
-            value = evaluate(self.sentences[i], self.source)
+            value = _Compiler(self.source).formula(self.sentences[i], {}, 1)[0]
             self._source_values[i] = value
         return value
 
     def _target_value(self, image: int) -> TruthValue:
         value = self._target_values.get(image)
         if value is None:
-            i, mapping = self._recipes[image]
-            value = _Compiler(self.target, mapping).formula(self.sentences[i], {}, 1)[0]
+            i, symbol = self._recipes[image]
+            value = _Compiler(self.target, symbol).formula(self.sentences[i], {}, 1)[0]
             self._target_values[image] = value
         return value
 
     def _image(self, image: int) -> Formula:
         f = self._images.get(image)
         if f is None:
-            i, mapping = self._recipes[image]
-            f = _carry(self.sentences[i], mapping.__getitem__, self.target.signature)
+            i, symbol = self._recipes[image]
+            f = _carry(self.sentences[i], symbol, self.target.signature)
             self._images[image] = f
         return f
 
@@ -644,11 +636,12 @@ class TranslationTables:
 
         query is keyed by its shape, left unprimed as an image is, and
         its symbols, and looked up once the analogies' tables are made;
-        only then is each analogy's injectivity checked. A query nested
-        past MAX_FORMULA_DEPTH raises a FormulaError before it is
-        hashed, since hashing recurses.
+        only then is each analogy's injectivity checked. Only query's
+        depth is checked, before it is blanked and hashed, which recurse:
+        past MAX_FORMULA_DEPTH it raises a FormulaError.
         """
 
+        _check_depth(query)
         shape, symbols = _blank(query, None)
         analogies = _argument("analogies", "iterable", tuple, analogies, AnalogyError)
         tables = [self._table(amap) for amap in analogies]

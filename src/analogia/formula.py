@@ -60,12 +60,12 @@ every report prints again is rendered once.
 Structural reads go through formula_nodes, which keeps its own stack,
 so they take a tree of any depth. A formula nests at most
 MAX_FORMULA_DEPTH levels deep: the parser raises a ParseError at the
-token that crosses the cap, and check_formula, the evaluator's
-compiler, the printer and the translation walk (translate, and the
-key TranslationTables.conjectures reads off a query) a FormulaError
-for a deeper tree built in code. The parser, the compiler and its
-closures, the printer, the translation walk and the dataclasses' hash
-and equality still recurse, a few frames per level.
+token that crosses the cap. check_formula alone decides whether a
+tree built in code is a sentence, the cap included, and evaluate runs
+it first; the printer, translate and TranslationTables.conjectures
+scan only the depth, and the compiler and the walks trust the tree.
+The parser, the compiler and its closures, the printer, the
+translation walk and the dataclasses' hash and equality recurse.
 
 An occurrence of an identifier in term position is a variable when
 some enclosing quantifier binds it and a constant otherwise. To keep
@@ -196,12 +196,12 @@ _QUANT = (Forall, Exists)
 
 # The deepest a formula may nest, counting every node on a path from
 # the root (connectives, quantifiers, atoms and terms); the parser
-# counts every pair of parentheses as well. check_formula, the
-# evaluator's compiler, the printer and translate reject any deeper
-# tree, however it was built, so the recursive code (the compiler and
-# its closures, the printer, translation, and the dataclasses' hash and
-# equality) only ever sees trees that fit under Python's default
-# recursion limit together with the command line's own frames.
+# counts every pair of parentheses as well. Only the parser,
+# check_formula and _check_depth test it, and a tree built in code
+# meets one of the last two first, so the recursive code (the compiler,
+# the printer, translation, and the dataclasses' hash and equality)
+# only ever sees trees that fit under Python's default recursion limit
+# together with the command line's own frames.
 MAX_FORMULA_DEPTH = 100
 _TOO_DEEP = f"formula nests deeper than {MAX_FORMULA_DEPTH} levels"
 
@@ -243,6 +243,13 @@ def formula_nodes(f: Formula) -> list[tuple[object, tuple[str, ...], int, bool]]
         elif kind in _QUANT:
             stack.append((node.body, scope + (node.var,), depth, False))
     return out
+
+
+def _check_depth(f: Formula) -> None:
+    """The depth scan for a walk given a tree no check_formula has seen."""
+
+    if max(map(itemgetter(2), formula_nodes(f))) > MAX_FORMULA_DEPTH:
+        raise FormulaError(_TOO_DEEP)
 
 
 def mentioned_constants(f: Formula) -> frozenset[str]:
@@ -381,51 +388,36 @@ def _negation(code):
 
 
 class _Compiler:
-    """Compiles sentences for one domain into (code, slots) nodes, reading
-    every constant, predicate and function name through symbols if given."""
+    """Compiles checked sentences for one domain into (code, slots) nodes,
+    reading every symbol through symbol: identity or a map's lookup."""
 
-    __slots__ = ("domain", "env", "symbols")
+    __slots__ = ("domain", "env", "symbol")
 
-    def __init__(self, domain: KnowledgeDomain, symbols: dict[str, str] | None = None):
+    def __init__(self, domain: KnowledgeDomain, symbol=lambda name: name):
         self.domain = domain
         self.env: list[str] = []
-        self.symbols = symbols
+        self.symbol = symbol
 
-    def term(self, t: Term, scope: dict[str, int], depth: int):
-        if depth > MAX_FORMULA_DEPTH:
-            raise FormulaError(_TOO_DEEP)
+    def term(self, t: Term, scope: dict[str, int]):
         kind = type(t)
         if kind is Var:
-            try:
-                slot = scope[t.name]
-            except KeyError:
-                raise FormulaError(f"free variable {t.name!r}") from None
+            slot = scope[t.name]
             return itemgetter(slot), 1 << slot
         if kind is Const:
-            name = t.name if self.symbols is None else self.symbols[t.name]
-            try:
-                return self.domain.const_interp[name], 0
-            except KeyError:
-                raise FormulaError(f"unknown symbol {name!r}") from None
-        if kind is not FuncApp:
-            raise FormulaError(f"not a term node: {t!r}")
-        func = t.func if self.symbols is None else self.symbols[t.func]
-        if self.domain.signature.arity_of(func) != len(t.args) or (
-            self.domain.signature.kind_of(func) != "function"
-        ):
-            raise FormulaError(f"no interpretation for {func}/{len(t.args)}")
-        args, slots = self.args(t.args, scope, depth + 1)
+            return self.domain.const_interp[self.symbol(t.name)], 0
+        func = self.symbol(t.func)
+        args, slots = self.args(t.args, scope)
         table = self.domain.func_interp
         if not slots:
             return table[(func, args)], 0
         return (lambda env: table[(func, args(env))]), slots
 
-    def args(self, ts: tuple[Term, ...], scope: dict[str, int], depth: int):
+    def args(self, ts: tuple[Term, ...], scope: dict[str, int]):
         """The argument tuple when ground, else a closure that builds it."""
 
         codes, slots = [], 0
         for t in ts:
-            code, s = self.term(t, scope, depth)
+            code, s = self.term(t, scope)
             codes.append((code, s))
             slots |= s
         if not slots:
@@ -434,28 +426,24 @@ class _Compiler:
         return (lambda env: tuple([g(env) for g in getters])), slots
 
     def formula(self, f: Formula, scope: dict[str, int], depth: int):
-        if depth > MAX_FORMULA_DEPTH:
-            raise FormulaError(_TOO_DEEP)
         kind = type(f)
         if kind is Atom:
-            return self.atom(f, scope, depth)
+            return self.atom(f, scope)
         if kind is Not:
             a, sa = self.formula(f.body, scope, depth + 1)
             return (_negation(a), sa) if sa else (_NEG[a], 0)
-        if kind in _BINARY:
-            a, sa = self.formula(f.left, scope, depth + 1)
-            b, sb = self.formula(f.right, scope, depth + 1)
-            if kind is Implies:
-                return _implies(a, sa, b, sb)
-            return _junction(kind.absorb, a, sa, b, sb)
         if kind in _QUANT:
             return self.quantifier(f, scope, depth)
-        raise FormulaError(f"not a formula node: {f!r}")
+        a, sa = self.formula(f.left, scope, depth + 1)
+        b, sb = self.formula(f.right, scope, depth + 1)
+        if kind is Implies:
+            return _implies(a, sa, b, sb)
+        return _junction(kind.absorb, a, sa, b, sb)
 
-    def atom(self, f: Atom, scope: dict[str, int], depth: int):
-        args, slots = self.args(f.args, scope, depth + 1)
+    def atom(self, f: Atom, scope: dict[str, int]):
+        args, slots = self.args(f.args, scope)
         get = self.domain.facts.get
-        pred = f.predicate if self.symbols is None else self.symbols[f.predicate]
+        pred = self.symbol(f.predicate)
         if not slots:
             return get((pred, args), _U), 0
         return (lambda env: get((pred, args(env)), _U)), slots
@@ -490,15 +478,16 @@ class _Compiler:
 
 
 def evaluate(f: Formula, domain: KnowledgeDomain) -> TruthValue:
-    """Evaluate a sentence; assumes check_formula(f, domain.signature) passed.
+    """Evaluate a sentence, once check_formula(f, domain.signature) passes.
 
-    The sentence is compiled for the domain, as the module docstring
-    describes, and run once. Past MAX_FORMULA_DEPTH the compiler raises
-    a FormulaError, as check_formula does.
+    Whatever check_formula rejects raises its FormulaError. The sentence
+    is then compiled for the domain, as the module docstring describes,
+    and run once.
     """
 
     if not isinstance(domain, KnowledgeDomain):
         raise FormulaError(f"domain must be a KnowledgeDomain, not {type(domain).__name__}")
+    check_formula(f, domain.signature)
     return _Compiler(domain).formula(f, {}, 1)[0]
 
 
@@ -608,8 +597,12 @@ class TokenStream:
         tok = self.tokens[self.pos]
         if not tok.isdigit():
             self.error(f"expected number, found {self.describe()}")
+        try:
+            value = int(tok)
+        except ValueError:  # past the interpreter's limit on digits
+            self.error(f"number of {len(tok)} digits is too long")
         self.pos += 1
-        return int(tok)
+        return value
 
     def describe(self) -> str:
         """The current token as error messages show it."""
@@ -750,30 +743,25 @@ def parse_formula(text: str) -> Formula:
 # Printing
 # ====================================================================
 
-def _term_str(t: Term, depth: int) -> str:
-    if depth > MAX_FORMULA_DEPTH:
-        raise FormulaError(_TOO_DEEP)
+def _term_str(t: Term) -> str:
     if isinstance(t, _Name):
         return t.name
     if isinstance(t, FuncApp):
-        return f"{t.func}({', '.join([_term_str(a, depth + 1) for a in t.args])})"
+        return f"{t.func}({', '.join([_term_str(a) for a in t.args])})"
     raise FormulaError(f"not a term node: {t!r}")
 
 
-def _render(f: Formula, depth: int) -> tuple[str, int]:
-    if depth > MAX_FORMULA_DEPTH:
-        raise FormulaError(_TOO_DEEP)
-    depth += 1
+def _render(f: Formula) -> tuple[str, int]:
     if isinstance(f, Atom):
-        return f"{f.predicate}({', '.join([_term_str(a, depth) for a in f.args])})", Atom.prec
+        return f"{f.predicate}({', '.join([_term_str(a) for a in f.args])})", Atom.prec
     if isinstance(f, Not):
-        s, p = _render(f.body, depth)
+        s, p = _render(f.body)
         if p < Not.prec:
             s = f"({s})"
         return f"{Not.token}{s}", Not.prec
     if isinstance(f, _Binary):
-        ls, lp = _render(f.left, depth)
-        rs, rp = _render(f.right, depth)
+        ls, lp = _render(f.left)
+        rs, rp = _render(f.right)
         prec, right_assoc = f.prec, f.right_assoc
         if lp < prec + right_assoc:
             ls = f"({ls})"
@@ -781,23 +769,24 @@ def _render(f: Formula, depth: int) -> tuple[str, int]:
             rs = f"({rs})"
         return f"{ls} {f.token} {rs}", prec
     if isinstance(f, _Quantifier):
-        return f"{f.token} {f.var}. {_render(f.body, depth)[0]}", f.prec
+        return f"{f.token} {f.var}. {_render(f.body)[0]}", f.prec
     raise FormulaError(f"not a formula node: {f!r}")
 
 
 def print_formula(f: Formula) -> str:
     """Canonical text form; parse_formula(print_formula(f)) == f.
 
-    The printer counts depth as check_formula does and raises a
-    FormulaError past MAX_FORMULA_DEPTH. Formulas are frozen, so the
-    text is stored on f the first time f is printed and returned from
-    then on. eq, hash and repr read only the fields, and a copy made by
+    The first render scans the depth and raises a FormulaError past
+    MAX_FORMULA_DEPTH, or at a node of the wrong kind. Formulas are
+    frozen, so the text is stored on f then and returned from then on.
+    eq, hash and repr read only the fields, and a copy made by
     dataclasses.replace starts without the text.
     """
 
     text = getattr(f, "_text", None)
     if text is None:
-        text = _render(f, 1)[0]
+        _check_depth(f)
+        text = _render(f)[0]
         object.__setattr__(f, "_text", text)
     return text
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .analogy import SupportReport
+from .analogy import SupportReport, _checked
 from .errors import PreferenceError
 from .kb import _argument
 
@@ -58,7 +58,7 @@ class PreferenceRelation:
         try:
             carrier = tuple(self.carrier)
             index = {x: i for i, x in enumerate(carrier)}
-            edges = frozenset(tuple(e) for e in self.edges)
+            edges = frozenset((e,) if isinstance(e, str) else tuple(e) for e in self.edges)
         except TypeError:
             raise PreferenceError(
                 "carrier items must be hashable and edges must be pairs of them"
@@ -86,6 +86,14 @@ class PreferenceRelation:
         return (x, y) in self.edges
 
 
+def _relation(rel) -> PreferenceRelation:
+    """rel, or a PreferenceError unless it is a PreferenceRelation."""
+
+    if not isinstance(rel, PreferenceRelation):
+        raise PreferenceError(f"rel must be a PreferenceRelation, not {type(rel).__name__}")
+    return rel
+
+
 def mask_of(items: Iterable[str], index: Mapping[str, int]) -> int:
     """The subset mask of items, each at its position in index."""
 
@@ -108,7 +116,7 @@ def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]
         pool = frozenset(items)
     except TypeError:
         raise PreferenceError("items must be an iterable of carrier items") from None
-    index = rel._index
+    index = _relation(rel)._index
     extra = pool.difference(index)
     if extra:
         raise PreferenceError(f"item {sorted(extra)[0]!r} is not in the carrier")
@@ -140,6 +148,8 @@ class ChoiceFunction:
     def __post_init__(self):
         if not isinstance(self.table, Mapping):
             raise PreferenceError("choice table must be a mapping")
+        if any(isinstance(x, str) for entry in self.table.items() for x in entry):
+            raise PreferenceError("choice table must map sets of items to sets, not str")
         try:
             carrier = tuple(self.carrier)
             members = set(carrier)
@@ -167,20 +177,21 @@ class ChoiceFunction:
 def choice_of(rel: PreferenceRelation) -> ChoiceFunction:
     """Tabulate the induced choice over the whole powerset."""
 
-    if len(rel.carrier) > CHOICE_CAP:
+    if len(_relation(rel).carrier) > CHOICE_CAP:
         raise PreferenceError(
             f"carrier of size {len(rel.carrier)} exceeds the tabulation cap {CHOICE_CAP}"
         )
     subsets = list(subsets_of(rel.carrier))
     table = choice_masks(rel._dominators)
-    return ChoiceFunction(
+    return _checked(  # total and inside the carrier by construction
+        ChoiceFunction,
         carrier=rel.carrier,
         table={subsets[xs]: subsets[chosen] for xs, chosen in enumerate(table)},
     )
 
 
 def is_transitive(rel: PreferenceRelation) -> bool:
-    return transitive_masks(rel._better)
+    return transitive_masks(_relation(rel)._better)
 
 
 def is_smooth(rel: PreferenceRelation) -> tuple[bool, tuple[frozenset[str], str] | None]:
@@ -189,7 +200,7 @@ def is_smooth(rel: PreferenceRelation) -> tuple[bool, tuple[frozenset[str], str]
     Subsets are scanned in subsets_of order, items in carrier order.
     """
 
-    dominators = rel._dominators
+    dominators = _relation(rel)._dominators
     failure = smooth_failure(dominators, _choices(dominators))
     if failure is None:
         return True, None
@@ -205,7 +216,7 @@ def is_ranked(rel: PreferenceRelation) -> tuple[bool, tuple[str, str, str] | Non
     x beats z but y does not. x, y and z are scanned in carrier order.
     """
 
-    failure = ranked_failure(rel._better, rel._dominators)
+    failure = ranked_failure(_relation(rel)._better, rel._dominators)
     if failure is None:
         return True, None
     x, y, z = failure

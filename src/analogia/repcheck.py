@@ -53,6 +53,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .errors import RepcheckError
+from .kb import _argument
 from .preference import (
     ChoiceFunction,
     PreferenceRelation,
@@ -107,6 +108,8 @@ CLASS_PROPERTIES: dict[RelationClass, tuple[PropertyId, ...]] = {
 
 
 def relation_in_class(rel: PreferenceRelation, cls: RelationClass) -> bool:
+    _check_argument("rel", rel, PreferenceRelation)
+    _check_argument("cls", cls, RelationClass)
     return _in_class_masks(rel._better, rel._dominators, _choices(rel._dominators), cls)
 
 
@@ -235,6 +238,8 @@ def check_property(cf: ChoiceFunction, prop: PropertyId) -> tuple[bool, Witness 
     carrier; Y is None for MuSubset.
     """
 
+    _check_argument("cf", cf, ChoiceFunction)
+    _check_argument("prop", prop, PropertyId)
     failure = _property_failure(_table_of(cf), len(cf.carrier), prop)
     if failure is None:
         return True, None
@@ -244,9 +249,9 @@ def check_property(cf: ChoiceFunction, prop: PropertyId) -> tuple[bool, Witness 
 def irreflexive_relations(items: Sequence[str]) -> Iterator[PreferenceRelation]:
     """All strict relations on the items, ascending by edge bitmask."""
 
-    items = tuple(items)
-    for better, _ in _relations(len(items)):
-        yield PreferenceRelation(carrier=items, edges=frozenset(_edges_of(better, items)))
+    items = _argument("items", "an iterable of items", tuple, items, RepcheckError)
+    edges = (frozenset(_edges_of(better, items)) for better, _ in _relations(len(items)))
+    return (PreferenceRelation(carrier=items, edges=e) for e in edges)
 
 
 @dataclass(frozen=True)
@@ -294,9 +299,8 @@ def represent(
     to reproduce cf exactly and to lie in the class.
     """
 
-    if not isinstance(cf, ChoiceFunction):
-        raise RepcheckError(f"cf must be a ChoiceFunction, not {type(cf).__name__}")
-    _check_class(cls)
+    _check_argument("cf", cf, ChoiceFunction)
+    _check_argument("cls", cls, RelationClass)
     items = tuple(cf.carrier)
     n = len(items)
     if n > REPRESENT_MAX_N:
@@ -413,9 +417,10 @@ def _check_n(n: int, cap: int, mode: str) -> None:
         raise RepcheckError(f"{mode} sweep supports 1 <= n <= {cap}, got {n!r}")
 
 
-def _check_class(cls: RelationClass) -> None:
-    if not isinstance(cls, RelationClass):
-        raise RepcheckError(f"cls must be a RelationClass, not {cls!r}")
+def _check_argument(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        shown = repr(value) if issubclass(kind, Enum) else type(value).__name__
+        raise RepcheckError(f"{name} must be a {kind.__name__}, not {shown}")
 
 
 def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
@@ -428,7 +433,7 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
     """
 
     _check_n(n, SOUNDNESS_MAX_N, "soundness")
-    _check_class(cls)
+    _check_argument("cls", cls, RelationClass)
     items = ITEMS[:n]
     props = CLASS_PROPERTIES[cls]
     examined = 0
@@ -491,7 +496,7 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
     """
 
     _check_n(n, COMPLETENESS_MAX_N, "completeness")
-    _check_class(cls)
+    _check_argument("cls", cls, RelationClass)
     items = ITEMS[:n]
     props = CLASS_PROPERTIES[cls]
     stat = {

@@ -103,6 +103,23 @@ class TestArguments:
             r"error: line 1, column 31: unexpected character '\u00b2'\n", err
         )
 
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("pred W/1;", f"pred W/{'1' * 5000};", "line 8, column 10"),
+            ("counts(1, 1);", f"counts({'9' * 5000}, 1);", "line 50, column 19"),
+        ],
+        ids=["arity", "weight"],
+    )
+    def test_a_number_past_the_digit_limit_is_a_positioned_error(
+        self, capsys, tmp_path, old, new, where
+    ):
+        path = tmp_path / "long.ana"
+        path.write_text((SESSIONS_DIR / "counts.ana").read_text().replace(old, new))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {where}: number of 5000 digits is too long\n"
+
 
 # ====================================================================
 # Text rendering

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-import analogia.entailment
+import analogia.formula
 from analogia import (
     AnalogySpace,
     EntailmentError,
@@ -260,7 +260,7 @@ class TestEntail:
         )
         assert best(space) == {"first", "second", "mixed"}
         calls = []
-        check, lookup = analogia.entailment.check_formula, TranslationTables.conjectures
+        check, lookup = analogia.formula.check_formula, TranslationTables.conjectures
 
         def counted_check(*args):
             calls.append("check")
@@ -270,7 +270,7 @@ class TestEntail:
             calls.append("lookup")
             return lookup(*args)
 
-        monkeypatch.setattr(analogia.entailment, "check_formula", counted_check)
+        monkeypatch.setattr(analogia.formula, "check_formula", counted_check)
         monkeypatch.setattr(TranslationTables, "conjectures", counted_lookup)
         v = entail(space, parse_formula("Qa(y)"))
         assert calls == ["check", "lookup"]

@@ -720,6 +720,19 @@ class TestEvaluate:
         with pytest.raises(FormulaError, match="^domain must be a KnowledgeDomain, not NoneType$"):
             evaluate(atoms[T], None)
 
+    @pytest.mark.parametrize(
+        "text, msg",
+        [
+            ("Q(t)", "^unknown predicate 'Q'$"),
+            ("forall t. P(t)", "^bound variable 't' collides with a declared symbol$"),
+        ],
+        ids=["undeclared predicate", "binder named like a constant"],
+    )
+    def test_what_check_formula_rejects_is_not_evaluated(self, three_values, text, msg):
+        dom, _ = three_values
+        with pytest.raises(FormulaError, match=msg):
+            evaluate(parse_formula(text), dom)
+
     @pytest.mark.parametrize("left", [T, F, U])
     @pytest.mark.parametrize("right", [T, F, U])
     def test_connective_tables(self, three_values, left, right):

@@ -68,6 +68,7 @@ class TestPreferenceRelation:
         [
             (("a", "b"), {("a", "b", "c")}, "is not a pair"),
             (("a", "b"), {("a",)}, "is not a pair"),
+            (("a", "b"), ["ab"], r"^edge \('ab',\) is not a pair$"),  # not split into a, b
             (("a", "b"), {5}, "must be pairs"),
             (("a", "b"), [(["a"], "b")], "must be pairs"),
             (5, (), "must be hashable"),
@@ -143,6 +144,22 @@ class TestUndominated:
             assert undominated(r, pool) == naive
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: choice_of(5),
+        lambda: undominated(5, ["a"]),
+        lambda: is_smooth(5),
+        lambda: is_ranked(5),
+        lambda: is_transitive(5),
+    ],
+    ids=["choice_of", "undominated", "is_smooth", "is_ranked", "is_transitive"],
+)
+def test_kernel_entries_need_a_relation(call):
+    with pytest.raises(PreferenceError, match="^rel must be a PreferenceRelation, not int$"):
+        call()
+
+
 class TestSubsetsOf:
     def test_bitmask_counter_order(self):
         got = list(subsets_of(("a", "b")))
@@ -187,6 +204,18 @@ class TestChoiceFunction:
     def test_unhashable_or_non_set_entries_rejected(self, carrier, table):
         with pytest.raises(PreferenceError, match="must be hashable"):
             ChoiceFunction(carrier, table)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"": "", "a": "a", "b": "b", "ab": "ab"},
+            {frozenset(): "", frozenset("a"): "a", frozenset("b"): "b", frozenset("ab"): "ab"},
+        ],
+        ids=["str keys and picks", "str picks"],
+    )
+    def test_str_entries_are_not_split_into_items(self, table):
+        with pytest.raises(PreferenceError, match="^choice table must map sets of items"):
+            ChoiceFunction(("a", "b"), table)
 
     def test_picks_need_not_be_subsets_of_their_argument(self):
         # legal on purpose: the laws that fail on it are checked elsewhere

@@ -30,6 +30,7 @@ import reference
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
+A_OVER_B = PreferenceRelation(ABC, frozenset({("a", "b")}))
 
 
 def fs(*names):
@@ -257,6 +258,42 @@ class TestArgumentsAreNamed:
     )
     def test_a_class_name_is_refused(self, call):
         with pytest.raises(RepcheckError, match="^cls must be a RelationClass, not 'all'$"):
+            call()
+
+    # Looked up by name, "MuPR" would fall through to the MuEq test and
+    # "all" to the ranked one: a {a > b} relation on three elements obeys
+    # MuPR and breaks MuEq, and it is in the class ALL but not ranked.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: check_property(choice_of(A_OVER_B), "MuPR"),
+                "prop must be a PropertyId, not 'MuPR'",
+            ),
+            (
+                lambda: relation_in_class(A_OVER_B, "all"),
+                "cls must be a RelationClass, not 'all'",
+            ),
+            (
+                lambda: check_property(5, PropertyId.MU_PR),
+                "cf must be a ChoiceFunction, not int",
+            ),
+            (
+                lambda: relation_in_class(5, RelationClass.ALL),
+                "rel must be a PreferenceRelation, not int",
+            ),
+            (lambda: irreflexive_relations(5), "items must be an iterable of items, not int"),
+        ],
+        ids=[
+            "check_property name",
+            "relation_in_class name",
+            "check_property cf",
+            "relation_in_class rel",
+            "irreflexive_relations",
+        ],
+    )
+    def test_each_entry_names_a_wrong_argument(self, call, message):
+        with pytest.raises(RepcheckError, match=f"^{message}$"):
             call()
 
 

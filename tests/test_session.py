@@ -229,6 +229,22 @@ class TestParseSession:
         assert str(exc.value) == f"line 17, column {col}: duplicate {word} declaration"
 
     @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("pred W/1;", f"pred W/{'1' * 5000};", (8, 10)),
+            ("counts(1, 1);", f"counts({'9' * 5000}, 1);", (50, 19)),
+        ],
+        ids=["arity", "weight"],
+    )
+    def test_a_number_past_the_digit_limit_is_a_parse_error(self, old, new, where):
+        # int() refuses strings of more than 4,300 digits by default
+        text = (SESSIONS_DIR / "counts.ana").read_text().replace(old, new)
+        with pytest.raises(ParseError) as exc:
+            parse_session(text)
+        assert (exc.value.line, exc.value.col) == where
+        assert str(exc.value).endswith(": number of 5000 digits is too long")
+
+    @pytest.mark.parametrize(
         "text, kind", [(None, "NoneType"), (MINIMAL.encode(), "bytes")], ids=["none", "bytes"]
     )
     def test_non_text_input_is_a_session_error(self, text, kind):

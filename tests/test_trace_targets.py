@@ -60,3 +60,16 @@ def test_patched_methods_are_defined_on_their_classes():
     # would not do.
     assert "fact_value" in vars(KnowledgeDomain)
     assert "__post_init__" in vars(AnalogySpace)
+
+
+def test_the_traced_entail_path_reaches_evaluate_and_check_formula(spans, capsys):
+    # The traced run reads the evaluator's cost off these two spans, so
+    # an entail command must still call both through their module names.
+    import analogia.cli
+
+    rec = spans.SpanRecorder()
+    with spans.Instrument(rec):
+        code = analogia.cli.main(["--json", "entail", str(SESSIONS_DIR / "combi.ana")])
+    assert code == 0, capsys.readouterr().err
+    recorded = {rec.names[i] for i in rec.name}
+    assert {"formula.evaluate", "formula.check_formula"} <= recorded
