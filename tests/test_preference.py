@@ -68,11 +68,11 @@ class TestPreferenceRelation:
         [
             (("a", "b"), {("a", "b", "c")}, "is not a pair"),
             (("a", "b"), {("a",)}, "is not a pair"),
-            (("a", "b"), ["ab"], r"^edge \('ab',\) is not a pair$"),  # not split into a, b
             (("a", "b"), {5}, "must be pairs"),
             (("a", "b"), [(["a"], "b")], "must be pairs"),
             (5, (), "must be hashable"),
             ((["a"],), (), "must be hashable"),
+            (("a", "b"), ["ab"], r"^edge \('ab',\) is not a pair$"),  # not split into a, b
         ],
     )
     def test_malformed_input_rejected(self, carrier, edges, message):
