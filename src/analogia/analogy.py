@@ -545,7 +545,7 @@ class TranslationTables:
     def _source_value(self, i: int) -> TruthValue:
         value = self._source_values[i]
         if value is None:
-            value = _Compiler(self.source).formula(self.sentences[i], {}, 1)[0]
+            value = _Compiler(self.source).sentence(self.sentences[i])
             self._source_values[i] = value
         return value
 
@@ -553,7 +553,7 @@ class TranslationTables:
         value = self._target_values.get(image)
         if value is None:
             i, symbol = self._recipes[image]
-            value = _Compiler(self.target, symbol).formula(self.sentences[i], {}, 1)[0]
+            value = _Compiler(self.target, symbol).sentence(self.sentences[i])
             self._target_values[image] = value
         return value
 

@@ -11,14 +11,16 @@ universe, so they add no expressive power and agree with the explicit
 conjunction or disjunction.
 
 evaluate compiles a sentence for its domain into nested closures over
-a list of variable slots, one per binder, and runs them once. A
-subformula that reads no bound variable is evaluated once, at compile
-time, so a ground part under a quantifier is not re-evaluated for each
-element. A quantifier whose body does not read its variable is
-dropped: the universe is nonempty, so folding one value over it gives
-that value. Only a quantifier whose body reads its variable loops over
-the universe, and k such nested quantifiers still cost n^k body runs
-over n elements. Atoms read the domain's fact table.
+a list of variable slots, one per binder, and runs them once. Every
+binary connective compiles through one junction, read off its node
+class: & and | as they stand, and a -> b as !a | b. A subformula that
+reads no bound variable is evaluated once, at compile time, so a
+ground part under a quantifier is not re-evaluated for each element. A
+quantifier whose body does not read its variable is dropped: the
+universe is nonempty, so folding one value over it gives that value.
+Only a quantifier whose body reads its variable loops over the
+universe, and k such nested quantifiers still cost n^k body runs over
+n elements. Atoms read the domain's fact table.
 
 Concrete syntax, shared with the session files:
 
@@ -46,16 +48,16 @@ Each node class defines its connective once: And, Or and Implies
 subclass one dataclass with the fields left and right, Forall and
 Exists one with var and body, Var and Const one with name. A class
 carries its token, its precedence prec (higher binds tighter), for a
-binary one right_assoc, and for And, Or and the quantifiers that fold
-them the absorbing value absorb; the parser, the printer and the
-compiler read them there. ! binds tighter than &, & than |, | than ->,
-and a quantifier, which grabs the longest formula it can, loosest; ->
-associates to the right, & and | to the left. The printer
-parenthesizes a side that binds more loosely than its connective, or
-as loosely on the side the connective does not associate to, so
-parse(print_formula(f)) returns f unchanged. print_formula keeps the
-text on the formula it printed, so a working sentence or an image that
-every report prints again is rendered once.
+binary one right_assoc, and for a binary one or a quantifier the
+absorbing value absorb of the junction it compiles to (Implies has
+Or's); the parser, the printer and the compiler read them there. !
+binds tighter than &, & than |, | than ->, and a quantifier, which
+grabs the longest formula it can, loosest; -> associates to the right,
+& and | to the left. The printer parenthesizes a side that binds more
+loosely than its connective, or as loosely on the side the connective
+does not associate to, so parse(print_formula(f)) returns f unchanged.
+print_formula keeps the text on the formula it printed, so a working
+sentence or an image that every report prints again is rendered once.
 
 Structural reads go through formula_nodes, which keeps its own stack,
 so they take a tree of any depth. A formula nests at most
@@ -167,8 +169,8 @@ class Or(_Binary):
     prec, token, absorb = 2, "|", _T
 
 
-class Implies(_Binary):
-    prec, token, right_assoc = 1, "->", True
+class Implies(_Binary):  # !left | right
+    prec, token, right_assoc, absorb = 1, "->", True, _T
 
 
 @dataclass(frozen=True)
@@ -332,7 +334,9 @@ def _constant(value):
 
 
 def _junction(absorb: TruthValue, a, sa: int, b, sb: int):
-    """a & b when absorb is FALSE, a | b when it is TRUE (strong Kleene)."""
+    """a & b when absorb is FALSE, a | b when it is TRUE (strong Kleene):
+    every binary connective, with an implication's left side negated
+    first. A ground side folds: absorb decides, the unit drops out."""
 
     if not sa and not sb:
         if a is absorb or b is absorb:
@@ -358,38 +362,17 @@ def _junction(absorb: TruthValue, a, sa: int, b, sb: int):
     return junction, sa | sb
 
 
-def _implies(a, sa: int, b, sb: int):
-    """a -> b, that is !a | b."""
-
-    if not sa:
-        return _junction(_T, _NEG[a], 0, b, sb)
-    if not sb:
-        if b is _T:
-            return _T, 0
-        if b is _F:
-            return _negation(a), sa
-        return (lambda env: _T if a(env) is _F else _U), sa
-
-    def implies(env):
-        x = a(env)
-        if x is _F:
-            return _T
-        y = b(env)
-        if y is _T:
-            return _T
-        return _F if x is _T and y is _F else _U
-
-    return implies, sa | sb
-
-
-def _negation(code):
+def _negation(code, slots: int):
+    if not slots:
+        return _NEG[code], 0
     neg = _NEG
-    return lambda env: neg[code(env)]
+    return (lambda env: neg[code(env)]), slots
 
 
 class _Compiler:
     """Compiles checked sentences for one domain into (code, slots) nodes,
-    reading every symbol through symbol: identity or a map's lookup."""
+    reading every symbol through symbol: identity or a map's lookup.
+    sentence is the one entry; it starts at the empty scope, depth 1."""
 
     __slots__ = ("domain", "env", "symbol")
 
@@ -397,6 +380,11 @@ class _Compiler:
         self.domain = domain
         self.env: list[str] = []
         self.symbol = symbol
+
+    def sentence(self, f: Formula) -> TruthValue:
+        """The value of the sentence f, compiled and run once."""
+
+        return self.formula(f, {}, 1)[0]
 
     def term(self, t: Term, scope: dict[str, int]):
         kind = type(t)
@@ -430,14 +418,13 @@ class _Compiler:
         if kind is Atom:
             return self.atom(f, scope)
         if kind is Not:
-            a, sa = self.formula(f.body, scope, depth + 1)
-            return (_negation(a), sa) if sa else (_NEG[a], 0)
+            return _negation(*self.formula(f.body, scope, depth + 1))
         if kind in _QUANT:
             return self.quantifier(f, scope, depth)
         a, sa = self.formula(f.left, scope, depth + 1)
-        b, sb = self.formula(f.right, scope, depth + 1)
         if kind is Implies:
-            return _implies(a, sa, b, sb)
+            a, sa = _negation(a, sa)
+        b, sb = self.formula(f.right, scope, depth + 1)
         return _junction(kind.absorb, a, sa, b, sb)
 
     def atom(self, f: Atom, scope: dict[str, int]):
@@ -488,7 +475,7 @@ def evaluate(f: Formula, domain: KnowledgeDomain) -> TruthValue:
     if not isinstance(domain, KnowledgeDomain):
         raise FormulaError(f"domain must be a KnowledgeDomain, not {type(domain).__name__}")
     check_formula(f, domain.signature)
-    return _Compiler(domain).formula(f, {}, 1)[0]
+    return _Compiler(domain).sentence(f)
 
 
 # ====================================================================

@@ -41,6 +41,13 @@ from .kb import _argument
 CHOICE_CAP = 4
 
 
+def _not_a_str(name: str, kind: str, value) -> None:
+    """Refuse a str, which converting would split into characters."""
+
+    if isinstance(value, str):
+        raise PreferenceError(f"{name} must be {kind}, not str")
+
+
 @dataclass(frozen=True)
 class PreferenceRelation:
     """A strict relation over a finite carrier of item ids."""
@@ -55,6 +62,7 @@ class PreferenceRelation:
     _dominators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _not_a_str("carrier", "a sequence of items", self.carrier)
         try:
             carrier = tuple(self.carrier)
             index = {x: i for i, x in enumerate(carrier)}
@@ -112,6 +120,7 @@ def members(mask: int, items: Sequence[str]) -> tuple[str, ...]:
 def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]:
     """The choice set: members of items beaten by no other member."""
 
+    _not_a_str("items", "an iterable of carrier items", items)
     try:
         pool = frozenset(items)
     except TypeError:
@@ -128,9 +137,9 @@ def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]
 def subsets_of(carrier: Sequence[str]) -> Iterator[frozenset[str]]:
     """All subsets in bitmask counter order; the order is stable."""
 
+    _not_a_str("carrier", "a sequence of items", carrier)
     items = tuple(carrier)
-    for mask in range(1 << len(items)):
-        yield frozenset(members(mask, items))
+    return (frozenset(members(mask, items)) for mask in range(1 << len(items)))
 
 
 @dataclass(frozen=True)
@@ -150,6 +159,7 @@ class ChoiceFunction:
             raise PreferenceError("choice table must be a mapping")
         if any(isinstance(x, str) for entry in self.table.items() for x in entry):
             raise PreferenceError("choice table must map sets of items to sets, not str")
+        _not_a_str("carrier", "a sequence of items", self.carrier)
         try:
             carrier = tuple(self.carrier)
             members = set(carrier)
@@ -159,6 +169,8 @@ class ChoiceFunction:
                 "choice carrier items must be hashable and the table must map "
                 "sets of them to sets of them"
             ) from None
+        if len(members) != len(carrier):
+            raise PreferenceError("duplicate carrier item")
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "table", table)
         expected = 1 << len(self.carrier)

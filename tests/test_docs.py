@@ -9,7 +9,7 @@ import pathlib
 import re
 
 import analogia
-from analogia import session
+from analogia import TruthValue, session
 from analogia.formula import _BINARY, Implies, Not
 from analogia.repcheck import RelationClass, completeness_sweep
 
@@ -132,3 +132,5 @@ def test_readme_connectives_match_the_node_classes():
     assert len({kind.prec for kind in connectives}) == len(connectives)
     assert [kind for kind in _BINARY if kind.right_assoc] == [Implies]
     assert Implies.token == "->"
+    # The compiler sends every binary kind through one junction on its absorb.
+    assert all(isinstance(getattr(kind, "absorb", None), TruthValue) for kind in _BINARY)

@@ -73,6 +73,7 @@ class TestPreferenceRelation:
             (5, (), "must be hashable"),
             ((["a"],), (), "must be hashable"),
             (("a", "b"), ["ab"], r"^edge \('ab',\) is not a pair$"),  # not split into a, b
+            ("ab", {("a", "b")}, "^carrier must be a sequence of items, not str$"),
         ],
     )
     def test_malformed_input_rejected(self, carrier, edges, message):
@@ -122,7 +123,7 @@ class TestUndominated:
         with pytest.raises(PreferenceError, match="not in the carrier"):
             undominated(rel(), ("zz",))
 
-    @pytest.mark.parametrize("items", [[["a"]], 5, [{"a"}]])
+    @pytest.mark.parametrize("items", [[["a"]], 5, [{"a"}], "ab"])
     def test_items_that_are_not_hashable_items_rejected(self, items):
         with pytest.raises(PreferenceError, match="iterable of carrier items"):
             undominated(rel(), items)
@@ -174,6 +175,11 @@ class TestSubsetsOf:
         assert len(list(subsets_of(ABC))) == 8
         assert len(list(subsets_of(()))) == 1
 
+    def test_a_str_carrier_is_refused_at_the_call(self):
+        message = "^carrier must be a sequence of items, not str$"
+        with pytest.raises(PreferenceError, match=message):
+            subsets_of("ab")
+
 
 class TestChoiceFunction:
     def test_table_must_be_total(self):
@@ -216,6 +222,18 @@ class TestChoiceFunction:
     def test_str_entries_are_not_split_into_items(self, table):
         with pytest.raises(PreferenceError, match="^choice table must map sets of items"):
             ChoiceFunction(("a", "b"), table)
+
+    @pytest.mark.parametrize(
+        "carrier, message",
+        [
+            ("a", "^carrier must be a sequence of items, not str$"),
+            (("a", "a"), "^duplicate carrier item$"),
+        ],
+        ids=["str carrier", "duplicate item"],
+    )
+    def test_carrier_is_checked(self, carrier, message):
+        with pytest.raises(PreferenceError, match=message):
+            ChoiceFunction(carrier, {frozenset(): frozenset(), frozenset("a"): frozenset("a")})
 
     def test_picks_need_not_be_subsets_of_their_argument(self):
         # legal on purpose: the laws that fail on it are checked elsewhere

@@ -214,7 +214,7 @@ class TestRepresent:
 
     def test_carrier_cap(self):
         wide = ChoiceFunction(
-            tuple("abcd"), {xs: frozenset() for xs in subsets_of("abcd")}
+            tuple("abcd"), {xs: frozenset() for xs in subsets_of(tuple("abcd"))}
         )
         with pytest.raises(RepcheckError, match="cap"):
             represent(wide, RelationClass.ALL)
