@@ -38,7 +38,6 @@ report and the score read them, and closure derives from its parents'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -66,7 +65,7 @@ from .formula import (
     mentioned_constants,
     print_formula,
 )
-from .kb import KnowledgeDomain, Signature, TruthValue, _argument
+from .kb import KnowledgeDomain, Signature, TruthValue, Value, _argument
 
 # ====================================================================
 # Guards and map pieces
@@ -74,8 +73,8 @@ from .kb import KnowledgeDomain, Signature, TruthValue, _argument
 
 
 def _checked(cls, **fields):
-    """An instance of the frozen dataclass cls made from field values
-    that are already checked, without running its __post_init__."""
+    """An instance of the record class cls made from field values that
+    are already checked, without running the checks of its __init__."""
 
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -92,8 +91,7 @@ def _constant_set(constants) -> frozenset[str]:
     return names
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(Value):
     """Predicate over formulas keyed to the source constants they mention.
 
     constants None means "always matches". Otherwise a formula matches
@@ -103,7 +101,9 @@ class Guard:
     no constants matches no constant guard at all.
     """
 
-    constants: frozenset[str] | None
+    def __init__(self, constants: frozenset[str] | None):
+        checked = None if constants is None else _constant_set(constants)
+        object.__setattr__(self, "constants", checked)
 
     @staticmethod
     def always() -> Guard:
@@ -112,10 +112,6 @@ class Guard:
     @staticmethod
     def mentions(constants: Iterable[str]) -> Guard:
         return _checked(Guard, constants=_constant_set(constants))
-
-    def __post_init__(self):
-        if self.constants is not None:
-            object.__setattr__(self, "constants", _constant_set(self.constants))
 
     @property
     def is_always(self) -> bool:
@@ -140,17 +136,14 @@ class Guard:
         return bool(self.constants & other.constants)
 
 
-@dataclass(frozen=True)
-class AnalogyPiece:
+class AnalogyPiece(Value):
     """One guarded symbol map; mapping is source symbol to target symbol."""
 
-    guard: Guard
-    mapping: dict[str, str]
-
-    def __post_init__(self):
-        if not isinstance(self.guard, Guard):
-            raise AnalogyError(f"guard must be a Guard, not {type(self.guard).__name__}")
-        mapping = _argument("mapping", "a mapping of names", dict, self.mapping, AnalogyError)
+    def __init__(self, guard: Guard, mapping: dict[str, str]):
+        if not isinstance(guard, Guard):
+            raise AnalogyError(f"guard must be a Guard, not {type(guard).__name__}")
+        object.__setattr__(self, "guard", guard)
+        mapping = _argument("mapping", "a mapping of names", dict, mapping, AnalogyError)
         for s, t in mapping.items():
             if not isinstance(s, str) or not isinstance(t, str):
                 raise AnalogyError(f"mapping must map names to names, not {s!r} -> {t!r}")
@@ -185,8 +178,7 @@ def _check_guards(name: str, pieces: Sequence[AnalogyPiece], constants: Sequence
                 raise AnalogyError(f"analogy {name!r}: overlapping guards")
 
 
-@dataclass(frozen=True)
-class AnalogyMap:
+class AnalogyMap(Value):
     """A named, possibly piecewise symbol map between two domains.
 
     Construction checks the types of its arguments (Guard and
@@ -198,20 +190,22 @@ class AnalogyMap:
     constants.
     """
 
-    name: str
-    source: KnowledgeDomain
-    target: KnowledgeDomain
-    pieces: tuple[AnalogyPiece, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise AnalogyError(f"analogy needs a name, not {self.name!r}")
-        for side in ("source", "target"):
-            domain = getattr(self, side)
+    def __init__(
+        self,
+        name: str,
+        source: KnowledgeDomain,
+        target: KnowledgeDomain,
+        pieces: tuple[AnalogyPiece, ...],
+    ):
+        if not isinstance(name, str) or not name:
+            raise AnalogyError(f"analogy needs a name, not {name!r}")
+        object.__setattr__(self, "name", name)
+        for side, domain in (("source", source), ("target", target)):
             if not isinstance(domain, KnowledgeDomain):
                 kind = type(domain).__name__
                 raise AnalogyError(f"{side} must be a KnowledgeDomain, not {kind}")
-        pieces = _argument("pieces", "an iterable of pieces", tuple, self.pieces, AnalogyError)
+            object.__setattr__(self, side, domain)
+        pieces = _argument("pieces", "an iterable of pieces", tuple, pieces, AnalogyError)
         for piece in pieces:
             if not isinstance(piece, AnalogyPiece):
                 raise AnalogyError(f"pieces must hold AnalogyPiece values, not {piece!r}")
@@ -365,22 +359,32 @@ def translate(amap: AnalogyMap, f: Formula) -> Formula:
 # ====================================================================
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(Value):
     """The four-way partition of a working set under one analogy.
 
     All tuples preserve working-set order. conjectures maps each open
     formula to its source value, in the order of open.
     """
 
-    analogy: AnalogyMap
-    formulas: tuple[Formula, ...]
-    positive: tuple[Formula, ...]
-    negative: tuple[Formula, ...]
-    open: tuple[Formula, ...]
-    not_applicable: tuple[Formula, ...]
-    untranslatable: tuple[Formula, ...]
-    conjectures: dict[Formula, TruthValue]
+    def __init__(
+        self,
+        analogy: AnalogyMap,
+        formulas: tuple[Formula, ...],
+        positive: tuple[Formula, ...],
+        negative: tuple[Formula, ...],
+        open: tuple[Formula, ...],
+        not_applicable: tuple[Formula, ...],
+        untranslatable: tuple[Formula, ...],
+        conjectures: dict[Formula, TruthValue],
+    ):
+        object.__setattr__(self, "analogy", analogy)
+        object.__setattr__(self, "formulas", formulas)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
+        object.__setattr__(self, "open", open)
+        object.__setattr__(self, "not_applicable", not_applicable)
+        object.__setattr__(self, "untranslatable", untranslatable)
+        object.__setattr__(self, "conjectures", conjectures)
 
     def to_json_dict(self) -> dict:
         return {
@@ -421,7 +425,6 @@ def check_injective_on(amap: AnalogyMap, formulas: Sequence[Formula]) -> None:
 # Translation tables
 # ====================================================================
 
-@dataclass
 class _Table:
     """One analogy's translation of the working set.
 
@@ -431,9 +434,15 @@ class _Table:
     Tables are keyed by analogy name; another map of that name replaces one.
     """
 
-    analogy: AnalogyMap
-    images: tuple[int | None, ...]
-    preimages: dict[int, int] | None = None
+    def __init__(
+        self,
+        analogy: AnalogyMap,
+        images: tuple[int | None, ...],
+        preimages: dict[int, int] | None = None,
+    ):
+        self.analogy = analogy
+        self.images = images
+        self.preimages = preimages
 
 
 class TranslationTables:
@@ -787,8 +796,7 @@ def close_under_combination(
 # ====================================================================
 
 
-@dataclass(frozen=True)
-class AugmentedReport:
+class AugmentedReport(Value):
     """Support pairs with directions split out.
 
     positive_pairs lists (formula, image) where both sides hold or
@@ -797,11 +805,19 @@ class AugmentedReport:
     (formula, image, conjectured value) for the open formulas.
     """
 
-    analogy: AnalogyMap
-    positive_pairs: tuple[tuple[Formula, Formula], ...]
-    negative_source_true: tuple[tuple[Formula, Formula], ...]
-    negative_source_false: tuple[tuple[Formula, Formula], ...]
-    plausible: tuple[tuple[Formula, Formula, TruthValue], ...]
+    def __init__(
+        self,
+        analogy: AnalogyMap,
+        positive_pairs: tuple[tuple[Formula, Formula], ...],
+        negative_source_true: tuple[tuple[Formula, Formula], ...],
+        negative_source_false: tuple[tuple[Formula, Formula], ...],
+        plausible: tuple[tuple[Formula, Formula, TruthValue], ...],
+    ):
+        object.__setattr__(self, "analogy", analogy)
+        object.__setattr__(self, "positive_pairs", positive_pairs)
+        object.__setattr__(self, "negative_source_true", negative_source_true)
+        object.__setattr__(self, "negative_source_false", negative_source_false)
+        object.__setattr__(self, "plausible", plausible)
 
     def to_json_dict(self) -> dict:
         def pairs(entries):
@@ -828,14 +844,14 @@ def augmented_report(amap: AnalogyMap, formulas: Sequence[Formula]) -> Augmented
     return TranslationTables(amap.source, amap.target, formulas).augmented_report(amap)
 
 
-@dataclass(frozen=True)
-class StraightRuleScore:
+class StraightRuleScore(Value):
     """Exact rational degree of support from match and mismatch counts."""
 
-    n: int
-    r: int
-    s: int
-    p: Fraction
+    def __init__(self, n: int, r: int, s: int, p: Fraction):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "p", p)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "r": self.r, "s": self.s, "p": str(self.p)}

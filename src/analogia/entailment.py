@@ -12,14 +12,13 @@ is known, and a definite verdict needs all speakers to agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
 from .analogy import AnalogyMap, TranslationTables
 from .errors import AnalogyError, EntailmentError
 from .formula import Formula, check_formula, evaluate
-from .kb import KnowledgeDomain, TruthValue, _argument
+from .kb import KnowledgeDomain, TruthValue, Value, _argument
 from .preference import PreferenceRelation, undominated
 
 
@@ -33,8 +32,7 @@ class VerdictStatus(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class AnalogySpace:
+class AnalogySpace(Value):
     """The fixed context that queries are answered against.
 
     tables holds the source, the target, the checked working set and
@@ -45,10 +43,19 @@ class AnalogySpace:
     preference carrier must be exactly the set of analogy names.
     """
 
-    tables: TranslationTables
-    analogies: tuple[AnalogyMap, ...]
-    preference: PreferenceRelation
+    def __init__(
+        self,
+        tables: TranslationTables,
+        analogies: tuple[AnalogyMap, ...],
+        preference: PreferenceRelation,
+    ):
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "analogies", analogies)
+        object.__setattr__(self, "preference", preference)
+        self.__post_init__()
 
+    # The checks stay a method of their own: perfbench/spans.py wraps it
+    # to time the space build.
     def __post_init__(self):
         for name, kind in (("tables", TranslationTables), ("preference", PreferenceRelation)):
             found = type(getattr(self, name))
@@ -121,14 +128,22 @@ def conjecture_for(
     return space.tables.conjectures(query, (amap,)).get(analogy_name)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    query: Formula
-    status: VerdictStatus
-    value: TruthValue | None
-    support: tuple[str, ...]
-    suggestions: dict[str, TruthValue]
-    warnings: tuple[str, ...]
+class Verdict(Value):
+    def __init__(
+        self,
+        query: Formula,
+        status: VerdictStatus,
+        value: TruthValue | None,
+        support: tuple[str, ...],
+        suggestions: dict[str, TruthValue],
+        warnings: tuple[str, ...],
+    ):
+        object.__setattr__(self, "query", query)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "suggestions", suggestions)
+        object.__setattr__(self, "warnings", warnings)
 
     def to_json_dict(self) -> dict:
         return {

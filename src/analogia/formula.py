@@ -45,7 +45,7 @@ newlines before it. Identifiers match kb.IDENT_PATTERN,
 so primed names like x' are fine.
 
 Each node class defines its connective once: And, Or and Implies
-subclass one dataclass with the fields left and right, Forall and
+subclass one record class with the fields left and right, Forall and
 Exists one with var and body, Var and Const one with name. A class
 carries its token, its precedence prec (higher binds tighter), for a
 binary one right_assoc, and for a binary one or a quantifier the
@@ -67,7 +67,7 @@ tree built in code is a sentence, the cap included, and evaluate runs
 it first; the printer, translate and TranslationTables.conjectures
 scan only the depth, and the compiler and the walks trust the tree.
 The parser, the compiler and its closures, the printer, the
-translation walk and the dataclasses' hash and equality recurse.
+translation walk and the nodes' hash and equality recurse.
 
 An occurrence of an identifier in term position is a variable when
 some enclosing quantifier binds it and a constant otherwise. To keep
@@ -80,7 +80,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import FormulaError, ParseError
@@ -90,6 +89,7 @@ from .kb import (
     KnowledgeDomain,
     Signature,
     TruthValue,
+    Value,
 )
 
 # ====================================================================
@@ -97,15 +97,15 @@ from .kb import (
 # ====================================================================
 
 
-class Term:
+class Term(Value):
     """Base class for term nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class _Name(Term):
-    name: str
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
 class Var(_Name):
@@ -116,19 +116,16 @@ class Const(_Name):
     pass
 
 
-@dataclass(frozen=True)
 class FuncApp(Term):
-    func: str
-    args: tuple[Term, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, func: str, args: tuple[Term, ...]):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "args", tuple(args))
 
 
 _T, _F, _U = TruthValue.TRUE, TruthValue.FALSE, TruthValue.UNKNOWN
 
 
-class Formula:
+class Formula(Value):
     """Base class for formula nodes."""
 
     __slots__ = ()
@@ -137,28 +134,28 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    predicate: str
-    args: tuple[Term, ...]
     prec = 5
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, predicate: str, args: tuple[Term, ...]):
+        object.__setattr__(self, "predicate", predicate)
+        object.__setattr__(self, "args", tuple(args))
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
     prec = 4
     token = "!"
 
+    def __init__(self, body: Formula):
+        object.__setattr__(self, "body", body)
 
-@dataclass(frozen=True)
+
 class _Binary(Formula):
-    left: Formula
-    right: Formula
     right_assoc = False
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 class And(_Binary):
@@ -173,11 +170,12 @@ class Implies(_Binary):  # !left | right
     prec, token, right_assoc, absorb = 1, "->", True, _T
 
 
-@dataclass(frozen=True)
 class _Quantifier(Formula):
-    var: str
-    body: Formula
     prec = 0
+
+    def __init__(self, var: str, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
 
 
 class Forall(_Quantifier):
@@ -201,7 +199,7 @@ _QUANT = (Forall, Exists)
 # counts every pair of parentheses as well. Only the parser,
 # check_formula and _check_depth test it, and a tree built in code
 # meets one of the last two first, so the recursive code (the compiler,
-# the printer, translation, and the dataclasses' hash and equality)
+# the printer, translation, and the nodes' hash and equality)
 # only ever sees trees that fit under Python's default recursion limit
 # together with the command line's own frames.
 MAX_FORMULA_DEPTH = 100
@@ -766,8 +764,8 @@ def print_formula(f: Formula) -> str:
     The first render scans the depth and raises a FormulaError past
     MAX_FORMULA_DEPTH, or at a node of the wrong kind. Formulas are
     frozen, so the text is stored on f then and returned from then on.
-    eq, hash and repr read only the fields, and a copy made by
-    dataclasses.replace starts without the text.
+    eq, hash and repr read only the fields, and a node built again
+    from f's fields starts without the text.
     """
 
     text = getattr(f, "_text", None)

@@ -11,14 +11,23 @@ Signature and KnowledgeDomain each check all of their own input and
 name the malformed value in a SignatureError or DomainError;
 make_domain turns names into elements and fact triples into keys. All
 are immutable values: equal data compare equal and can be shared.
+
+Value is the base of every record in the package. A record's fields
+are its __init__'s parameters, in order; __init__ makes the record's
+checks and stores each field with object.__setattr__. Two records are
+equal when they are of one class and their fields are equal, the hash
+is the fields' hash, and repr reads Class(field=value, ...). Assigning
+or deleting an attribute raises AttributeError. What a constructor
+derives beside the fields, such as Signature's symbol table, is stored
+the same way and takes no part in eq, hash or repr.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import DomainError, SignatureError
@@ -82,8 +91,39 @@ def _argument(name: str, kind: str, convert, value, error=DomainError):
         raise error(f"{name} must be {kind}, not {type(value).__name__}") from None
 
 
-@dataclass(frozen=True)
-class Signature:
+class Value:
+    """An immutable record compared, hashed and shown by its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+            cls._key = attrgetter(*cls._fields)  # one field: the bare value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self._key(self), self._key(other)
+        return mine is theirs or mine == theirs  # identity first, as in a tuple
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Signature(Value):
     """Symbol inventory of a domain.
 
     Constants are plain identifiers; predicates and functions carry a
@@ -92,36 +132,38 @@ class Signature:
     inventories compare equal regardless of declaration order.
     """
 
-    name: str
-    constants: tuple[str, ...] = ()
-    predicates: tuple[tuple[str, int], ...] = ()
-    functions: tuple[tuple[str, int], ...] = ()
-    # Symbol -> (kind, arity), filled while checking; not in eq, hash or repr.
-    _kinds: dict[str, tuple[str, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_ident(self.name, "signature")
+    def __init__(
+        self,
+        name: str,
+        constants: tuple[str, ...] = (),
+        predicates: tuple[tuple[str, int], ...] = (),
+        functions: tuple[tuple[str, int], ...] = (),
+    ):
+        _check_ident(name, "signature")
+        object.__setattr__(self, "name", name)
+        # Symbol -> (kind, arity), filled while checking; not in eq, hash or repr.
         kinds: dict[str, tuple[str, int]] = {}
-        for kind in ("constant", "predicate", "function"):
+        groups = ("constant", constants), ("predicate", predicates), ("function", functions)
+        for kind, given in groups:
             group = f"{kind}s"
             checked = []
-            entries = _argument(group, "iterable", tuple, getattr(self, group), SignatureError)
+            entries = _argument(group, "iterable", tuple, given, SignatureError)
             for entry in entries:
                 try:
-                    name, arity = (entry, 0) if kind == "constant" else entry
+                    symbol, arity = (entry, 0) if kind == "constant" else entry
                 except (TypeError, ValueError):
                     raise SignatureError(
                         f"{kind} {entry!r} is not a (name, arity) pair"
                     ) from None
-                _check_ident(name, kind)
-                if name in kinds:
-                    raise SignatureError(f"duplicate symbol {name!r}")
+                _check_ident(symbol, kind)
+                if symbol in kinds:
+                    raise SignatureError(f"duplicate symbol {symbol!r}")
                 if kind != "constant" and (type(arity) is not int or arity < 1):
                     raise SignatureError(
-                        f"{kind} {name!r} must have positive arity, got {arity!r}"
+                        f"{kind} {symbol!r} must have positive arity, got {arity!r}"
                     )
-                kinds[name] = (kind, arity)
-                checked.append(name if kind == "constant" else (name, arity))
+                kinds[symbol] = (kind, arity)
+                checked.append(symbol if kind == "constant" else (symbol, arity))
             object.__setattr__(self, group, tuple(sorted(checked)))
         object.__setattr__(self, "_kinds", kinds)
 
@@ -161,8 +203,7 @@ def _key(argument: str, key, kind: str) -> tuple[str, tuple]:
     raise DomainError(f"{argument} key {key!r} is not a ({kind}, arguments) pair")
 
 
-@dataclass(frozen=True)
-class KnowledgeDomain:
+class KnowledgeDomain(Value):
     """A signature interpreted over a finite universe, with partial facts.
 
     The constructor is the one complete check of a domain, whoever
@@ -175,17 +216,19 @@ class KnowledgeDomain:
     mutate the dicts; the type is meant to behave as a value.
     """
 
-    signature: Signature
-    universe: tuple[str, ...]
-    const_interp: dict[str, str]
-    func_interp: dict[tuple[str, tuple[str, ...]], str]
-    facts: dict[tuple[str, tuple[str, ...]], TruthValue]
-
-    def __post_init__(self):
-        sig = self.signature
+    def __init__(
+        self,
+        signature: Signature,
+        universe: tuple[str, ...],
+        const_interp: dict[str, str],
+        func_interp: dict[tuple[str, tuple[str, ...]], str],
+        facts: dict[tuple[str, tuple[str, ...]], TruthValue],
+    ):
+        sig = signature
         if not isinstance(sig, Signature):
             raise DomainError(f"signature must be a Signature, not {type(sig).__name__}")
-        elems = _argument("universe", "an iterable of names", tuple, self.universe)
+        object.__setattr__(self, "signature", sig)
+        elems = _argument("universe", "an iterable of names", tuple, universe)
         _names("universe", elems)
         if not elems:
             raise DomainError("universe must be nonempty")
@@ -194,7 +237,7 @@ class KnowledgeDomain:
             raise DomainError("duplicate universe element")
         object.__setattr__(self, "universe", tuple(sorted(elems)))
 
-        const_interp = _const_interp(self.const_interp)
+        const_interp = _const_interp(const_interp)
         for c in sig.constants:
             if c not in const_interp:
                 raise DomainError(f"constant {c!r} has no interpretation")
@@ -208,8 +251,8 @@ class KnowledgeDomain:
                 raise DomainError(f"interpretation given for unknown constant {c!r}")
         object.__setattr__(self, "const_interp", const_interp)
 
-        func_interp = {}
-        for key, value in _argument("func_interp", "a mapping", dict, self.func_interp).items():
+        checked = {}
+        for key, value in _argument("func_interp", "a mapping", dict, func_interp).items():
             fname, args = _key("func_interp", key, "function")
             _names("func_interp", (*args, value))
             if sig.kind_of(fname) != "function":
@@ -218,10 +261,10 @@ class KnowledgeDomain:
                 raise DomainError(f"wrong argument count in interpretation of {fname!r}")
             if not uset.issuperset(args):
                 raise DomainError(f"interpretation of {fname!r} uses unknown elements")
-            func_interp[key] = value
+            checked[key] = value
         for fname, arity in sig.functions:
             for args in itertools.product(self.universe, repeat=arity):
-                value = func_interp.get((fname, args))
+                value = checked.get((fname, args))
                 if value is None:
                     raise DomainError(
                         f"incomplete interpretation: missing {format_atom(fname, args)}"
@@ -230,11 +273,11 @@ class KnowledgeDomain:
                     raise DomainError(
                         f"{format_atom(fname, args)} = {value!r} is not a universe element"
                     )
-        object.__setattr__(self, "func_interp", func_interp)
+        object.__setattr__(self, "func_interp", checked)
 
         kinds = sig._kinds  # one lookup per fact: this loop runs on every parsed fact
         table = {}
-        for key, value in _argument("facts", "a mapping", dict, self.facts).items():
+        for key, value in _argument("facts", "a mapping", dict, facts).items():
             pred, args = _key("facts", key, "predicate")
             if not isinstance(value, TruthValue):
                 raise DomainError(

@@ -30,13 +30,12 @@ and prefers the lower score; the result is always ranked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analogy import SupportReport, _checked
 from .errors import PreferenceError
-from .kb import _argument
+from .kb import Value, _argument
 
 CHOICE_CAP = 4
 
@@ -48,25 +47,15 @@ def _not_a_str(name: str, kind: str, value) -> None:
         raise PreferenceError(f"{name} must be {kind}, not str")
 
 
-@dataclass(frozen=True)
-class PreferenceRelation:
+class PreferenceRelation(Value):
     """A strict relation over a finite carrier of item ids."""
 
-    carrier: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-    # The kernel's masks, built in the pass that checks the edges: each
-    # item's carrier position, the items each position beats and the
-    # items beating it. They take no part in eq, hash or repr.
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _better: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _dominators: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _not_a_str("carrier", "a sequence of items", self.carrier)
+    def __init__(self, carrier: tuple[str, ...], edges: frozenset[tuple[str, str]]):
+        _not_a_str("carrier", "a sequence of items", carrier)
         try:
-            carrier = tuple(self.carrier)
+            carrier = tuple(carrier)
             index = {x: i for i, x in enumerate(carrier)}
-            edges = frozenset((e,) if isinstance(e, str) else tuple(e) for e in self.edges)
+            edges = frozenset((e,) if isinstance(e, str) else tuple(e) for e in edges)
         except TypeError:
             raise PreferenceError(
                 "carrier items must be hashable and edges must be pairs of them"
@@ -86,6 +75,9 @@ class PreferenceRelation:
             dominators[index[y]] |= 1 << index[x]
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "edges", edges)
+        # The kernel's masks, built in the pass that checks the edges: each
+        # item's carrier position, the items each position beats and the
+        # items beating it. They take no part in eq, hash or repr.
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_better", tuple(better))
         object.__setattr__(self, "_dominators", tuple(dominators))
@@ -142,8 +134,7 @@ def subsets_of(carrier: Sequence[str]) -> Iterator[frozenset[str]]:
     return (frozenset(members(mask, items)) for mask in range(1 << len(items)))
 
 
-@dataclass(frozen=True)
-class ChoiceFunction:
+class ChoiceFunction(Value):
     """A tabulated choice: one picked subset for every subset of the carrier.
 
     Totality over the powerset is enforced; whether the picks are
@@ -151,19 +142,16 @@ class ChoiceFunction:
     checked downstream include exactly that question.
 """
 
-    carrier: tuple[str, ...]
-    table: dict[frozenset[str], frozenset[str]]
-
-    def __post_init__(self):
-        if not isinstance(self.table, Mapping):
+    def __init__(self, carrier: tuple[str, ...], table: dict[frozenset[str], frozenset[str]]):
+        if not isinstance(table, Mapping):
             raise PreferenceError("choice table must be a mapping")
-        if any(isinstance(x, str) for entry in self.table.items() for x in entry):
+        if any(isinstance(x, str) for entry in table.items() for x in entry):
             raise PreferenceError("choice table must map sets of items to sets, not str")
-        _not_a_str("carrier", "a sequence of items", self.carrier)
+        _not_a_str("carrier", "a sequence of items", carrier)
         try:
-            carrier = tuple(self.carrier)
+            carrier = tuple(carrier)
             members = set(carrier)
-            table = {frozenset(k): frozenset(v) for k, v in self.table.items()}
+            table = {frozenset(k): frozenset(v) for k, v in table.items()}
         except TypeError:
             raise PreferenceError(
                 "choice carrier items must be hashable and the table must map "

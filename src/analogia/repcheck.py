@@ -48,12 +48,11 @@ witnesses and violation lists are deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .errors import RepcheckError
-from .kb import _argument
+from .kb import Value, _argument
 from .preference import (
     ChoiceFunction,
     PreferenceRelation,
@@ -254,8 +253,7 @@ def irreflexive_relations(items: Sequence[str]) -> Iterator[PreferenceRelation]:
     return (PreferenceRelation(carrier=items, edges=e) for e in edges)
 
 
-@dataclass(frozen=True)
-class NotRepresentable:
+class NotRepresentable(Value):
     """Negative answer from represent, with the reason when one is known.
 
     failed_property is the first required law the choice function
@@ -263,9 +261,10 @@ class NotRepresentable:
     search over searched candidate relations still found no match.
     """
 
-    failed_property: PropertyId | None
-    witness: Witness | None
-    searched: int
+    def __init__(self, failed_property: PropertyId | None, witness: Witness | None, searched: int):
+        object.__setattr__(self, "failed_property", failed_property)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "searched", searched)
 
     def to_json_dict(self) -> dict:
         return {
@@ -347,8 +346,7 @@ def represent(
 # ====================================================================
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """One failed instance found by a sweep.
 
     Exactly one of relation_edges and choice_table is set, naming the
@@ -358,11 +356,19 @@ class Violation:
     no relation.
     """
 
-    relation_edges: tuple[tuple[str, str], ...] | None
-    choice_table: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] | None
-    property: PropertyId | None
-    x_set: tuple[str, ...] | None
-    y_set: tuple[str, ...] | None
+    def __init__(
+        self,
+        relation_edges: tuple[tuple[str, str], ...] | None,
+        choice_table: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] | None,
+        property: PropertyId | None,
+        x_set: tuple[str, ...] | None,
+        y_set: tuple[str, ...] | None,
+    ):
+        object.__setattr__(self, "relation_edges", relation_edges)
+        object.__setattr__(self, "choice_table", choice_table)
+        object.__setattr__(self, "property", property)
+        object.__setattr__(self, "x_set", x_set)
+        object.__setattr__(self, "y_set", y_set)
 
     def to_json_dict(self) -> dict:
         out: dict = {}
@@ -376,8 +382,7 @@ class Violation:
         return out
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Value):
     """Outcome of one exhaustive sweep.
 
     examined counts every enumerated object (relations for soundness,
@@ -386,13 +391,23 @@ class SweepResult:
     stats carries auxiliary counts that are recorded but not asserted.
     """
 
-    mode: str
-    relation_class: RelationClass
-    n: int
-    examined: int
-    considered: int
-    violations: tuple[Violation, ...]
-    stats: dict[str, int] = field(default_factory=dict)
+    def __init__(
+        self,
+        mode: str,
+        relation_class: RelationClass,
+        n: int,
+        examined: int,
+        considered: int,
+        violations: tuple[Violation, ...],
+        stats: dict[str, int] | None = None,
+    ):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "relation_class", relation_class)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "examined", examined)
+        object.__setattr__(self, "considered", considered)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "stats", {} if stats is None else stats)
 
     @property
     def ok(self) -> bool:

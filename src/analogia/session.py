@@ -43,7 +43,6 @@ error, reported with line and column, comes before a semantic error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -75,7 +74,8 @@ from .formula import (
     tokenize,
 )
 from .kb import (
-    KnowledgeDomain, Signature, TruthValue, _argument, _check_ident, format_atom, make_domain,
+    KnowledgeDomain, Signature, TruthValue, Value, _argument, _check_ident, format_atom,
+    make_domain,
 )
 from .preference import (
     PreferenceRelation,
@@ -89,47 +89,50 @@ SESSION_COMMANDS = ("check", "classify", "report", "best", "entail", "score")
 _TRUTH_WORDS = {v.value: v for v in TruthValue}
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(Value):
     """A fully validated session, independent of how it was written down.
 
     tables, built here, checks the working set and is the one
     TranslationTables that closure, preference, commands and space read.
     """
 
-    domains: tuple[KnowledgeDomain, ...]
-    source_name: str
-    target_name: str
-    analogies: tuple[AnalogyMap, ...] = ()
-    working_set: tuple[Formula, ...] = ()
-    queries: tuple[Formula, ...] = ()
-    closure: bool = False
-    preference_kind: str = "dominance"
-    count_weights: tuple[Fraction, Fraction] | None = None
-    explicit_edges: tuple[tuple[str, str], ...] = ()
-    tables: TranslationTables = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        domains = _items("domains", self.domains, KnowledgeDomain)
+    def __init__(
+        self,
+        domains: tuple[KnowledgeDomain, ...],
+        source_name: str,
+        target_name: str,
+        analogies: tuple[AnalogyMap, ...] = (),
+        working_set: tuple[Formula, ...] = (),
+        queries: tuple[Formula, ...] = (),
+        closure: bool = False,
+        preference_kind: str = "dominance",
+        count_weights: tuple[Fraction, Fraction] | None = None,
+        explicit_edges: tuple[tuple[str, str], ...] = (),
+    ):
+        domains = _items("domains", domains, KnowledgeDomain)
         object.__setattr__(self, "domains", tuple(sorted(domains, key=lambda d: d.signature.name)))
-        analogies = _items("analogies", self.analogies, AnalogyMap)
+        object.__setattr__(self, "source_name", source_name)
+        object.__setattr__(self, "target_name", target_name)
+        analogies = _items("analogies", analogies, AnalogyMap)
         object.__setattr__(self, "analogies", tuple(sorted(analogies, key=lambda a: a.name)))
-        object.__setattr__(self, "working_set", _items("working_set", self.working_set, Formula))
-        object.__setattr__(self, "queries", _items("queries", self.queries, Formula))
+        object.__setattr__(self, "working_set", _items("working_set", working_set, Formula))
+        object.__setattr__(self, "queries", _items("queries", queries, Formula))
+        object.__setattr__(self, "closure", closure)
+        object.__setattr__(self, "preference_kind", preference_kind)
+        object.__setattr__(self, "count_weights", count_weights)
         edges = []
-        for edge in _items("explicit_edges", self.explicit_edges):
+        for edge in _items("explicit_edges", explicit_edges):
             names = _items("explicit_edges", edge, str)  # neither splits a str nor coerces
             if len(names) != 2:
                 raise SessionError(f"explicit_edges must hold pairs, not {edge!r}")
             edges.append(names)
         object.__setattr__(self, "explicit_edges", tuple(sorted(edges)))
-        if not isinstance(self.closure, bool):
-            raise SessionError(f"closure must be a bool, not {self.closure!r}")
+        if not isinstance(closure, bool):
+            raise SessionError(f"closure must be a bool, not {closure!r}")
 
-        for role in ("source_name", "target_name"):
-            found = type(getattr(self, role))
-            if not issubclass(found, str):
-                raise SessionError(f"{role} must be a str, not {found.__name__}")
+        for role, name in (("source_name", source_name), ("target_name", target_name)):
+            if not issubclass(type(name), str):
+                raise SessionError(f"{role} must be a str, not {type(name).__name__}")
         names = _by_name("domain", [(d.signature.name, d) for d in self.domains])
         if self.source_name not in names:
             raise SessionError(f"source domain {self.source_name!r} is not declared")

@@ -8,6 +8,7 @@ follows first on x and second on x' agrees everywhere. The Q-images
 are left unsettled on purpose: they are where conjectures come from.
 """
 
+import inspect
 import os
 import pathlib
 
@@ -26,6 +27,14 @@ from analogia.formula import ground_atom_formulas
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SESSIONS_DIR = ROOT / "sessions"
+
+def rebuild(obj, **changes):
+    """obj's class called again with obj's constructor arguments, changes
+    replacing some of them, so the constructor checks every value anew."""
+
+    fields = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+    return type(obj)(**{**fields, **changes})
+
 
 # pyproject puts src on this process's path; the tests that start
 # `python -m analogia` pass it on to the child the same way.

@@ -1,7 +1,5 @@
 """Skeptical entailment over a space of competing analogies."""
 
-import dataclasses
-
 import pytest
 
 import analogia.formula
@@ -23,6 +21,8 @@ from analogia.analogy import classify
 from analogia.entailment import VerdictStatus, conjecture_for
 from analogia.formula import ground_atom_formulas
 from analogia.preference import PreferenceRelation
+
+from conftest import rebuild
 
 T = TruthValue.TRUE
 F = TruthValue.FALSE
@@ -46,7 +46,7 @@ class TestAnalogySpace:
 
     def test_duplicate_names_rejected(self, rivals_space, first_map):
         with pytest.raises(EntailmentError, match="duplicate analogy name"):
-            dataclasses.replace(
+            rebuild(
                 rivals_space,
                 analogies=(first_map, first_map),
                 preference=PreferenceRelation(("first",), frozenset()),
@@ -58,13 +58,13 @@ class TestAnalogySpace:
         stray_sig = Signature("other", ("z",), (("P", 1), ("Q", 1)), ())
         stray = make_domain(stray_sig, ("z",))
         with pytest.raises(EntailmentError, match="different source domain"):
-            dataclasses.replace(
+            rebuild(
                 rivals_space, tables=TranslationTables(stray, rivals_space.target, ())
             )
 
     def test_working_set_must_fit_the_source_signature(self, rivals_space):
         with pytest.raises(Exception, match="unknown predicate"):
-            dataclasses.replace(
+            rebuild(
                 rivals_space,
                 tables=TranslationTables(
                     rivals_space.source, rivals_space.target, (parse_formula("Zz(x)"),)
@@ -94,7 +94,7 @@ class TestAnalogySpace:
 
     def test_preference_carrier_must_match_names(self, rivals_space):
         with pytest.raises(EntailmentError, match="does not match"):
-            dataclasses.replace(
+            rebuild(
                 rivals_space,
                 preference=PreferenceRelation(("first", "second"), frozenset()),
             )
@@ -110,7 +110,7 @@ class TestBest:
         assert best(rivals_space) == {"mixed"}
 
     def test_empty_preference_keeps_everyone(self, rivals_space):
-        flat = dataclasses.replace(
+        flat = rebuild(
             rivals_space,
             preference=PreferenceRelation(rivals_space.preference.carrier, frozenset()),
         )
@@ -145,7 +145,7 @@ class TestNoBareErrors:
     )
     def test_space_fields_are_named(self, rivals_space, field, value, message):
         with pytest.raises(EntailmentError, match=f"^{message}$"):
-            dataclasses.replace(rivals_space, **{field: value})
+            rebuild(rivals_space, **{field: value})
 
 
 class TestSpaceArgument:
@@ -255,7 +255,7 @@ class TestEntail:
 
     def test_one_check_and_one_lookup_per_query(self, rivals_space, monkeypatch):
         names = tuple(a.name for a in rivals_space.analogies)
-        space = dataclasses.replace(
+        space = rebuild(
             rivals_space, preference=PreferenceRelation(names, frozenset())
         )
         assert best(space) == {"first", "second", "mixed"}

@@ -1,7 +1,7 @@
 """Formula parsing, printing, checking, and three-valued evaluation."""
 
 import copy
-import dataclasses
+import inspect
 import itertools
 import time
 
@@ -50,7 +50,7 @@ from analogia.formula import (
 )
 from analogia.kb import RESERVED_WORDS, _check_ident
 
-from conftest import SESSIONS_DIR
+from conftest import SESSIONS_DIR, rebuild
 from reference import reference_evaluate, reference_tokenize
 from sentences import sentences_up_to_depth
 
@@ -639,9 +639,9 @@ class TestStoredText:
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_replace_gets_its_own_text(self, f, g):
         print_formula(f)
-        field = dataclasses.fields(f)[-1].name  # args, body or right
+        field = list(inspect.signature(type(f)).parameters)[-1]  # args, body or right
         value = g if isinstance(getattr(f, field), Formula) else (Const("b"),) * len(f.args)
-        changed = dataclasses.replace(f, **{field: value})
+        changed = rebuild(f, **{field: value})
         expected = print_formula(copy.deepcopy(changed))
         assert print_formula(changed) == expected
         assert parse_formula(expected) == changed

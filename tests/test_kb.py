@@ -1,12 +1,12 @@
 """Knowledge domain construction, validation, and fact lookup."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from analogia import DomainError, Signature, SignatureError, TruthValue, make_domain
 from analogia.kb import KnowledgeDomain
+
+from conftest import rebuild
 
 # ====================================================================
 # Truth values
@@ -95,7 +95,7 @@ class TestSignature:
         sig = Signature("s", ("a",), (("P", 1),), ())
         assert "_kinds" not in repr(sig)
         assert hash(sig) == hash(Signature("s", ("a",), (("P", 1),), ()))
-        renamed = dataclasses.replace(sig, predicates=(("Q", 2),))
+        renamed = rebuild(sig, predicates=(("Q", 2),))
         assert renamed.kind_of("Q") == "predicate" and renamed.arity_of("Q") == 2
         assert renamed.kind_of("P") is None
 

@@ -28,6 +28,7 @@ from analogia.preference import (
 )
 
 import reference
+from conftest import rebuild
 
 ABC = ("a", "b", "c")
 
@@ -81,15 +82,13 @@ class TestPreferenceRelation:
             PreferenceRelation(carrier, edges)
 
     def test_masks_stay_out_of_eq_hash_and_repr(self):
-        import dataclasses
-
         r = rel(("a", "b"))
         assert r == rel(("a", "b")) and hash(r) == hash(rel(("a", "b")))
         assert repr(r) == (
             "PreferenceRelation(carrier=('a', 'b', 'c'), "
             "edges=frozenset({('a', 'b')}))"
         )
-        moved = dataclasses.replace(r, edges=frozenset({("b", "a")}))
+        moved = rebuild(r, edges=frozenset({("b", "a")}))
         assert undominated(moved, ABC) == {"b", "c"}
 
     def test_better(self):
@@ -395,9 +394,7 @@ class TestDominancePreference:
         assert pref.edges == frozenset()
 
     def test_identical_profiles_are_incomparable(self, first_map, working_atoms):
-        import dataclasses
-
-        other = dataclasses.replace(first_map, name="twin")
+        other = rebuild(first_map, name="twin")
         reports = [classify(a, working_atoms) for a in (first_map, other)]
         pref = dominance_preference(reports)
         assert pref.edges == frozenset()
@@ -408,9 +405,7 @@ class TestDominancePreference:
             dominance_preference([r, r])
 
     def test_working_sets_must_match(self, first_map, working_atoms):
-        import dataclasses
-
-        other = dataclasses.replace(first_map, name="twin")
+        other = rebuild(first_map, name="twin")
         r1 = classify(first_map, working_atoms)
         r2 = classify(other, working_atoms[:2])
         with pytest.raises(PreferenceError, match="share the working set"):

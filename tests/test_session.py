@@ -1,6 +1,5 @@
 """Session file parsing, validation, canonical printing, and commands."""
 
-import dataclasses
 import random
 import re
 import subprocess
@@ -45,7 +44,7 @@ from analogia.formula import (
 )
 from analogia.session import SESSION_COMMANDS, resolve_maps, session_preference
 
-from conftest import SESSIONS_DIR
+from conftest import SESSIONS_DIR, rebuild
 
 MINIMAL = """
 domain S {
@@ -330,7 +329,7 @@ class TestSessionValidation:
     def test_count_weights_checked_at_construction(self, weights, message):
         session = parse_session(MINIMAL + "\npreference counts(1, 2);")
         with pytest.raises(SessionError, match=f"^{message}$"):
-            dataclasses.replace(session, count_weights=weights)
+            rebuild(session, count_weights=weights)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -348,7 +347,7 @@ class TestSessionValidation:
     def test_fields_checked_at_construction(self, field, value):
         session = parse_session(MINIMAL)
         with pytest.raises(SessionError, match=f"^{field} must "):
-            dataclasses.replace(session, **{field: value})
+            rebuild(session, **{field: value})
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -364,7 +363,7 @@ class TestSessionValidation:
     def test_fields_are_neither_split_nor_coerced(self, field, value, message):
         session = parse_session(MINIMAL)
         with pytest.raises(SessionError, match=f"^{re.escape(message)}$"):
-            dataclasses.replace(session, **{field: value})
+            rebuild(session, **{field: value})
 
     def test_domain_errors_carry_the_domain_name(self):
         text = "domain S { objects: a, a; }\ndomain T { objects: b; }\nsource S;\ntarget T;"
