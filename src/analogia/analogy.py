@@ -65,20 +65,11 @@ from .formula import (
     mentioned_constants,
     print_formula,
 )
-from .kb import KnowledgeDomain, Signature, TruthValue, Value, _argument
+from .kb import KnowledgeDomain, Signature, TruthValue, Value, _argument, _checked
 
 # ====================================================================
 # Guards and map pieces
 # ====================================================================
-
-
-def _checked(cls, **fields):
-    """An instance of the record class cls made from field values that
-    are already checked, without running the checks of its __init__."""
-
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _constant_set(constants) -> frozenset[str]:
@@ -111,7 +102,7 @@ class Guard(Value):
 
     @staticmethod
     def mentions(constants: Iterable[str]) -> Guard:
-        return _checked(Guard, constants=_constant_set(constants))
+        return Guard(_constant_set(constants))
 
     @property
     def is_always(self) -> bool:

@@ -317,8 +317,6 @@ def check_formula(f: Formula, sig: Signature) -> None:
 # Evaluation
 # ====================================================================
 
-_NEG = {v: v.negate() for v in TruthValue}
-
 # A compiled node is a pair (code, slots). slots is the bitmask of the
 # binder slots the node reads, and a binder's slot is its depth in the
 # tree, so binders on one path never share a slot, shadowing included.
@@ -362,9 +360,13 @@ def _junction(absorb: TruthValue, a, sa: int, b, sb: int):
 
 def _negation(code, slots: int):
     if not slots:
-        return _NEG[code], 0
-    neg = _NEG
-    return (lambda env: neg[code(env)]), slots
+        return code.negate(), 0
+
+    def negation(env):  # by identity: a TruthValue hashes in Python
+        v = code(env)
+        return _F if v is _T else _T if v is _F else v
+
+    return negation, slots
 
 
 class _Compiler:
@@ -442,7 +444,7 @@ class _Compiler:
             # the fold of one value is that value.
             return body, slots
         short = f.absorb
-        rest = _NEG[short]
+        rest = short.negate()
         universe = self.domain.universe
 
         def fold(env):

@@ -76,7 +76,8 @@ def _check_ident(name: str, what: str) -> None:
     if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
         raise SignatureError(f"invalid {what} identifier {name!r}")
     if name in RESERVED_WORDS:
-        raise SignatureError(f"{name!r} is a reserved word and cannot name a {what}")
+        article = "an" if what[0] in "aeiou" else "a"
+        raise SignatureError(f"{name!r} is a reserved word and cannot name {article} {what}")
 
 
 def _argument(name: str, kind: str, convert, value, error=DomainError):
@@ -121,6 +122,15 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _checked(cls, **fields):
+    """An instance of the record class cls made from field values that
+    are already checked, without running the checks of its __init__."""
+
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 class Signature(Value):

@@ -17,9 +17,9 @@ carrier:
 Choice, smoothness, rankedness and transitivity have one
 implementation, the bitmask kernel below. A relation builds its masks
 when it is made, in the pass that validates its edges, and
-undominated, choice_of and the structural checks read them; the
-repcheck sweeps run the same kernel on masks built straight from edge
-bitmasks.
+undominated, choice_of and the structural checks read them. A choice
+function builds its mask table the same way, for the repcheck laws;
+the repcheck sweeps run the kernel on masks built from edge bitmasks.
 
 The module also derives preferences over analogies from their support
 reports. Dominance prefers a strictly better support profile
@@ -33,9 +33,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .analogy import SupportReport, _checked
+from .analogy import SupportReport
 from .errors import PreferenceError
-from .kb import Value, _argument
+from .kb import Value, _argument, _checked
 
 CHOICE_CAP = 4
 
@@ -50,7 +50,7 @@ def _not_a_str(name: str, kind: str, value) -> None:
 class PreferenceRelation(Value):
     """A strict relation over a finite carrier of item ids."""
 
-    def __init__(self, carrier: tuple[str, ...], edges: frozenset[tuple[str, str]]):
+    def __init__(self, carrier: tuple[str, ...], edges: Iterable[tuple[str, str]]):
         _not_a_str("carrier", "a sequence of items", carrier)
         try:
             carrier = tuple(carrier)
@@ -150,14 +150,14 @@ class ChoiceFunction(Value):
         _not_a_str("carrier", "a sequence of items", carrier)
         try:
             carrier = tuple(carrier)
-            members = set(carrier)
+            index = {x: i for i, x in enumerate(carrier)}
             table = {frozenset(k): frozenset(v) for k, v in table.items()}
         except TypeError:
             raise PreferenceError(
                 "choice carrier items must be hashable and the table must map "
                 "sets of them to sets of them"
             ) from None
-        if len(members) != len(carrier):
+        if len(index) != len(carrier):
             raise PreferenceError("duplicate carrier item")
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "table", table)
@@ -166,9 +166,14 @@ class ChoiceFunction(Value):
             raise PreferenceError(
                 f"choice table has {len(self.table)} entries, expected {expected}"
             )
+        # The chosen mask of each subset mask, as choice_masks lays them out,
+        # built while checking the entries; not part of eq, hash or repr.
+        masks = [0] * expected
         for k, v in self.table.items():
-            if not k <= members or not v <= members:
+            if not index.keys() >= k | v:
                 raise PreferenceError("choice table mentions items outside the carrier")
+            masks[mask_of(k, index)] = mask_of(v, index)
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def choose(self, items: Iterable[str]) -> frozenset[str]:
         return self.table[frozenset(items)]
@@ -182,11 +187,12 @@ def choice_of(rel: PreferenceRelation) -> ChoiceFunction:
             f"carrier of size {len(rel.carrier)} exceeds the tabulation cap {CHOICE_CAP}"
         )
     subsets = list(subsets_of(rel.carrier))
-    table = choice_masks(rel._dominators)
+    masks = choice_masks(rel._dominators)
     return _checked(  # total and inside the carrier by construction
         ChoiceFunction,
         carrier=rel.carrier,
-        table={subsets[xs]: subsets[chosen] for xs, chosen in enumerate(table)},
+        table={subsets[xs]: subsets[chosen] for xs, chosen in enumerate(masks)},
+        _masks=masks,
     )
 
 
@@ -352,7 +358,7 @@ def dominance_preference(reports: Sequence[SupportReport]) -> PreferenceRelation
         for f in (*r.positive, *r.negative):
             index.setdefault(f, len(index))
     profiles = [(mask_of(r.positive, index), mask_of(r.negative, index)) for r in reports]
-    edges = frozenset(
+    edges = (
         (a, b)
         for a, (pa, na) in zip(names, profiles)
         for b, (pb, nb) in zip(names, profiles)
@@ -395,7 +401,7 @@ def count_preference(
     # Compare each rank's position among the distinct ranks, not the Fractions.
     position = {value: i for i, value in enumerate(sorted(set(rank)))}
     level = [position[value] for value in rank]
-    edges = frozenset(
+    edges = (
         (a, b)
         for a, la in zip(names, level)
         for b, lb in zip(names, level)

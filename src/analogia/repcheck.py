@@ -41,7 +41,8 @@ needs carriers with duplicated elements, which is out of scope here.
 The induced choice and the class checks come from the preference
 module's bitmask kernel, the one implementation behind choice_of,
 is_smooth, is_ranked and is_transitive; this module adds the laws and
-the enumeration. All enumeration is in ascending bitmask order, so
+the enumeration. A choice function, like a relation, builds its masks
+when it is made. All enumeration is in ascending bitmask order, so
 witnesses and violation lists are deterministic.
 """
 
@@ -59,7 +60,6 @@ from .preference import (
     _choices,
     choice_masks,
     choice_of,
-    mask_of,
     members,
     ranked_failure,
     smooth_failure,
@@ -116,11 +116,12 @@ def relation_in_class(rel: PreferenceRelation, cls: RelationClass) -> bool:
 # Bitmask internals
 #
 # Subsets, relations and choice tables are masks as in the preference
-# module's bitmask kernel, whose choice, class checks and mask_of /
-# members codec everything here uses. The sweeps enumerate relations
-# with _relations alone: an irreflexive relation on n elements is one
-# edge bitmask with a bit per ordered pair of distinct indices, and
-# relations come in ascending edge bitmask order.
+# module's bitmask kernel, whose choice, class checks and members codec
+# everything here uses; relations and choice functions arrive with
+# their masks built. The sweeps enumerate relations with _relations
+# alone: an irreflexive relation on n elements is one edge bitmask with
+# a bit per ordered pair of distinct indices, and relations come in
+# ascending edge bitmask order.
 # ====================================================================
 
 
@@ -198,14 +199,6 @@ def _property_failure(
     return None
 
 
-def _table_of(cf: ChoiceFunction) -> tuple[int, ...]:
-    index = {x: i for i, x in enumerate(cf.carrier)}
-    table = [0] * (1 << len(index))
-    for k, v in cf.table.items():
-        table[mask_of(k, index)] = mask_of(v, index)
-    return tuple(table)
-
-
 def _decode(failure: tuple[int, int | None], items: Sequence[str], kind=tuple):
     """A law's failing (X, Y) masks as kind(members), Y None for MuSubset."""
 
@@ -239,7 +232,7 @@ def check_property(cf: ChoiceFunction, prop: PropertyId) -> tuple[bool, Witness 
 
     _check_argument("cf", cf, ChoiceFunction)
     _check_argument("prop", prop, PropertyId)
-    failure = _property_failure(_table_of(cf), len(cf.carrier), prop)
+    failure = _property_failure(cf._masks, len(cf.carrier), prop)
     if failure is None:
         return True, None
     return False, _decode(failure, cf.carrier, frozenset)
@@ -249,7 +242,7 @@ def irreflexive_relations(items: Sequence[str]) -> Iterator[PreferenceRelation]:
     """All strict relations on the items, ascending by edge bitmask."""
 
     items = _argument("items", "an iterable of items", tuple, items, RepcheckError)
-    edges = (frozenset(_edges_of(better, items)) for better, _ in _relations(len(items)))
+    edges = (_edges_of(better, items) for better, _ in _relations(len(items)))
     return (PreferenceRelation(carrier=items, edges=e) for e in edges)
 
 
@@ -306,23 +299,20 @@ def represent(
         raise RepcheckError(
             f"carrier of size {n} exceeds the representation search cap {REPRESENT_MAX_N}"
         )
-    target = _table_of(cf)
-    failed = None
-    witness = None
+    failed = witness = None
     for prop in CLASS_PROPERTIES[cls]:
-        failure = _property_failure(target, n, prop)
+        failure = _property_failure(cf._masks, n, prop)
         if failure is not None:
             failed, witness = prop, _decode(failure, items, frozenset)
             break
 
-    searched = 0
-    found = None
+    searched, found = 0, None
     for better, dominators in _relations(n):
         mu = choice_masks(dominators)
         if not _in_class_masks(better, dominators, mu, cls):
             continue
         searched += 1
-        if mu == target:
+        if mu == cf._masks:
             found = better
             break
 
@@ -335,7 +325,7 @@ def represent(
     if found is None:
         return NotRepresentable(failed_property=None, witness=None, searched=searched)
 
-    rel = PreferenceRelation(carrier=items, edges=frozenset(_edges_of(found, items)))
+    rel = PreferenceRelation(carrier=items, edges=_edges_of(found, items))
     if not relation_in_class(rel, cls) or choice_of(rel).table != cf.table:
         raise RepcheckError("represent produced a relation that fails verification")
     return rel

@@ -142,7 +142,7 @@ class Session(Value):
         anames = _by_name("analogy", [(a.name, a) for a in self.analogies])
         for a in self.analogies:
             try:
-                _check_ident(a.name, "analogy name")
+                _check_ident(a.name, "analogy")
             except SignatureError as err:
                 raise SessionError(str(err)) from err
             if a.source != self.source:
@@ -629,7 +629,7 @@ def session_preference(
     if session.preference_kind == "explicit":
         return PreferenceRelation(
             carrier=tuple(a.name for a in maps),
-            edges=frozenset(session.explicit_edges),
+            edges=session.explicit_edges,
         )
     reports = [session.tables.classify(a) for a in maps]
     if session.preference_kind == "counts":

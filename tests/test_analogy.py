@@ -391,6 +391,10 @@ class TestNoBareErrors:
                 lambda t: t.conjectures(parse_formula("Aa(d1)"), 5),
                 "analogies must be iterable, not int",
             ),
+            (
+                lambda t: t.classify(analogy_map("m", _SRC, _SRC, {"A": "A"})),
+                "analogy 'm' runs to a different target domain",
+            ),
         ],
         ids=[
             "formulas",
@@ -401,6 +405,7 @@ class TestNoBareErrors:
             "preimages",
             "close",
             "conjectures",
+            "other target",
         ],
     )
     def test_tables_name_the_argument(self, call, message):

@@ -65,7 +65,8 @@ class TestSignature:
             Signature("s", (), (("P", 0),), ())
 
     def test_reserved_words_cannot_name_symbols(self):
-        with pytest.raises(SignatureError, match="reserved word"):
+        message = "^'forall' is a reserved word and cannot name a constant$"
+        with pytest.raises(SignatureError, match=message):
             Signature("s", ("forall",), (), ())
 
     def test_bad_identifier_rejected(self):
@@ -363,6 +364,8 @@ class TestKnowledgeDomainChecksItsInput:
             ({"f": "a"}, "^func_interp key 'f' is not a .function, arguments. pair$"),
             ({("f", 5): "a"}, r"^func_interp key \('f', 5\) is not a .function, arguments. pair$"),
             (5, "^func_interp must be a mapping, not int$"),
+            ({("g", ("a",)): "a"}, "^interpretation given for unknown function 'g'$"),
+            ({("f", ("a", "a")): "a"}, "^wrong argument count in interpretation of 'f'$"),
         ],
     )
     def test_malformed_func_interp(self, func_interp, message):

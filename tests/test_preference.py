@@ -19,6 +19,7 @@ from analogia.formula import ground_atom_formulas
 from analogia.preference import (
     ChoiceFunction,
     PreferenceRelation,
+    choice_masks,
     choice_of,
     is_ranked,
     is_smooth,
@@ -258,6 +259,14 @@ class TestChoiceFunction:
         with pytest.raises(PreferenceError, match="cap"):
             choice_of(wide)
 
+    def test_masks_are_built_however_the_choice_is_made(self):
+        for n in range(4):
+            for r in all_relations(ABC[:n]):
+                want = choice_masks(r._dominators)
+                cf = choice_of(r)
+                assert cf._masks == want
+                assert ChoiceFunction(cf.carrier, cf.table)._masks == want
+
 
 # ====================================================================
 # Structural properties
@@ -410,6 +419,13 @@ class TestDominancePreference:
         r2 = classify(other, working_atoms[:2])
         with pytest.raises(PreferenceError, match="share the working set"):
             dominance_preference([r1, r2])
+
+    def test_domain_pairs_must_match(self, first_map, rivals_target, working_atoms):
+        elsewhere = rebuild(rivals_target, signature=rebuild(rivals_target.signature, name="U"))
+        other = rebuild(first_map, name="twin", target=elsewhere)
+        reports = [classify(a, working_atoms) for a in (first_map, other)]
+        with pytest.raises(PreferenceError, match="^reports do not share the domain pair$"):
+            dominance_preference(reports)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(

@@ -205,6 +205,12 @@ class TestParseSession:
             ("preference dominance;\npreference dominance;", "duplicate preference"),
             ("closure maybe;", "closure must be on or off"),
             ("widget;", "expected domain, analogy"),
+            (
+                "analogy m2 from S to T { piece when mentions {a} { P -> R; } }",
+                "expected map or '}'",
+            ),
+            ("preference counts(1/0, 1);", "weight denominator cannot be zero"),
+            ("preference widget;", "expected dominance, counts, or explicit"),
         ],
     )
     def test_structural_parse_errors(self, snippet, message):
@@ -314,8 +320,62 @@ class TestSessionValidation:
         ],
     )
     def test_rejections(self, mutation, message):
-        with pytest.raises((SessionError, Exception), match=message):
+        with pytest.raises(AnalogiaError, match=message):
             parse_session(MINIMAL + "\n" + mutation)
+
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ("source Ghost;", "source domain 'Ghost' is not declared"),
+            ("target Ghost;", "target domain 'Ghost' is not declared"),
+            (
+                "analogy forall from S to T { map P -> R; }",
+                "'forall' is a reserved word and cannot name an analogy",
+            ),
+            (
+                "analogy m2 from T to T { map R -> R; }\nsource S;\ntarget T;",
+                "analogy 'm2' runs from 'T', not the source 'S'",
+            ),
+            (
+                "domain U { objects: u; interp g(u) = u; }",
+                "domain U: interpretation given for unknown function 'g'",
+            ),
+            (
+                "domain U { objects: u; func f/1; interp f(u, u) = u; }",
+                "domain U: wrong argument count in interpretation of 'f'",
+            ),
+        ],
+    )
+    def test_semantic_rejections_are_session_errors(self, mutation, message):
+        with pytest.raises(SessionError, match=f"^{re.escape(message)}$"):
+            parse_session(MINIMAL + "\n" + mutation)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"preference_kind": "ghost"}, "unknown preference kind 'ghost'"),
+            ({"count_weights": (1, 1)}, "dominance preference takes no weights"),
+            (
+                {"explicit_edges": (("plain", "plain"),)},
+                "dominance preference takes no prefer lines",
+            ),
+        ],
+        ids=["unknown kind", "weights", "prefer lines"],
+    )
+    def test_preference_fields_must_fit_the_kind(self, changes, message):
+        session = parse_session(MINIMAL)
+        with pytest.raises(SessionError, match=f"^{message}$"):
+            rebuild(session, **changes)
+
+    def test_analogy_names_must_be_identifiers(self):
+        session = parse_session(MINIMAL)
+        odd = rebuild(session.analogies[0], name="two words")
+        with pytest.raises(SessionError, match="^invalid analogy identifier 'two words'$"):
+            rebuild(session, analogies=(odd,))
+
+    def test_domain_of_an_unknown_name(self):
+        with pytest.raises(SessionError, match="^no domain named 'Ghost'$"):
+            parse_session(MINIMAL).domain("Ghost")
 
     @pytest.mark.parametrize(
         "weights, message",
