@@ -300,8 +300,6 @@ def _carry(f: Formula, map_symbol, signature: Signature | None) -> Formula:
                     new = new + "'"
                 taken.add(new)
                 renames = {**renames, g.var: new}
-            elif g.var in renames:
-                renames = {k: v for k, v in renames.items() if k != g.var}
             return kind(new, walk(g.body, renames))
         raise TranslationError(f"not a formula node: {g!r}")
 

@@ -17,6 +17,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .errors import AnalogiaError
+from .repcheck import SWEEPS, RelationClass
 from .session import parse_session, run
 
 _TEXT_VIOLATION_CAP = 5
@@ -52,11 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rp.add_argument("--n", type=int, required=True, help="carrier size")
     rp.add_argument(
-        "--class", dest="relation_class", choices=["all", "smooth", "ranked"],
+        "--class", dest="relation_class", choices=[c.value for c in RelationClass],
         default="all", help="relation class to sweep (default all)",
     )
     rp.add_argument(
-        "--mode", choices=["soundness", "completeness"], default="soundness",
+        "--mode", choices=list(SWEEPS), default="soundness",
         help="sweep direction (default soundness)",
     )
     rp.add_argument(

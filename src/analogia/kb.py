@@ -9,8 +9,9 @@ to unknown, so the table is total without being stored in full.
 
 Signature and KnowledgeDomain each check all of their own input and
 name the malformed value in a SignatureError or DomainError;
-make_domain turns names into elements and fact triples into keys. All
-are immutable values: equal data compare equal and can be shared.
+make_domain turns names into elements and fact triples into keys, and
+_table is the one check for a repeated atom. All are immutable values:
+equal data compare equal and can be shared.
 
 Value is the base of every record in the package. A record's fields
 are its __init__'s parameters, in order; __init__ makes the record's
@@ -205,6 +206,17 @@ def _const_interp(value) -> dict[str, str]:
     return const_interp
 
 
+def _table(kind: str, entries: Iterable[tuple[str, tuple[str, ...], object]]) -> dict:
+    """{(name, args): value}; an atom repeated with another value is an error."""
+
+    table: dict = {}
+    for name, args, value in entries:
+        seen = table.setdefault((name, args), value)
+        if seen != value:
+            raise DomainError(f"conflicting {kind} {format_atom(name, args)}: {seen} vs {value}")
+    return table
+
+
 def _key(argument: str, key, kind: str) -> tuple[str, tuple]:
     """key if it is a (name, args tuple) pair, else a DomainError naming argument."""
 
@@ -217,13 +229,15 @@ class KnowledgeDomain(Value):
     """A signature interpreted over a finite universe, with partial facts.
 
     The constructor is the one complete check of a domain, whoever
-    builds it: distinct names in the universe, total interpretations
-    into it, and TruthValue facts on declared predicates with the right
-    arity over its elements. The universe is stored sorted, so orders
-    derived from it are stable. func_interp and facts are keyed by
-    plain (name, args) tuples; facts, the one fact table, keeps only
-    known values, and fact_value answers unknown for the rest. Do not
-    mutate the dicts; the type is meant to behave as a value.
+    builds it, and the only test of fact arguments against the universe.
+    It reports the first fault in the signature, universe, const_interp,
+    func_interp's entries then totality, or each fact's key, value,
+    predicate, arity and first unknown argument ("unknown symbol 'z' in
+    fact P(z)"); a conflicting repeat is caught before, where the tables
+    are keyed. The universe is stored sorted, so orders derived from it
+    are stable. func_interp and facts are keyed by plain (name, args)
+    tuples; facts, the one fact table, keeps only known values, and
+    fact_value answers unknown for the rest. Do not mutate the dicts.
     """
 
     def __init__(
@@ -301,7 +315,8 @@ class KnowledgeDomain(Value):
                     f"arity mismatch: {pred} expects {arity} arguments, got {len(args)}"
                 )
             if not uset.issuperset(args):
-                raise DomainError(f"fact {format_atom(pred, args)} names unknown elements")
+                unknown = next(a for a in args if a not in uset)
+                raise DomainError(f"unknown symbol {unknown!r} in fact {format_atom(pred, args)}")
             if value.known:
                 table[key] = value
         object.__setattr__(self, "facts", table)
@@ -329,10 +344,10 @@ def make_domain(
     a string, strings and a TruthValue or bool. Listing the same atom
     twice is fine if the values agree and an error otherwise.
 
-    Only what building a key needs is checked here: the triple's shape,
-    the names resolved, the const_interp values substituted, the
-    predicate's type and, before the conflict check, the value. The
-    rest is KnowledgeDomain's, which also drops the unknown facts.
+    Only what a key needs is checked here, on every triple before any
+    repeat: its shape, str arguments, the const_interp values put in,
+    the value and the predicate's type. The rest, unknown arguments
+    too, is KnowledgeDomain's, which also drops the unknown facts.
     """
 
     elems = _argument("universe", "an iterable of names", dict.fromkeys, universe)
@@ -347,7 +362,7 @@ def make_domain(
     else:
         const_interp = _const_interp(const_interp)
 
-    seen: dict[tuple[str, tuple[str, ...]], TruthValue] = {}
+    resolved = []
     for fact in _argument("facts", "an iterable of facts", tuple, facts):
         try:
             pred, args, value = fact
@@ -363,7 +378,7 @@ def make_domain(
         if isinstance(value, bool):
             value = TruthValue.of(value)
         for a in args:
-            if not isinstance(a, str) or (a not in const_interp and a not in elems):
+            if not isinstance(a, str):
                 raise DomainError(f"unknown symbol {a!r} in fact {format_atom(pred, args)}")
         args = tuple([const_interp.get(a, a) for a in args])
         if not isinstance(value, TruthValue):
@@ -372,12 +387,9 @@ def make_domain(
             )
         if not isinstance(pred, str):
             raise DomainError(f"fact uses unknown predicate {pred!r}")
-        key = (pred, args)
-        if key in seen and seen[key] is not value:
-            raise DomainError(
-                f"conflicting fact {format_atom(pred, args)}: {seen[key]} vs {value}"
-            )
-        seen[key] = value
+        resolved.append((pred, args, value))
 
     func_interp = {} if func_interp is None else func_interp
-    return KnowledgeDomain(signature, tuple(elems), const_interp, func_interp, seen)
+    return KnowledgeDomain(
+        signature, tuple(elems), const_interp, func_interp, _table("fact", resolved)
+    )

@@ -561,3 +561,7 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
         violations=tuple(violations),
         stats=stats,
     )
+
+
+# The sweep of each mode, in the order the CLI and its messages list them.
+SWEEPS = {"soundness": soundness_sweep, "completeness": completeness_sweep}

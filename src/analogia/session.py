@@ -32,7 +32,8 @@ prefer a over b; }` lines. `closure on` extends the declared analogies
 with their pairwise single-constant combinations before any command
 runs. Comments run from '#' to end of line. Only domain, analogy and
 query statements may repeat. A fact or interp line may repeat another
-with the same value; with a different value it is an error.
+with the same value; with a different value it is an error, reported
+before any other fault in the domain's facts and interps.
 
 Sessions are values: declaration order is normalized away everywhere
 it has no meaning (domains and analogies sort by name) and kept where
@@ -74,8 +75,7 @@ from .formula import (
     tokenize,
 )
 from .kb import (
-    KnowledgeDomain, Signature, TruthValue, Value, _argument, _check_ident, format_atom,
-    make_domain,
+    KnowledgeDomain, Signature, TruthValue, Value, _argument, _check_ident, _table, format_atom,
 )
 from .preference import (
     PreferenceRelation,
@@ -491,20 +491,9 @@ _STATEMENTS = {
 
 def _build_domain(name, objects, predicates, functions, facts, interps) -> KnowledgeDomain:
     try:
-        sig = Signature(
-            name=name,
-            constants=tuple(objects),
-            predicates=tuple(predicates),
-            functions=tuple(functions),
-        )
-        func_interp: dict[tuple[str, tuple[str, ...]], str] = {}
-        for f, args, value in interps:
-            if func_interp.setdefault((f, args), value) != value:
-                raise DomainError(
-                    f"conflicting interpretation {format_atom(f, args)}: "
-                    f"{func_interp[f, args]} vs {value}"
-                )
-        return make_domain(sig, universe=objects, func_interp=func_interp, facts=facts)
+        sig = Signature(name, tuple(objects), tuple(predicates), tuple(functions))
+        interps, facts = _table("interpretation", interps), _table("fact", facts)
+        return KnowledgeDomain(sig, sig.constants, {o: o for o in sig.constants}, interps, facts)
     except (SignatureError, DomainError) as err:
         raise SessionError(f"domain {name}: {err}") from err
 
@@ -726,18 +715,14 @@ def _run_repcheck(n: int | None, relation_class: str, mode: str) -> dict:
     try:
         cls = repcheck_mod.RelationClass(relation_class)
     except ValueError:
+        *classes, last = [c.value for c in repcheck_mod.RelationClass]
         raise RepcheckError(
             f"unknown relation class {relation_class!r}; "
-            "expected all, smooth, or ranked"
+            f"expected {', '.join(classes)}, or {last}"
         ) from None
-    if mode == "soundness":
-        sweep = repcheck_mod.soundness_sweep(n, cls)
-    elif mode == "completeness":
-        sweep = repcheck_mod.completeness_sweep(n, cls)
-    else:
-        raise RepcheckError(
-            f"unknown mode {mode!r}; expected soundness or completeness"
-        )
+    sweep = repcheck_mod.SWEEPS.get(mode) if isinstance(mode, str) else None
+    if sweep is None:
+        raise RepcheckError(f"unknown mode {mode!r}; expected {' or '.join(repcheck_mod.SWEEPS)}")
     out = {"command": "repcheck"}
-    out.update(sweep.to_json_dict())
+    out.update(sweep(n, cls).to_json_dict())
     return out

@@ -47,6 +47,21 @@ class TestArguments:
             main(["repcheck", "--n", "2", "--class", "wild"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, choices",
+        [("--class", "'all', 'smooth', 'ranked'"), ("--mode", "'soundness', 'completeness'")],
+    )
+    def test_repcheck_choice_errors_name_every_choice(self, capsys, monkeypatch, flag, choices):
+        monkeypatch.setenv("COLUMNS", "80")  # the usage lines wrap at the terminal width
+        with pytest.raises(SystemExit) as exc:
+            main(["repcheck", "--n", "1", flag, "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: analogia repcheck [-h] --n N [--class {all,smooth,ranked}]\n"
+            "                         [--mode {soundness,completeness}] [--json]\n"
+            f"analogia repcheck: error: argument {flag}: invalid choice: 'x' (choose from {choices})\n"
+        )
+
     def test_one_parser_serves_every_call(self, capsys):
         # --json before the subcommand, a usage error, --json after it:
         # the parser built once prints what a fresh one prints each time.

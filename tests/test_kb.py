@@ -383,7 +383,7 @@ class TestKnowledgeDomainChecksItsInput:
             ({"P": TruthValue.TRUE}, "^facts key 'P' " + NOT_A_FACT_KEY),
             ({("P", 5): TruthValue.TRUE}, r"^facts key \('P', 5\) " + NOT_A_FACT_KEY),
             ({("P", ("a",)): True}, r"^fact P\(a\) has a non truth-value entry True$"),
-            ({("P", ("b",)): TruthValue.TRUE}, r"^fact P\(b\) names unknown elements$"),
+            ({("P", ("b",)): TruthValue.TRUE}, r"^unknown symbol 'b' in fact P\(b\)$"),
             ({("f", ("a",)): TruthValue.TRUE}, "^fact uses unknown predicate 'f'$"),
         ],
     )

@@ -15,12 +15,15 @@ import analogia.analogy
 from analogia import (
     AnalogiaError,
     AnalogyError,
+    DomainError,
     ParseError,
     RepcheckError,
     Session,
     SessionError,
+    Signature,
     TranslationTables,
     TruthValue,
+    make_domain,
     parse_formula,
     parse_session,
     print_session,
@@ -42,6 +45,7 @@ from analogia.formula import (
     token_positions,
     tokenize,
 )
+from analogia.kb import format_atom
 from analogia.session import SESSION_COMMANDS, resolve_maps, session_preference
 
 from conftest import SESSIONS_DIR, rebuild
@@ -295,6 +299,25 @@ class TestParseSession:
 # ====================================================================
 
 
+@st.composite
+def domain_statements(draw):
+    """(objects, predicates, func_interp, facts) of one domain: a total
+    f/1 and facts of every value, some repeated with the same value."""
+
+    objects = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    predicates = draw(
+        st.lists(st.sampled_from([("P", 1), ("Q", 1), ("R", 2)]), min_size=1, unique=True)
+    )
+    interp = {("f", (o,)): draw(st.sampled_from(objects)) for o in objects}
+    atoms = st.sampled_from(predicates).flatmap(
+        lambda p: st.tuples(st.just(p[0]), st.tuples(*[st.sampled_from(objects)] * p[1]))
+    )
+    table = draw(st.dictionaries(atoms, st.sampled_from(list(TruthValue)), max_size=6))
+    facts = [(p, args, v) for (p, args), v in table.items()]
+    repeats = draw(st.lists(st.sampled_from(facts), max_size=3)) if facts else []
+    return objects, predicates, interp, list(draw(st.permutations(facts + repeats)))
+
+
 class TestSessionValidation:
     @pytest.mark.parametrize(
         "mutation, message",
@@ -343,6 +366,46 @@ class TestSessionValidation:
             (
                 "domain U { objects: u; func f/1; interp f(u, u) = u; }",
                 "domain U: wrong argument count in interpretation of 'f'",
+            ),
+            (
+                "domain U { objects: u; pred P/1; fact P(z) = true; }",
+                "domain U: unknown symbol 'z' in fact P(z)",
+            ),
+            (
+                "domain U { objects: u; fact Z(u) = true; }",
+                "domain U: fact uses unknown predicate 'Z'",
+            ),
+            (
+                "domain U { objects: u; func f/1; interp f(u) = u; fact f(u) = true; }",
+                "domain U: fact uses unknown predicate 'f'",
+            ),
+            (
+                "domain U { objects: u; fact u(u) = true; }",
+                "domain U: fact uses unknown predicate 'u'",
+            ),
+            (
+                "domain U { objects: u; pred R/2; fact R(u) = true; }",
+                "domain U: arity mismatch: R expects 2 arguments, got 1",
+            ),
+            (
+                "domain U { objects: u; pred P/1; fact P(u) = true; fact P(u) = false; }",
+                "domain U: conflicting fact P(u): true vs false",
+            ),
+            (
+                "domain U { objects: u; pred P/1; fact P(u) = unknown; fact P(u) = true; }",
+                "domain U: conflicting fact P(u): unknown vs true",
+            ),
+            (
+                "domain U { objects: u; func f/1; interp f(z) = u; }",
+                "domain U: interpretation of 'f' uses unknown elements",
+            ),
+            (
+                "domain U { objects: a, b; func g/1; interp g(a) = z; interp g(b) = a; }",
+                "domain U: g(a) = 'z' is not a universe element",
+            ),
+            (
+                "domain U { objects: a, b; func g/1; interp g(a) = a; }",
+                "domain U: incomplete interpretation: missing g(b)",
             ),
         ],
     )
@@ -443,6 +506,40 @@ class TestSessionValidation:
     def test_repeated_interp_is_accepted(self):
         session = parse_session(self.INTERPS.format("interp f(a) = a;"))
         assert session.domain("S").func_interp == {("f", ("a",)): "a", ("f", ("b",)): "b"}
+
+    def test_repeated_fact_is_accepted(self):
+        text = "domain S { objects: a; pred P/1; fact P(a) = false; fact P(a) = false; }"
+        session = parse_session(text + "\nsource S;\ntarget S;")
+        assert session.domain("S").facts == {("P", ("a",)): TruthValue.FALSE}
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(domain_statements(), st.sampled_from([None, "conflict", "unknown object"]), st.data())
+    def test_session_text_and_make_domain_agree(self, statements, fault, data):
+        objects, predicates, interp, facts = statements
+        if fault is not None and facts:
+            at = data.draw(st.integers(0, len(facts) - 1))
+            pred, args, value = facts[at]
+            if fault == "conflict":
+                other = data.draw(st.sampled_from([v for v in TruthValue if v is not value]))
+                facts.insert(data.draw(st.integers(0, len(facts))), (pred, args, other))
+            else:
+                facts[at] = (pred, ("z", *args[1:]), value)
+        lines = [f"objects: {', '.join(objects)};", "func f/1;"]
+        lines += [f"pred {p}/{k};" for p, k in predicates]
+        lines += [f"interp {format_atom(*key)} = {v};" for key, v in interp.items()]
+        lines += [f"fact {format_atom(p, args)} = {v};" for p, args, v in facts]
+        text = "domain S {\n  " + "\n  ".join(lines) + "\n}\nsource S;\ntarget S;\n"
+        sig = Signature("S", tuple(objects), tuple(predicates), (("f", 1),))
+        try:
+            built = make_domain(sig, objects, func_interp=interp, facts=facts)
+        except DomainError as err:
+            assert fault is not None
+            message = f"^{re.escape(f'domain S: {err}')}$"
+            with pytest.raises(SessionError, match=message):
+                parse_session(text)
+        else:
+            assert fault is None or not facts
+            assert parse_session(text).domain("S") == built
 
     def test_undeclared_analogy_domain(self):
         text = """
@@ -771,6 +868,17 @@ class TestRun:
             run(None, "repcheck", n=2, relation_class="wild")
         with pytest.raises(RepcheckError, match="unknown mode"):
             run(None, "repcheck", n=2, mode="sideways")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"relation_class": "x"}, "unknown relation class 'x'; expected all, smooth, or ranked"),
+            ({"mode": "x"}, "unknown mode 'x'; expected soundness or completeness"),
+        ],
+    )
+    def test_repcheck_choice_messages(self, kwargs, message):
+        with pytest.raises(RepcheckError, match=f"^{re.escape(message)}$"):
+            run(None, "repcheck", n=1, **kwargs)
 
     def test_unknown_command(self, combi):
         with pytest.raises(SessionError, match="unknown command"):
