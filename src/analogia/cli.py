@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -90,11 +91,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AnalogiaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if json_mode:
-        print(_json_text(result))
-    else:
-        for line in _render(result):
-            print(line)
+    try:
+        lines = [_json_text(result)] if json_mode else _render(result)
+        print("".join(line + "\n" for line in lines), end="", flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout: devnull keeps the flush at exit quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 1 if result.get("violation_count", 0) else 0
 
 

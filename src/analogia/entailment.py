@@ -13,12 +13,11 @@ is known, and a definite verdict needs all speakers to agree.
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
 
 from .analogy import AnalogyMap, TranslationTables
 from .errors import AnalogyError, EntailmentError
 from .formula import Formula, check_formula, evaluate
-from .kb import KnowledgeDomain, TruthValue, Value, _argument
+from .kb import KnowledgeDomain, TruthValue, Value, _items
 from .preference import PreferenceRelation, undominated
 
 
@@ -41,6 +40,9 @@ class AnalogySpace(Value):
     tables' domains and translate the working set injectively, so that
     a target sentence has at most one preimage per analogy. The
     preference carrier must be exactly the set of analogy names.
+
+    The checks also derive, once, the analogies by name, the best set μ
+    (the undominated names) and its speakers in name order.
     """
 
     def __init__(
@@ -61,23 +63,23 @@ class AnalogySpace(Value):
             found = type(getattr(self, name))
             if not issubclass(found, kind):
                 raise EntailmentError(f"{name} must be a {kind.__name__}, not {found.__name__}")
-        analogies = _argument("analogies", "iterable", tuple, self.analogies, EntailmentError)
-        for a in analogies:
-            if not isinstance(a, AnalogyMap):
-                raise EntailmentError(f"analogies must hold AnalogyMap values, not {a!r}")
+        analogies = _items("analogies", self.analogies, AnalogyMap, EntailmentError)
         object.__setattr__(self, "analogies", analogies)
-        names = [a.name for a in self.analogies]
-        if len(set(names)) != len(names):
+        by_name = {a.name: a for a in analogies}
+        if len(by_name) != len(analogies):
             raise EntailmentError("duplicate analogy name in space")
-        for a in self.analogies:
+        for a in analogies:
             try:
                 self.tables.preimages(a)
             except AnalogyError as err:
                 raise EntailmentError(str(err)) from err
-        if set(self.preference.carrier) != set(names) or len(
-            self.preference.carrier
-        ) != len(names):
+        carrier = self.preference.carrier
+        if by_name.keys() != set(carrier) or len(carrier) != len(by_name):
             raise EntailmentError("preference carrier does not match the analogy names")
+        chosen = undominated(self.preference, by_name)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_best", chosen)
+        object.__setattr__(self, "_speakers", tuple(by_name[n] for n in sorted(chosen)))
 
     @property
     def source(self) -> KnowledgeDomain:
@@ -92,10 +94,10 @@ class AnalogySpace(Value):
         return self.tables.formulas
 
     def analogy(self, name: str) -> AnalogyMap:
-        for a in self.analogies:
-            if a.name == name:
-                return a
-        raise EntailmentError(f"no analogy named {name!r} in space")
+        try:
+            return self._by_name[name]
+        except (KeyError, TypeError):
+            raise EntailmentError(f"no analogy named {name!r} in space") from None
 
 
 def _check_space(space, what: str) -> None:
@@ -104,10 +106,10 @@ def _check_space(space, what: str) -> None:
 
 
 def best(space: AnalogySpace) -> frozenset[str]:
-    """Names of the undominated analogies."""
+    """Names of the undominated analogies, derived once as the space was built."""
 
     _check_space(space, "best")
-    return undominated(space.preference, (a.name for a in space.analogies))
+    return space._best
 
 
 def conjecture_for(
@@ -157,7 +159,7 @@ class Verdict(Value):
 
 
 def entail(space: AnalogySpace, query: Formula) -> Verdict:
-    """Answer a target-language query skeptically over the best analogies."""
+    """Answer a target query skeptically over the speakers the space derived once."""
 
     _check_space(space, "entail")
     settled = evaluate(query, space.target)
@@ -171,14 +173,10 @@ def entail(space: AnalogySpace, query: Formula) -> Verdict:
             warnings=(),
         )
 
-    chosen = best(space)
-    warnings: list[str] = []
-    if not chosen:
-        warnings.append("no analogy survives the preference; the best set is empty")
-    speakers = sorted(
-        (a for a in space.analogies if a.name in chosen), key=attrgetter("name")
+    warnings = () if space._best else (
+        "no analogy survives the preference; the best set is empty",
     )
-    suggestions = space.tables.conjectures(query, speakers)
+    suggestions = space.tables.conjectures(query, space._speakers)
     values = set(suggestions.values())
     if not values:
         status = VerdictStatus.NO_SUPPORT
@@ -192,5 +190,5 @@ def entail(space: AnalogySpace, query: Formula) -> Verdict:
         value=values.pop() if status is VerdictStatus.ENTAILED else None,
         support=tuple(sorted(suggestions)),
         suggestions=suggestions,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )

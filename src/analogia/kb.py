@@ -93,6 +93,16 @@ def _argument(name: str, kind: str, convert, value, error=DomainError):
         raise error(f"{name} must be {kind}, not {type(value).__name__}") from None
 
 
+def _items(name: str, value, kind: type, error) -> tuple:
+    """value as a tuple of kind, with an error that names the argument."""
+
+    items = _argument(name, "iterable", tuple, value, error)
+    for item in items:
+        if not isinstance(item, kind):
+            raise error(f"{name} must hold {kind.__name__} values, not {item!r}")
+    return items
+
+
 class Value:
     """An immutable record compared, hashed and shown by its fields."""
 

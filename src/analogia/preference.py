@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analogy import SupportReport
 from .errors import PreferenceError
-from .kb import Value, _argument, _checked
+from .kb import Value, _checked, _items
 
 CHOICE_CAP = 4
 
@@ -320,10 +320,7 @@ def _shared_basis(reports: Sequence[SupportReport]) -> tuple[SupportReport, ...]
     SupportReports with distinct analogy names, one working set and one
     domain pair."""
 
-    reports = _argument("reports", "iterable", tuple, reports, PreferenceError)
-    for r in reports:
-        if not isinstance(r, SupportReport):
-            raise PreferenceError(f"reports must hold SupportReport values, not {r!r}")
+    reports = _items("reports", reports, SupportReport, PreferenceError)
     if not reports:
         return reports
     names = [r.analogy.name for r in reports]

@@ -75,7 +75,7 @@ from .formula import (
     tokenize,
 )
 from .kb import (
-    KnowledgeDomain, Signature, TruthValue, Value, _argument, _check_ident, _table, format_atom,
+    KnowledgeDomain, Signature, TruthValue, Value, _check_ident, _items, _table, format_atom,
 )
 from .preference import (
     PreferenceRelation,
@@ -109,20 +109,20 @@ class Session(Value):
         count_weights: tuple[Fraction, Fraction] | None = None,
         explicit_edges: tuple[tuple[str, str], ...] = (),
     ):
-        domains = _items("domains", domains, KnowledgeDomain)
+        domains = _items("domains", domains, KnowledgeDomain, SessionError)
         object.__setattr__(self, "domains", tuple(sorted(domains, key=lambda d: d.signature.name)))
         object.__setattr__(self, "source_name", source_name)
         object.__setattr__(self, "target_name", target_name)
-        analogies = _items("analogies", analogies, AnalogyMap)
+        analogies = _items("analogies", analogies, AnalogyMap, SessionError)
         object.__setattr__(self, "analogies", tuple(sorted(analogies, key=lambda a: a.name)))
-        object.__setattr__(self, "working_set", _items("working_set", working_set, Formula))
-        object.__setattr__(self, "queries", _items("queries", queries, Formula))
+        for field, value in (("working_set", working_set), ("queries", queries)):
+            object.__setattr__(self, field, _items(field, value, Formula, SessionError))
         object.__setattr__(self, "closure", closure)
         object.__setattr__(self, "preference_kind", preference_kind)
         object.__setattr__(self, "count_weights", count_weights)
         edges = []
-        for edge in _items("explicit_edges", explicit_edges):
-            names = _items("explicit_edges", edge, str)  # neither splits a str nor coerces
+        for edge in _items("explicit_edges", explicit_edges, object, SessionError):
+            names = _items("explicit_edges", edge, str, SessionError)  # no str split, no coercion
             if len(names) != 2:
                 raise SessionError(f"explicit_edges must hold pairs, not {edge!r}")
             edges.append(names)
@@ -222,16 +222,6 @@ def _by_name(kind: str, named: list[tuple[str, object]]) -> dict:
             raise SessionError(f"{kind} {name!r} is declared twice")
         by_name[name] = value
     return by_name
-
-
-def _items(name: str, value, kind: type = object) -> tuple:
-    """value as a tuple of kind, or a SessionError that names the field."""
-
-    items = _argument(name, "iterable", tuple, value, SessionError)
-    for item in items:
-        if not isinstance(item, kind):
-            raise SessionError(f"{name} must hold {kind.__name__} values, not {item!r}")
-    return items
 
 
 # ====================================================================

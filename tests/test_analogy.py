@@ -869,6 +869,18 @@ class TestCloseUnderCombination:
         bad = classify(by_name["second+first@x"], working_atoms)
         assert [print_formula(f) for f in bad.negative] == ["P(x)", "P(x')"]
 
+    def test_a_given_name_is_not_generated_again(
+        self, rivals_source, rivals_target, first_map, second_map, working_atoms
+    ):
+        given = analogy_map(
+            "first+second@x", rivals_source, rivals_target,
+            {"P": "Pa", "Q": "Qb", "x": "y", "x'": "y'"},
+        )
+        out = close_under_combination((first_map, second_map, given), working_atoms)
+        names = [a.name for a in out]
+        assert names.count("first+second@x") == 1
+        assert out[names.index("first+second@x")] is given
+
     def test_empty_input(self):
         assert close_under_combination((), ()) == ()
 

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from analogia import AnalogiaError, parse_session, run
-from analogia.cli import _build_parser, _json_text, main
+from analogia.cli import _build_parser, _json_text, _render, main
 from analogia.formula import MAX_FORMULA_DEPTH
+from analogia.repcheck import PropertyId, RelationClass, SweepResult, Violation
 
 from conftest import SESSIONS_DIR
 
@@ -319,6 +320,12 @@ class TestRepcheckCli:
         assert sum(line.startswith("  violation:") for line in lines) == 5
         assert "  ... and 11 more" in lines
 
+    def test_a_soundness_violation_line(self):
+        violation = Violation((("a", "b"),), None, PropertyId.MU_PR, ("a",), ("a", "b"))
+        result = SweepResult("soundness", RelationClass.ALL, 2, 1, 1, (violation,))
+        lines = _render({"command": "repcheck", **result.to_json_dict()})
+        assert "  violation: MuPR fails at X={a}, Y={a, b} for relation [a->b]" in lines
+
     def test_json_violations_still_exit_1(self, capsys):
         code, out, _ = run_cli(
             capsys, "--json", "repcheck", "--n", "2", "--mode", "completeness"
@@ -388,6 +395,7 @@ class TestJsonWriter:
     @example(())
     @example({"": {"": []}, "a": [{}, [], [[]]]})
     @example([None, True, False, 0, -1, 2**70, "", "\"\\"])
+    @example([1.5, -0.0, float("inf"), float("nan")])
     @settings(derandomize=True, max_examples=400, deadline=None)
     def test_text_is_json_dumps(self, value):
         assert _json_text(value) == json.dumps(value, indent=2)
@@ -443,6 +451,24 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["best"] == ["mixed"]
+
+    @pytest.mark.parametrize(
+        "argv", [["--json", "classify", COMBI], ["repcheck", "--n", "2"]], ids=["json", "text"]
+    )
+    def test_a_closed_stdout_ends_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "analogia", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def _starts(exe, env=None):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import analogia.entailment
 import analogia.formula
 from analogia import (
     AnalogySpace,
@@ -43,6 +44,10 @@ class TestAnalogySpace:
         assert rivals_space.analogy("mixed").name == "mixed"
         with pytest.raises(EntailmentError, match="no analogy named"):
             rivals_space.analogy("ghost")
+
+    def test_an_unhashable_name_is_no_analogy(self, rivals_space):
+        with pytest.raises(EntailmentError, match=r"^no analogy named \['x'\] in space$"):
+            rivals_space.analogy(["x"])
 
     def test_duplicate_names_rejected(self, rivals_space, first_map):
         with pytest.raises(EntailmentError, match="duplicate analogy name"):
@@ -131,6 +136,23 @@ class TestBest:
             preference=PreferenceRelation(("a", "b"), {("a", "b"), ("b", "a")}),
         )
         assert best(space) == frozenset()
+
+    def test_the_best_set_is_derived_once_per_space(self, rivals_space, monkeypatch):
+        calls = []
+        undominated = analogia.entailment.undominated
+
+        def counted(*args):
+            calls.append(args)
+            return undominated(*args)
+
+        monkeypatch.setattr(analogia.entailment, "undominated", counted)
+        space = AnalogySpace(rivals_space.tables, rivals_space.analogies, rivals_space.preference)
+        assert best(space) == {"mixed"}
+        for text in ("Qa(y)", "Qa(y')", "Qb(y')", "Qa(y) & Qb(y')"):
+            verdict = entail(space, parse_formula(text))
+            assert verdict.status is not VerdictStatus.SETTLED_IN_TARGET
+        assert best(space) == {"mixed"}
+        assert len(calls) == 1
 
 
 class TestNoBareErrors:

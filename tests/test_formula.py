@@ -15,6 +15,7 @@ from analogia import (
     Session,
     Signature,
     SignatureError,
+    TranslationError,
     TranslationTables,
     TruthValue,
     analogy_map,
@@ -612,6 +613,16 @@ class TestBuiltPastTheCap:
         for entry in (print_formula, lambda f: translate(amap, f)):
             with pytest.raises(FormulaError, match="nests deeper than"):
                 entry(build(MAX_FORMULA_DEPTH - 1))
+
+    @pytest.mark.parametrize(
+        "f, msg",
+        [(Not(5), "not a formula node: 5"), (Atom("P", (5,)), "not a term node: 5")],
+    )
+    def test_printer_and_translate_name_a_foreign_node(self, f, msg):
+        with pytest.raises(FormulaError, match=f"^{msg}$"):
+            print_formula(f)
+        with pytest.raises(TranslationError, match=f"^{msg}$"):
+            translate(self.identity_map(), f)
 
 
 class TestStoredText:

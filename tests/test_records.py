@@ -4,9 +4,10 @@ Every record compares and hashes by its constructor's fields, prints
 them as Class(field=value, ...), refuses assignment and deletion, and
 leaves what its constructor derives beside the fields (Signature's
 symbol table, PreferenceRelation's and ChoiceFunction's masks,
-Session's tables and a formula's stored text) out of eq, hash and repr. Importing the command
-line loads none of the dataclass machinery, so none of it weighs on a
-cold start.
+Session's tables, AnalogySpace's name table, best set and speakers,
+and a formula's stored text) out of eq, hash and repr. Importing the
+command line loads none of the dataclass machinery, so none of it
+weighs on a cold start.
 """
 
 import inspect
@@ -60,8 +61,8 @@ RELATION = PreferenceRelation(("m",), frozenset())
 
 # id: (keyword construction, its repr, whether the value is hashable).
 # A value holding a dict is not hashable, as a dict is not. Two builds
-# derive their own symbol tables, masks and session tables, so equal
-# twins show that these stay out of eq, hash and repr.
+# derive their own symbol tables, masks, session tables and space name
+# tables, so equal twins show that these stay out of eq, hash and repr.
 CASES = {
     "Signature": (
         lambda: Signature(name="s"),
