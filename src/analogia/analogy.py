@@ -65,7 +65,9 @@ from .formula import (
     mentioned_constants,
     print_formula,
 )
-from .kb import KnowledgeDomain, Signature, TruthValue, Value, _argument, _checked
+from .kb import (
+    KnowledgeDomain, Signature, TruthValue, Value, _argument, _checked, _instance, _items,
+)
 
 # ====================================================================
 # Guards and map pieces
@@ -131,9 +133,7 @@ class AnalogyPiece(Value):
     """One guarded symbol map; mapping is source symbol to target symbol."""
 
     def __init__(self, guard: Guard, mapping: dict[str, str]):
-        if not isinstance(guard, Guard):
-            raise AnalogyError(f"guard must be a Guard, not {type(guard).__name__}")
-        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "guard", _instance("guard", guard, Guard, AnalogyError))
         mapping = _argument("mapping", "a mapping of names", dict, mapping, AnalogyError)
         for s, t in mapping.items():
             if not isinstance(s, str) or not isinstance(t, str):
@@ -192,10 +192,7 @@ class AnalogyMap(Value):
             raise AnalogyError(f"analogy needs a name, not {name!r}")
         object.__setattr__(self, "name", name)
         for side, domain in (("source", source), ("target", target)):
-            if not isinstance(domain, KnowledgeDomain):
-                kind = type(domain).__name__
-                raise AnalogyError(f"{side} must be a KnowledgeDomain, not {kind}")
-            object.__setattr__(self, side, domain)
+            object.__setattr__(self, side, _instance(side, domain, KnowledgeDomain, AnalogyError))
         pieces = _argument("pieces", "an iterable of pieces", tuple, pieces, AnalogyError)
         for piece in pieces:
             if not isinstance(piece, AnalogyPiece):
@@ -328,6 +325,7 @@ def translate(amap: AnalogyMap, f: Formula) -> Formula:
     checked: past MAX_FORMULA_DEPTH it raises a FormulaError.
     """
 
+    _instance("amap", amap, AnalogyMap, AnalogyError)
     _check_depth(f)
     piece = _piece(amap, mentioned_constants(f))
     if piece is None:
@@ -396,6 +394,7 @@ def classify(amap: AnalogyMap, formulas: Sequence[Formula]) -> SupportReport:
     an error, they are simply reported outside the partition.
     """
 
+    _instance("amap", amap, AnalogyMap, AnalogyError)
     return TranslationTables(amap.source, amap.target, formulas).classify(amap)
 
 
@@ -407,6 +406,7 @@ def check_injective_on(amap: AnalogyMap, formulas: Sequence[Formula]) -> None:
     the translation itself to be injective on the working set.
     """
 
+    _instance("amap", amap, AnalogyMap, AnalogyError)
     TranslationTables(amap.source, amap.target, formulas).preimages(amap)
 
 
@@ -459,12 +459,8 @@ class TranslationTables:
         target: KnowledgeDomain,
         formulas: Sequence[Formula],
     ):
-        for name, domain in (("source", source), ("target", target)):
-            if not isinstance(domain, KnowledgeDomain):
-                kind = type(domain).__name__
-                raise AnalogyError(f"{name} must be a KnowledgeDomain, not {kind}")
-        self.source = source
-        self.target = target
+        self.source = _instance("source", source, KnowledgeDomain, AnalogyError)
+        self.target = _instance("target", target, KnowledgeDomain, AnalogyError)
         self.formulas = _argument("formulas", "iterable", tuple, formulas, AnalogyError)
         for f in self.formulas:  # before hashing, which recurses
             check_formula(f, source.signature)
@@ -494,8 +490,7 @@ class TranslationTables:
         except (AttributeError, TypeError):  # not an AnalogyMap: refused below
             table = None
         if table is None or table.analogy is not amap:
-            if not isinstance(amap, AnalogyMap):
-                raise AnalogyError(f"amap must be an AnalogyMap, not {type(amap).__name__}")
+            _instance("amap", amap, AnalogyMap, AnalogyError)
             if amap.source != self.source:
                 raise AnalogyError(f"analogy {amap.name!r} runs from a different source domain")
             if amap.target != self.target:
@@ -737,6 +732,10 @@ def combine(
     source constant, and no two guards overlap.
     """
 
+    _instance("first", first, AnalogyMap, AnalogyError)
+    _instance("second", second, AnalogyMap, AnalogyError)
+    _instance("first_guard", first_guard, Guard, AnalogyError)
+    _instance("second_guard", second_guard, Guard, AnalogyError)
     if first.source != second.source or first.target != second.target:
         raise AnalogyError("can only combine analogies between the same domains")
     if first_guard.is_always or second_guard.is_always:
@@ -774,6 +773,7 @@ def close_under_combination(
     the same two domains.
     """
 
+    analogies = _items("analogies", analogies, AnalogyMap, AnalogyError)
     if not analogies:
         return ()
     tables = TranslationTables(analogies[0].source, analogies[0].target, working_set)
@@ -830,6 +830,7 @@ class AugmentedReport(Value):
 def augmented_report(amap: AnalogyMap, formulas: Sequence[Formula]) -> AugmentedReport:
     """Classify and pair every formula with its image, splitting negatives."""
 
+    _instance("amap", amap, AnalogyMap, AnalogyError)
     return TranslationTables(amap.source, amap.target, formulas).augmented_report(amap)
 
 

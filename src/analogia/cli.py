@@ -187,7 +187,7 @@ def _render_classify(r: dict) -> list[str]:
         lines.append(f"  open: {_names(opens)}")
         lines.append(f"  not applicable: {_names(rep['not_applicable'])}")
         lines.append(f"  untranslatable: {_names(rep['untranslatable'])}")
-    return lines
+    return lines or ["no analogies"]
 
 
 def _render_report(r: dict) -> list[str]:
@@ -207,7 +207,7 @@ def _render_report(r: dict) -> list[str]:
             for e in rep["plausible"]
         ]
         lines.append(f"  plausible: {_names(plausible)}")
-    return lines
+    return lines or ["no analogies"]
 
 
 def _render_score(r: dict) -> list[str]:
@@ -215,7 +215,7 @@ def _render_score(r: dict) -> list[str]:
     for s in r["scores"]:
         p = s["p"] if s["p"] is not None else "undefined (no positive support)"
         lines.append(f"{s['analogy']}: n={s['n']} r={s['r']} s={s['s']} p={p}")
-    return lines
+    return lines or ["no analogies"]
 
 
 def _render_best(r: dict) -> list[str]:

@@ -17,7 +17,7 @@ from enum import Enum
 from .analogy import AnalogyMap, TranslationTables
 from .errors import AnalogyError, EntailmentError
 from .formula import Formula, check_formula, evaluate
-from .kb import KnowledgeDomain, TruthValue, Value, _items
+from .kb import KnowledgeDomain, TruthValue, Value, _instance, _items
 from .preference import PreferenceRelation, undominated
 
 
@@ -59,10 +59,8 @@ class AnalogySpace(Value):
     # The checks stay a method of their own: perfbench/spans.py wraps it
     # to time the space build.
     def __post_init__(self):
-        for name, kind in (("tables", TranslationTables), ("preference", PreferenceRelation)):
-            found = type(getattr(self, name))
-            if not issubclass(found, kind):
-                raise EntailmentError(f"{name} must be a {kind.__name__}, not {found.__name__}")
+        _instance("tables", self.tables, TranslationTables, EntailmentError)
+        _instance("preference", self.preference, PreferenceRelation, EntailmentError)
         analogies = _items("analogies", self.analogies, AnalogyMap, EntailmentError)
         object.__setattr__(self, "analogies", analogies)
         by_name = {a.name: a for a in analogies}

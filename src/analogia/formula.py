@@ -90,6 +90,7 @@ from .kb import (
     Signature,
     TruthValue,
     Value,
+    _instance,
 )
 
 # ====================================================================
@@ -284,8 +285,7 @@ def check_formula(f: Formula, sig: Signature) -> None:
     that shadow a declared symbol.
     """
 
-    if not isinstance(sig, Signature):
-        raise FormulaError(f"sig must be a Signature, not {type(sig).__name__}")
+    _instance("sig", sig, Signature, FormulaError)
     for node, scope, depth, in_term in formula_nodes(f):
         if depth > MAX_FORMULA_DEPTH:
             raise FormulaError(_TOO_DEEP)
@@ -472,8 +472,7 @@ def evaluate(f: Formula, domain: KnowledgeDomain) -> TruthValue:
     and run once.
     """
 
-    if not isinstance(domain, KnowledgeDomain):
-        raise FormulaError(f"domain must be a KnowledgeDomain, not {type(domain).__name__}")
+    _instance("domain", domain, KnowledgeDomain, FormulaError)
     check_formula(f, domain.signature)
     return _Compiler(domain).sentence(f)
 
@@ -503,6 +502,7 @@ def tokenize(text: str) -> list[str]:
     Comments run from '#' to end of line.
     """
 
+    _instance("text", text, str, FormulaError)
     tokens = _TOKEN_RE.findall(text, _GAP_RE.match(text).end())
     first_empty = tokens.index("")  # the end of input, if nothing earlier
     if first_empty < len(tokens) - 1:
@@ -717,8 +717,7 @@ def _parse_term(ts: TokenStream, scope: list[str], depth: int) -> tuple[Term, in
 def parse_formula(text: str) -> Formula:
     """Parse a single formula; trailing input is an error."""
 
-    if not isinstance(text, str):
-        raise FormulaError(f"formula text must be a str, not {type(text).__name__}")
+    _instance("formula text", text, str, FormulaError)
     ts = TokenStream(text, tokenize(text))
     f = parse_formula_stream(ts)
     if ts.peek():
@@ -790,6 +789,7 @@ def ground_atom_formulas(sig: Signature) -> list[Formula]:
     only elements reachable by a constant name are covered.
     """
 
+    _instance("sig", sig, Signature, FormulaError)
     out: list[Formula] = []
     for pred, arity in sig.predicates:
         for combo in itertools.product(sig.constants, repeat=arity):

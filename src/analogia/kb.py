@@ -13,6 +13,12 @@ make_domain turns names into elements and fact triples into keys, and
 _table is the one check for a repeated atom. All are immutable values:
 equal data compare equal and can be shared.
 
+Every module refuses a wrong argument by the rules kept here, with
+its own AnalogiaError subclass: _instance is the one refusal of a
+wrong-typed argument ("sig must be a Signature, not int"), and
+_argument and _items refuse an argument that is not a collection of
+the expected kind.
+
 Value is the base of every record in the package. A record's fields
 are its __init__'s parameters, in order; __init__ makes the record's
 checks and stores each field with object.__setattr__. Two records are
@@ -73,12 +79,28 @@ def format_atom(name: str, args: Iterable[str]) -> str:
     return f"{name}({', '.join(map(str, args))})"
 
 
+def _a_or_an(noun: str) -> str:
+    """noun after its indefinite article: "a Signature", "an AnalogyMap"."""
+
+    return f"{'an' if noun[0].lower() in 'aeiou' else 'a'} {noun}"
+
+
 def _check_ident(name: str, what: str) -> None:
     if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
         raise SignatureError(f"invalid {what} identifier {name!r}")
     if name in RESERVED_WORDS:
-        article = "an" if what[0] in "aeiou" else "a"
-        raise SignatureError(f"{name!r} is a reserved word and cannot name {article} {what}")
+        raise SignatureError(f"{name!r} is a reserved word and cannot name {_a_or_an(what)}")
+
+
+def _instance(name: str, value, kind: type, error):
+    """value if it is a kind, else an error that names the argument. An
+    Enum member expected is shown by the value's repr, anything else by
+    its type."""
+
+    if isinstance(value, kind):
+        return value
+    shown = repr(value) if issubclass(kind, Enum) else type(value).__name__
+    raise error(f"{name} must be {_a_or_an(kind.__name__)}, not {shown}")
 
 
 def _argument(name: str, kind: str, convert, value, error=DomainError):
@@ -258,9 +280,7 @@ class KnowledgeDomain(Value):
         func_interp: dict[tuple[str, tuple[str, ...]], str],
         facts: dict[tuple[str, tuple[str, ...]], TruthValue],
     ):
-        sig = signature
-        if not isinstance(sig, Signature):
-            raise DomainError(f"signature must be a Signature, not {type(sig).__name__}")
+        sig = _instance("signature", signature, Signature, DomainError)
         object.__setattr__(self, "signature", sig)
         elems = _argument("universe", "an iterable of names", tuple, universe)
         _names("universe", elems)

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analogy import SupportReport
 from .errors import PreferenceError
-from .kb import Value, _checked, _items
+from .kb import Value, _argument, _checked, _instance, _items
 
 CHOICE_CAP = 4
 
@@ -86,14 +86,6 @@ class PreferenceRelation(Value):
         return (x, y) in self.edges
 
 
-def _relation(rel) -> PreferenceRelation:
-    """rel, or a PreferenceError unless it is a PreferenceRelation."""
-
-    if not isinstance(rel, PreferenceRelation):
-        raise PreferenceError(f"rel must be a PreferenceRelation, not {type(rel).__name__}")
-    return rel
-
-
 def mask_of(items: Iterable[str], index: Mapping[str, int]) -> int:
     """The subset mask of items, each at its position in index."""
 
@@ -117,7 +109,7 @@ def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]
         pool = frozenset(items)
     except TypeError:
         raise PreferenceError("items must be an iterable of carrier items") from None
-    index = _relation(rel)._index
+    index = _instance("rel", rel, PreferenceRelation, PreferenceError)._index
     extra = pool.difference(index)
     if extra:
         raise PreferenceError(f"item {sorted(extra)[0]!r} is not in the carrier")
@@ -129,8 +121,11 @@ def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]
 def subsets_of(carrier: Sequence[str]) -> Iterator[frozenset[str]]:
     """All subsets in bitmask counter order; the order is stable."""
 
-    _not_a_str("carrier", "a sequence of items", carrier)
-    items = tuple(carrier)
+    items = _argument("carrier", "a sequence of items", tuple, carrier, PreferenceError)
+    try:
+        hash(items)
+    except TypeError:
+        raise PreferenceError("carrier items must be hashable") from None
     return (frozenset(members(mask, items)) for mask in range(1 << len(items)))
 
 
@@ -182,7 +177,7 @@ class ChoiceFunction(Value):
 def choice_of(rel: PreferenceRelation) -> ChoiceFunction:
     """Tabulate the induced choice over the whole powerset."""
 
-    if len(_relation(rel).carrier) > CHOICE_CAP:
+    if len(_instance("rel", rel, PreferenceRelation, PreferenceError).carrier) > CHOICE_CAP:
         raise PreferenceError(
             f"carrier of size {len(rel.carrier)} exceeds the tabulation cap {CHOICE_CAP}"
         )
@@ -197,7 +192,7 @@ def choice_of(rel: PreferenceRelation) -> ChoiceFunction:
 
 
 def is_transitive(rel: PreferenceRelation) -> bool:
-    return transitive_masks(_relation(rel)._better)
+    return transitive_masks(_instance("rel", rel, PreferenceRelation, PreferenceError)._better)
 
 
 def is_smooth(rel: PreferenceRelation) -> tuple[bool, tuple[frozenset[str], str] | None]:
@@ -206,7 +201,7 @@ def is_smooth(rel: PreferenceRelation) -> tuple[bool, tuple[frozenset[str], str]
     Subsets are scanned in subsets_of order, items in carrier order.
     """
 
-    dominators = _relation(rel)._dominators
+    dominators = _instance("rel", rel, PreferenceRelation, PreferenceError)._dominators
     failure = smooth_failure(dominators, _choices(dominators))
     if failure is None:
         return True, None
@@ -222,7 +217,8 @@ def is_ranked(rel: PreferenceRelation) -> tuple[bool, tuple[str, str, str] | Non
     x beats z but y does not. x, y and z are scanned in carrier order.
     """
 
-    failure = ranked_failure(_relation(rel)._better, rel._dominators)
+    _instance("rel", rel, PreferenceRelation, PreferenceError)
+    failure = ranked_failure(rel._better, rel._dominators)
     if failure is None:
         return True, None
     x, y, z = failure

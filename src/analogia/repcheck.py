@@ -53,7 +53,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .errors import RepcheckError
-from .kb import Value, _argument
+from .kb import Value, _argument, _instance
 from .preference import (
     ChoiceFunction,
     PreferenceRelation,
@@ -107,8 +107,8 @@ CLASS_PROPERTIES: dict[RelationClass, tuple[PropertyId, ...]] = {
 
 
 def relation_in_class(rel: PreferenceRelation, cls: RelationClass) -> bool:
-    _check_argument("rel", rel, PreferenceRelation)
-    _check_argument("cls", cls, RelationClass)
+    _instance("rel", rel, PreferenceRelation, RepcheckError)
+    _instance("cls", cls, RelationClass, RepcheckError)
     return _in_class_masks(rel._better, rel._dominators, _choices(rel._dominators), cls)
 
 
@@ -230,8 +230,8 @@ def check_property(cf: ChoiceFunction, prop: PropertyId) -> tuple[bool, Witness 
     carrier; Y is None for MuSubset.
     """
 
-    _check_argument("cf", cf, ChoiceFunction)
-    _check_argument("prop", prop, PropertyId)
+    _instance("cf", cf, ChoiceFunction, RepcheckError)
+    _instance("prop", prop, PropertyId, RepcheckError)
     failure = _property_failure(cf._masks, len(cf.carrier), prop)
     if failure is None:
         return True, None
@@ -291,8 +291,8 @@ def represent(
     to reproduce cf exactly and to lie in the class.
     """
 
-    _check_argument("cf", cf, ChoiceFunction)
-    _check_argument("cls", cls, RelationClass)
+    _instance("cf", cf, ChoiceFunction, RepcheckError)
+    _instance("cls", cls, RelationClass, RepcheckError)
     items = tuple(cf.carrier)
     n = len(items)
     if n > REPRESENT_MAX_N:
@@ -422,12 +422,6 @@ def _check_n(n: int, cap: int, mode: str) -> None:
         raise RepcheckError(f"{mode} sweep supports 1 <= n <= {cap}, got {n!r}")
 
 
-def _check_argument(name: str, value, kind: type) -> None:
-    if not isinstance(value, kind):
-        shown = repr(value) if issubclass(kind, Enum) else type(value).__name__
-        raise RepcheckError(f"{name} must be a {kind.__name__}, not {shown}")
-
-
 def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
     """Check the class's laws on every irreflexive relation of size n.
 
@@ -438,7 +432,7 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
     """
 
     _check_n(n, SOUNDNESS_MAX_N, "soundness")
-    _check_argument("cls", cls, RelationClass)
+    _instance("cls", cls, RelationClass, RepcheckError)
     items = ITEMS[:n]
     props = CLASS_PROPERTIES[cls]
     examined = 0
@@ -501,7 +495,7 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
     """
 
     _check_n(n, COMPLETENESS_MAX_N, "completeness")
-    _check_argument("cls", cls, RelationClass)
+    _instance("cls", cls, RelationClass, RepcheckError)
     items = ITEMS[:n]
     props = CLASS_PROPERTIES[cls]
     stat = {

@@ -75,7 +75,8 @@ from .formula import (
     tokenize,
 )
 from .kb import (
-    KnowledgeDomain, Signature, TruthValue, Value, _check_ident, _items, _table, format_atom,
+    KnowledgeDomain, Signature, TruthValue, Value, _check_ident, _instance, _items, _table,
+    format_atom,
 )
 from .preference import (
     PreferenceRelation,
@@ -130,9 +131,8 @@ class Session(Value):
         if not isinstance(closure, bool):
             raise SessionError(f"closure must be a bool, not {closure!r}")
 
-        for role, name in (("source_name", source_name), ("target_name", target_name)):
-            if not issubclass(type(name), str):
-                raise SessionError(f"{role} must be a str, not {type(name).__name__}")
+        _instance("source_name", source_name, str, SessionError)
+        _instance("target_name", target_name, str, SessionError)
         names = _by_name("domain", [(d.signature.name, d) for d in self.domains])
         if self.source_name not in names:
             raise SessionError(f"source domain {self.source_name!r} is not declared")
@@ -239,8 +239,7 @@ def parse_session(text: str) -> Session:
     entity instead. Checks that Session makes are left to it.
     """
 
-    if not isinstance(text, str):
-        raise SessionError(f"session text must be a str, not {type(text).__name__}")
+    _instance("session text", text, str, SessionError)
     ts = TokenStream(text, tokenize(text))
     lists: dict[str, list] = {"domain": [], "analogy": [], "query": []}
     once: dict[str, object] = {}
@@ -597,6 +596,7 @@ def _print_analogy(a: AnalogyMap, lines: list[str]) -> None:
 def resolve_maps(session: Session) -> tuple[AnalogyMap, ...]:
     """The analogies a command sees: declared ones plus closure, if on."""
 
+    _check_session(session, "resolve_maps")
     if session.closure:
         return session.tables.close(session.analogies)
     return session.analogies
@@ -605,6 +605,8 @@ def resolve_maps(session: Session) -> tuple[AnalogyMap, ...]:
 def session_preference(
     session: Session, maps: Sequence[AnalogyMap]
 ) -> PreferenceRelation:
+    _check_session(session, "session_preference")
+    maps = _items("maps", maps, AnalogyMap, SessionError)
     if session.preference_kind == "explicit":
         return PreferenceRelation(
             carrier=tuple(a.name for a in maps),

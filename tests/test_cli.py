@@ -264,6 +264,26 @@ class TestTextOutput:
         _, out, _ = run_cli(capsys, "entail", str(SESSIONS_DIR / "weights.ana"))
         assert out.splitlines() == ["no queries"]
 
+    @pytest.mark.parametrize("command", ["classify", "report", "score"])
+    def test_no_analogies(self, capsys, command):
+        code, out, err = run_cli(capsys, command, str(SESSIONS_DIR / "empty_space.ana"))
+        assert (code, out, err) == (0, "no analogies\n", "")
+
+    @pytest.mark.parametrize(
+        "command", ["check", "classify", "report", "score", "best", "entail"]
+    )
+    @pytest.mark.parametrize(
+        "path", sorted(SESSIONS_DIR.glob("*.ana")), ids=lambda path: path.name
+    )
+    def test_every_bundled_session_says_something(self, capsys, path, command):
+        code, out, err = run_cli(capsys, command, str(path))
+        _, _, json_err = run_cli(capsys, "--json", command, str(path))
+        if json_err:
+            assert (code, out, err) == (1, "", json_err)
+        else:
+            assert (code, err) == (0, "")
+            assert out.strip()
+
 
 # ====================================================================
 # Repcheck

@@ -17,6 +17,8 @@ from analogia import (
     entail,
     make_domain,
     parse_formula,
+    parse_session,
+    resolve_space,
 )
 from analogia.analogy import classify
 from analogia.entailment import VerdictStatus, conjecture_for
@@ -332,3 +334,45 @@ class TestEntail:
             "suggestions": {"mixed": "true"},
             "warnings": [],
         }
+
+
+# ====================================================================
+# The logic of entail: not cumulative
+# ====================================================================
+
+# Two analogies send P0 and P1 to R0 and R1, the second one crosswise.
+# With no target facts both are best, and each conjectures one query.
+CAUTIOUS_MONOTONY = """
+domain S {{ objects: a0; pred P0/1; pred P1/1; fact P0(a0) = true; }}
+domain T {{ objects: b0; pred R0/1; pred R1/1; {fact} }}
+source S;
+target T;
+analogy m0 from S to T {{ map a0 -> b0; map P0 -> R0; map P1 -> R1; }}
+analogy m1 from S to T {{ map a0 -> b0; map P0 -> R1; map P1 -> R0; }}
+workingset atoms;
+{preference}
+query R0(b0);
+query R1(b0);
+"""
+
+
+@pytest.mark.parametrize("preference", ["", "preference counts(1, 1);"])
+def test_cautious_monotony_fails(preference):
+    """R0(b0) and R1(b0) are both entailed. Adding the entailed R0(b0)
+    as a fact gives m0 a positive, which puts it above m1 under either
+    preference, so R1(b0) loses its only speaker: entail is not
+    cumulative."""
+
+    def verdicts(fact):
+        session = parse_session(CAUTIOUS_MONOTONY.format(fact=fact, preference=preference))
+        space = resolve_space(session)
+        return [
+            (v.status, v.value, v.support) for v in (entail(space, q) for q in session.queries)
+        ]
+
+    E = VerdictStatus.ENTAILED
+    assert verdicts("") == [(E, T, ("m0",)), (E, T, ("m1",))]
+    assert verdicts("fact R0(b0) = true;") == [
+        (VerdictStatus.SETTLED_IN_TARGET, T, ()),
+        (VerdictStatus.NO_SUPPORT, None, ()),
+    ]
