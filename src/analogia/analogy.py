@@ -75,13 +75,9 @@ from .kb import (
 
 
 def _constant_set(constants) -> frozenset[str]:
-    names = _argument(
-        "guard constants", "an iterable of names", frozenset, constants, AnalogyError
+    return frozenset(
+        _items("guard constants", constants, str, AnalogyError, "an iterable of names")
     )
-    for c in names:
-        if not isinstance(c, str):
-            raise AnalogyError(f"guard constants must be names, not {c!r}")
-    return names
 
 
 class Guard(Value):
@@ -104,7 +100,7 @@ class Guard(Value):
 
     @staticmethod
     def mentions(constants: Iterable[str]) -> Guard:
-        return Guard(_constant_set(constants))
+        return _checked(Guard, constants=_constant_set(constants))
 
     @property
     def is_always(self) -> bool:
@@ -193,10 +189,7 @@ class AnalogyMap(Value):
         object.__setattr__(self, "name", name)
         for side, domain in (("source", source), ("target", target)):
             object.__setattr__(self, side, _instance(side, domain, KnowledgeDomain, AnalogyError))
-        pieces = _argument("pieces", "an iterable of pieces", tuple, pieces, AnalogyError)
-        for piece in pieces:
-            if not isinstance(piece, AnalogyPiece):
-                raise AnalogyError(f"pieces must hold AnalogyPiece values, not {piece!r}")
+        pieces = _items("pieces", pieces, AnalogyPiece, AnalogyError, "an iterable of pieces")
         object.__setattr__(self, "pieces", pieces)
         _check_guards(self.name, pieces, self.source.signature.constants)
         src, tgt = self.source.signature, self.target.signature

@@ -15,9 +15,10 @@ equal data compare equal and can be shared.
 
 Every module refuses a wrong argument by the rules kept here, with
 its own AnalogiaError subclass: _instance is the one refusal of a
-wrong-typed argument ("sig must be a Signature, not int"), and
-_argument and _items refuse an argument that is not a collection of
-the expected kind.
+wrong-typed argument ("sig must be a Signature, not int"), _argument
+refuses an argument that is not a collection of the expected kind,
+and _items is the one check of each element of a collection argument
+("universe must hold names, not 1").
 
 Value is the base of every record in the package. A record's fields
 are its __init__'s parameters, in order; __init__ makes the record's
@@ -115,13 +116,15 @@ def _argument(name: str, kind: str, convert, value, error=DomainError):
         raise error(f"{name} must be {kind}, not {type(value).__name__}") from None
 
 
-def _items(name: str, value, kind: type, error) -> tuple:
-    """value as a tuple of kind, with an error that names the argument."""
+def _items(name: str, value, kind: type, error, container: str = "iterable") -> tuple:
+    """value as a tuple of kind, with an error that names the argument
+    and the first item of another kind; str items are called names."""
 
-    items = _argument(name, "iterable", tuple, value, error)
+    items = _argument(name, container, tuple, value, error)
     for item in items:
         if not isinstance(item, kind):
-            raise error(f"{name} must hold {kind.__name__} values, not {item!r}")
+            held = "names" if kind is str else f"{kind.__name__} values"
+            raise error(f"{name} must hold {held}, not {item!r}")
     return items
 
 
@@ -222,19 +225,11 @@ class Signature(Value):
         return frozenset(self._kinds)
 
 
-def _names(name: str, values: Iterable) -> None:
-    """A DomainError that names the argument unless every value is a str."""
-
-    for value in values:
-        if not isinstance(value, str):
-            raise DomainError(f"{name} must hold names, not {value!r}")
-
-
 def _const_interp(value) -> dict[str, str]:
     """value as a dict of names, or a DomainError that names const_interp."""
 
     const_interp = _argument("const_interp", "a mapping", dict, value)
-    _names("const_interp", const_interp.values())
+    _items("const_interp", const_interp.values(), str, DomainError)
     return const_interp
 
 
@@ -282,8 +277,7 @@ class KnowledgeDomain(Value):
     ):
         sig = _instance("signature", signature, Signature, DomainError)
         object.__setattr__(self, "signature", sig)
-        elems = _argument("universe", "an iterable of names", tuple, universe)
-        _names("universe", elems)
+        elems = _items("universe", universe, str, DomainError, "an iterable of names")
         if not elems:
             raise DomainError("universe must be nonempty")
         uset = set(elems)
@@ -308,7 +302,7 @@ class KnowledgeDomain(Value):
         checked = {}
         for key, value in _argument("func_interp", "a mapping", dict, func_interp).items():
             fname, args = _key("func_interp", key, "function")
-            _names("func_interp", (*args, value))
+            _items("func_interp", (*args, value), str, DomainError)
             if sig.kind_of(fname) != "function":
                 raise DomainError(f"interpretation given for unknown function {fname!r}")
             if sig.arity_of(fname) != len(args):

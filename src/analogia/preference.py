@@ -14,7 +14,9 @@ carrier:
   * ranked: incomparable elements are interchangeable, beating and
     being beaten by exactly the same outsiders.
 
-Choice, smoothness, rankedness and transitivity have one
+_carrier is the one check of a carrier, which PreferenceRelation,
+ChoiceFunction and subsets_of share: a sequence of distinct hashable
+items. Choice, smoothness, rankedness and transitivity have one
 implementation, the bitmask kernel below. A relation builds its masks
 when it is made, in the pass that validates its edges, and
 undominated, choice_of and the structural checks read them. A choice
@@ -40,28 +42,29 @@ from .kb import Value, _argument, _checked, _instance, _items
 CHOICE_CAP = 4
 
 
-def _not_a_str(name: str, kind: str, value) -> None:
-    """Refuse a str, which converting would split into characters."""
+def _carrier(carrier) -> tuple[tuple, dict]:
+    """carrier as a tuple of distinct hashable items and each item's
+    position, or a PreferenceError: the one check of a carrier."""
 
-    if isinstance(value, str):
-        raise PreferenceError(f"{name} must be {kind}, not str")
+    items = _argument("carrier", "a sequence of items", tuple, carrier, PreferenceError)
+    try:
+        index = {x: i for i, x in enumerate(items)}
+    except TypeError:
+        raise PreferenceError("carrier items must be hashable") from None
+    if len(index) != len(items):
+        raise PreferenceError("duplicate carrier item")
+    return items, index
 
 
 class PreferenceRelation(Value):
     """A strict relation over a finite carrier of item ids."""
 
     def __init__(self, carrier: tuple[str, ...], edges: Iterable[tuple[str, str]]):
-        _not_a_str("carrier", "a sequence of items", carrier)
+        carrier, index = _carrier(carrier)
         try:
-            carrier = tuple(carrier)
-            index = {x: i for i, x in enumerate(carrier)}
             edges = frozenset((e,) if isinstance(e, str) else tuple(e) for e in edges)
         except TypeError:
-            raise PreferenceError(
-                "carrier items must be hashable and edges must be pairs of them"
-            ) from None
-        if len(index) != len(carrier):
-            raise PreferenceError("duplicate carrier item")
+            raise PreferenceError("edges must be pairs of hashable items") from None
         better, dominators = [0] * len(carrier), [0] * len(carrier)
         for edge in edges:
             if len(edge) != 2:
@@ -104,11 +107,7 @@ def members(mask: int, items: Sequence[str]) -> tuple[str, ...]:
 def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]:
     """The choice set: members of items beaten by no other member."""
 
-    _not_a_str("items", "an iterable of carrier items", items)
-    try:
-        pool = frozenset(items)
-    except TypeError:
-        raise PreferenceError("items must be an iterable of carrier items") from None
+    pool = _argument("items", "an iterable of carrier items", frozenset, items, PreferenceError)
     index = _instance("rel", rel, PreferenceRelation, PreferenceError)._index
     extra = pool.difference(index)
     if extra:
@@ -121,11 +120,7 @@ def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]
 def subsets_of(carrier: Sequence[str]) -> Iterator[frozenset[str]]:
     """All subsets in bitmask counter order; the order is stable."""
 
-    items = _argument("carrier", "a sequence of items", tuple, carrier, PreferenceError)
-    try:
-        hash(items)
-    except TypeError:
-        raise PreferenceError("carrier items must be hashable") from None
+    items, _ = _carrier(carrier)
     return (frozenset(members(mask, items)) for mask in range(1 << len(items)))
 
 
@@ -142,18 +137,11 @@ class ChoiceFunction(Value):
             raise PreferenceError("choice table must be a mapping")
         if any(isinstance(x, str) for entry in table.items() for x in entry):
             raise PreferenceError("choice table must map sets of items to sets, not str")
-        _not_a_str("carrier", "a sequence of items", carrier)
+        carrier, index = _carrier(carrier)
         try:
-            carrier = tuple(carrier)
-            index = {x: i for i, x in enumerate(carrier)}
             table = {frozenset(k): frozenset(v) for k, v in table.items()}
         except TypeError:
-            raise PreferenceError(
-                "choice carrier items must be hashable and the table must map "
-                "sets of them to sets of them"
-            ) from None
-        if len(index) != len(carrier):
-            raise PreferenceError("duplicate carrier item")
+            raise PreferenceError("choice table entries must be hashable sets of items") from None
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "table", table)
         expected = 1 << len(self.carrier)

@@ -138,6 +138,8 @@ class Session(Value):
             raise SessionError(f"source domain {self.source_name!r} is not declared")
         if self.target_name not in names:
             raise SessionError(f"target domain {self.target_name!r} is not declared")
+        # domain()'s table, beside the fields; not part of eq, hash or repr.
+        object.__setattr__(self, "_by_name", names)
 
         anames = _by_name("analogy", [(a.name, a) for a in self.analogies])
         for a in self.analogies:
@@ -198,10 +200,10 @@ class Session(Value):
             )
 
     def domain(self, name: str) -> KnowledgeDomain:
-        for d in self.domains:
-            if d.signature.name == name:
-                return d
-        raise SessionError(f"no domain named {name!r}")
+        try:
+            return self._by_name[name]
+        except (KeyError, TypeError):
+            raise SessionError(f"no domain named {name!r}") from None
 
     @property
     def source(self) -> KnowledgeDomain:

@@ -252,7 +252,7 @@ class TestAnalogyMapValidation:
             ),
             pytest.param(
                 lambda s, t: Guard.mentions([1]),
-                "^guard constants must be names, not 1$",
+                "^guard constants must hold names, not 1$",
                 id="constant",
             ),
             pytest.param(

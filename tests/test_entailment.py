@@ -22,10 +22,11 @@ from analogia import (
 )
 from analogia.analogy import classify
 from analogia.entailment import VerdictStatus, conjecture_for
-from analogia.formula import ground_atom_formulas
+from analogia.formula import ground_atom_formulas, print_formula
 from analogia.preference import PreferenceRelation
 
 from conftest import rebuild
+from tiny_sessions import session_text, tiny_sessions
 
 T = TruthValue.TRUE
 F = TruthValue.FALSE
@@ -376,3 +377,44 @@ def test_cautious_monotony_fails(preference):
         (VerdictStatus.SETTLED_IN_TARGET, T, ()),
         (VerdictStatus.NO_SUPPORT, None, ()),
     ]
+
+
+# Failing extensions / extensions, per law, at both small sizes and under
+# both preferences. CM and Cut take the extensions that add an entailed
+# q:v; RM takes those where q was not entailed with the opposite value.
+LAW_COUNTS = {"CM": (8, 36), "Cut": (0, 36), "RM": (8, 72)}
+
+
+@pytest.mark.parametrize("preference", ["", "preference counts(1, 1);"])
+@pytest.mark.parametrize("objects, predicates", [(1, 2), (2, 1)], ids=["1x2", "2x1"])
+def test_law_counts_on_every_tiny_session(objects, predicates, preference):
+    """Add one unknown target atom q as true or as false to every tiny
+    session and compare the entailed verdicts of the other atoms: a law
+    fails on an extension that loses (CM, RM) or gains (Cut) one."""
+
+    def entailed(source_facts, target_facts):
+        text = session_text(objects, predicates, source_facts, target_facts, preference)
+        session = parse_session(text)
+        space = resolve_space(session)
+        verdicts = {print_formula(q): entail(space, q) for q in session.queries}
+        return {
+            q: v.value if v.status is VerdictStatus.ENTAILED else None
+            for q, v in verdicts.items()
+        }
+
+    counts = {law: [0, 0] for law in LAW_COUNTS}
+    for source_facts, target_facts in tiny_sessions(objects, predicates):
+        before = entailed(source_facts, target_facts)
+        for q in [q for q in before if q not in target_facts]:
+            others = [r for r in before if r != q]
+            for value in (T, F):
+                after = entailed(source_facts, {**target_facts, q: value.value})
+                lost = any(before[r] not in (None, after[r]) for r in others)
+                gained = any(after[r] not in (None, before[r]) for r in others)
+                laws = [("CM", lost), ("Cut", gained)] if before[q] is value else []
+                if before[q] is not value.negate():
+                    laws.append(("RM", lost))
+                for law, failed in laws:
+                    counts[law][0] += failed
+                    counts[law][1] += 1
+    assert {law: tuple(c) for law, c in counts.items()} == LAW_COUNTS

@@ -72,7 +72,7 @@ class TestPreferenceRelation:
             (("a", "b"), {("a",)}, "is not a pair"),
             (("a", "b"), {5}, "must be pairs"),
             (("a", "b"), [(["a"], "b")], "must be pairs"),
-            (5, (), "must be hashable"),
+            (5, (), "^carrier must be a sequence of items, not int$"),
             ((["a"],), (), "must be hashable"),
             (("a", "b"), ["ab"], r"^edge \('ab',\) is not a pair$"),  # not split into a, b
             ("ab", {("a", "b")}, "^carrier must be a sequence of items, not str$"),
@@ -201,7 +201,6 @@ class TestChoiceFunction:
     @pytest.mark.parametrize(
         "carrier, table",
         [
-            (5, {}),
             ((["a"],), {}),
             (("a",), {frozenset(): frozenset(), 5: frozenset()}),
             (("a",), {frozenset(): [["a"]]}),
@@ -227,9 +226,10 @@ class TestChoiceFunction:
         "carrier, message",
         [
             ("a", "^carrier must be a sequence of items, not str$"),
+            (5, "^carrier must be a sequence of items, not int$"),
             (("a", "a"), "^duplicate carrier item$"),
         ],
-        ids=["str carrier", "duplicate item"],
+        ids=["str carrier", "int carrier", "duplicate item"],
     )
     def test_carrier_is_checked(self, carrier, message):
         with pytest.raises(PreferenceError, match=message):

@@ -4,10 +4,10 @@ Every record compares and hashes by its constructor's fields, prints
 them as Class(field=value, ...), refuses assignment and deletion, and
 leaves what its constructor derives beside the fields (Signature's
 symbol table, PreferenceRelation's and ChoiceFunction's masks,
-Session's tables, AnalogySpace's name table, best set and speakers,
-and a formula's stored text) out of eq, hash and repr. Importing the
-command line loads none of the dataclass machinery, so none of it
-weighs on a cold start.
+Session's tables and domain table, AnalogySpace's name table, best set
+and speakers, and a formula's stored text) out of eq, hash and repr.
+Importing the command line loads none of the dataclass machinery, so
+none of it weighs on a cold start.
 """
 
 import inspect

@@ -437,8 +437,11 @@ class TestSessionValidation:
             rebuild(session, analogies=(odd,))
 
     def test_domain_of_an_unknown_name(self):
+        session = parse_session(MINIMAL)
         with pytest.raises(SessionError, match="^no domain named 'Ghost'$"):
-            parse_session(MINIMAL).domain("Ghost")
+            session.domain("Ghost")
+        with pytest.raises(SessionError, match=r"^no domain named \['S'\]$"):
+            session.domain(["S"])
 
     @pytest.mark.parametrize(
         "weights, message",
@@ -478,7 +481,7 @@ class TestSessionValidation:
             # a str edge is not split into its characters
             ("explicit_edges", ("ab",), "explicit_edges must be iterable, not str"),
             # nor is an end that is not a name made into one
-            ("explicit_edges", ((1, "plain"),), "explicit_edges must hold str values, not 1"),
+            ("explicit_edges", ((1, "plain"),), "explicit_edges must hold names, not 1"),
             # a str field is refused whole, as kb's arguments are
             ("working_set", "P(a)", "working_set must be iterable, not str"),
         ],
