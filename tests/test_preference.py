@@ -201,6 +201,7 @@ class TestChoiceFunction:
     @pytest.mark.parametrize(
         "carrier, table",
         [
+            (("a", ["b"]), {}),  # every carrier item is checked, not just the first
             ((["a"],), {}),
             (("a",), {frozenset(): frozenset(), 5: frozenset()}),
             (("a",), {frozenset(): [["a"]]}),
