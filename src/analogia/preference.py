@@ -170,7 +170,7 @@ def choice_of(rel: PreferenceRelation) -> ChoiceFunction:
             f"carrier of size {len(rel.carrier)} exceeds the tabulation cap {CHOICE_CAP}"
         )
     subsets = list(subsets_of(rel.carrier))
-    masks = choice_masks(rel._dominators)
+    masks = tuple(_choices(rel._better))
     return _checked(  # total and inside the carrier by construction
         ChoiceFunction,
         carrier=rel.carrier,
@@ -189,8 +189,8 @@ def is_smooth(rel: PreferenceRelation) -> tuple[bool, tuple[frozenset[str], str]
     Subsets are scanned in subsets_of order, items in carrier order.
     """
 
-    dominators = _instance("rel", rel, PreferenceRelation, PreferenceError)._dominators
-    failure = smooth_failure(dominators, _choices(dominators))
+    _instance("rel", rel, PreferenceRelation, PreferenceError)
+    failure = smooth_failure(rel._dominators, _choices(rel._better))
     if failure is None:
         return True, None
     xs, x = failure
@@ -222,6 +222,12 @@ def is_ranked(rel: PreferenceRelation) -> tuple[bool, tuple[str, str, str] | Non
 # the elements i beats, with dominators[j] = mask of the elements
 # beating j as the transpose. The induced choice is a table indexed by
 # subset mask; mask_of and members convert between subsets and masks.
+# It takes one recurrence over the subsets in mask order: beaten[xs],
+# the elements some member of xs beats, is beaten[xs without its
+# lowest member] | better[that member], one OR per subset, and the
+# chosen members are xs & ~beaten[xs], as no element beats itself.
+# _choices reads the rows, better; choice_masks takes dominators and
+# transposes them first.
 # Every scan ascends through indices and masks, which is carrier order
 # and subsets_of order, so the first failure found is the same witness
 # an element-wise scan would report. The functions above read the
@@ -233,17 +239,24 @@ def is_ranked(rel: PreferenceRelation) -> tuple[bool, tuple[str, str, str] | Non
 def choice_masks(dominators: Sequence[int]) -> tuple[int, ...]:
     """The induced choice: for each subset mask, its undominated members."""
 
-    return tuple(_choices(dominators))
-
-
-def _choices(dominators: Sequence[int]) -> Iterator[int]:
     n = len(dominators)
-    for xs in range(1 << n):
-        chosen = 0
+    better = [0] * n
+    for y, column in enumerate(dominators):
         for x in range(n):
-            if xs >> x & 1 and not dominators[x] & xs:
-                chosen |= 1 << x
-        yield chosen
+            if column >> x & 1:
+                better[x] |= 1 << y
+    return tuple(_choices(better))
+
+
+def _choices(better: Sequence[int]) -> Iterator[int]:
+    """choice_masks as a stream, from the rows of the relation."""
+
+    beaten = [0] * (1 << len(better))
+    yield 0
+    for xs in range(1, len(beaten)):
+        low = xs & -xs
+        beaten[xs] = beaten[xs ^ low] | better[low.bit_length() - 1]
+        yield xs & ~beaten[xs]
 
 
 def transitive_masks(better: Sequence[int]) -> bool:

@@ -48,6 +48,7 @@ witnesses and violation lists are deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -58,7 +59,6 @@ from .preference import (
     ChoiceFunction,
     PreferenceRelation,
     _choices,
-    choice_masks,
     choice_of,
     members,
     ranked_failure,
@@ -109,7 +109,7 @@ CLASS_PROPERTIES: dict[RelationClass, tuple[PropertyId, ...]] = {
 def relation_in_class(rel: PreferenceRelation, cls: RelationClass) -> bool:
     _instance("rel", rel, PreferenceRelation, RepcheckError)
     _instance("cls", cls, RelationClass, RepcheckError)
-    return _in_class_masks(rel._better, rel._dominators, _choices(rel._dominators), cls)
+    return _in_class_masks(rel._better, rel._dominators, _choices(rel._better), cls)
 
 
 # ====================================================================
@@ -121,22 +121,42 @@ def relation_in_class(rel: PreferenceRelation, cls: RelationClass) -> bool:
 # their masks built. The sweeps enumerate relations with _relations
 # alone: an irreflexive relation on n elements is one edge bitmask with
 # a bit per ordered pair of distinct indices, and relations come in
-# ascending edge bitmask order.
+# ascending edge bitmask order. The laws quantify over nested pairs
+# only: X a subset of Y for MuPR and MuEq, Y a subset of X for MuCUM.
+# _nested holds, per carrier size, each mask's supersets and subsets in
+# ascending order, so a law scans 3^n pairs instead of 4^n and still
+# meets them in ascending (X, Y) order, which keeps the first witness.
 # ====================================================================
 
 
-def _relations(n: int) -> Iterator[tuple[list[int], list[int]]]:
+def _relations(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """(better, dominators) of every irreflexive relation on n elements."""
 
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for edge_mask in range(1 << len(pairs)):
-        better = [0] * n
-        dominators = [0] * n
-        for bit, (i, j) in enumerate(pairs):
-            if edge_mask >> bit & 1:
-                better[i] |= 1 << j
-                dominators[j] |= 1 << i
-        yield better, dominators
+    # Element i's n - 1 edge bits, read as a number, pick one of its
+    # 2^(n-1) options: the row of elements it beats, and the same edges
+    # as dominator bits in one int, element j's at bits n*j .. n*j + n - 1,
+    # so OR-ing the picked options gives every column at once.
+    rows = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        options = []
+        for bits in range(1 << (n - 1)):
+            row = packed = 0
+            for k, j in enumerate(others):
+                if bits >> k & 1:
+                    row |= 1 << j
+                    packed |= 1 << (n * j + i)
+            options.append((row, packed))
+        rows.append(options)
+    full = (1 << n) - 1
+    shifts = range(0, n * n, n)
+    # Element 0's bits are the lowest, so it varies fastest.
+    for picks in itertools.product(*reversed(rows)):
+        picks = picks[::-1]
+        packed = 0
+        for _, column_bits in picks:
+            packed |= column_bits
+        yield tuple(row for row, _ in picks), [packed >> s & full for s in shifts]
 
 
 def _edges_of(better: Sequence[int], items: Sequence[str]) -> tuple[tuple[str, str], ...]:
@@ -158,6 +178,19 @@ def _in_class_masks(
     return ranked_failure(better, dominators) is None
 
 
+# Built on first use for each carrier size; bounded so that a table for
+# a carrier larger than any sweep's is not held for good.
+@functools.lru_cache(maxsize=SOUNDNESS_MAX_N)
+def _nested(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """For each subset mask of n elements, its supersets and its subsets,
+    each in ascending mask order."""
+
+    size = 1 << n
+    supersets = tuple(tuple(ys for ys in range(size) if not xs & ~ys) for xs in range(size))
+    subsets = tuple(tuple(ys for ys in range(xs + 1) if not ys & ~xs) for xs in range(size))
+    return supersets, subsets
+
+
 def _property_failure(
     mu: Sequence[int], n: int, prop: PropertyId
 ) -> tuple[int, int | None] | None:
@@ -167,34 +200,32 @@ def _property_failure(
     the first component X is the larger set. MuSubset has no Y.
     """
 
-    size = 1 << n
     if prop is PropertyId.MU_SUBSET:
-        for xs in range(size):
-            if mu[xs] & ~xs:
+        for xs, chosen in enumerate(mu):
+            if chosen & ~xs:
                 return xs, None
         return None
+    supersets, subsets = _nested(n)
     if prop is PropertyId.MU_PR:
-        for xs in range(size):
-            for ys in range(size):
-                if xs & ~ys:
-                    continue
-                if mu[ys] & xs & ~mu[xs]:
-                    return xs, ys
+        for xs, above in enumerate(supersets):
+            lost = xs & ~mu[xs]
+            if lost:
+                for ys in above:
+                    if mu[ys] & lost:
+                        return xs, ys
         return None
     if prop is PropertyId.MU_CUM:
-        for xs in range(size):
-            for ys in range(size):
-                if mu[xs] & ~ys or ys & ~xs:
-                    continue
-                if mu[ys] != mu[xs]:
+        for xs, below in enumerate(subsets):
+            chosen = mu[xs]
+            for ys in below:
+                if not chosen & ~ys and mu[ys] != chosen:
                     return xs, ys
         return None
-    for xs in range(size):
-        for ys in range(size):
-            if xs & ~ys:
-                continue
+    for xs, above in enumerate(supersets):
+        chosen = mu[xs]
+        for ys in above:
             meet = mu[ys] & xs
-            if meet and mu[xs] != meet:
+            if meet and meet != chosen:
                 return xs, ys
     return None
 
@@ -308,7 +339,7 @@ def represent(
 
     searched, found = 0, None
     for better, dominators in _relations(n):
-        mu = choice_masks(dominators)
+        mu = tuple(_choices(better))
         if not _in_class_masks(better, dominators, mu, cls):
             continue
         searched += 1
@@ -441,11 +472,12 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
     violations: list[Violation] = []
     for better, dominators in _relations(n):
         examined += 1
-        mu = choice_masks(dominators)
+        mu = tuple(_choices(better))
         if not _in_class_masks(better, dominators, mu, cls):
             continue
         considered += 1
-        if transitive_masks(better):
+        # The smooth class test has already found every member transitive.
+        if cls is RelationClass.TRANSITIVE_SMOOTH or transitive_masks(better):
             transitive += 1
         for prop in props:
             failure = _property_failure(mu, n, prop)
@@ -506,13 +538,17 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
     representable: set[tuple[int, ...]] = set()
     subclass: set[tuple[int, ...]] = set()
     for better, dominators in _relations(n):
-        mu = choice_masks(dominators)
-        if _in_class_masks(better, dominators, mu, cls):
+        mu = tuple(_choices(better))
+        if cls is RelationClass.TRANSITIVE_SMOOTH:
+            # One smoothness test serves both the class and its stat.
+            reaches = smooth_failure(dominators, mu) is None
+            in_class = reaches and transitive_masks(better)
+        else:
+            reaches = cls is RelationClass.ALL and transitive_masks(better)
+            in_class = _in_class_masks(better, dominators, mu, cls)
+        if in_class:
             representable.add(mu)
-        if stat and (
-            transitive_masks(better) if cls is RelationClass.ALL
-            else smooth_failure(dominators, mu) is None
-        ):
+        if reaches:
             subclass.add(mu)
 
     examined = 0
@@ -557,5 +593,6 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
     )
 
 
-# The sweep of each mode, in the order the CLI and its messages list them.
-SWEEPS = {"soundness": soundness_sweep, "completeness": completeness_sweep}
+# The sweep modes, in the order the CLI and its messages list them; mode
+# m runs the module's m_sweep, looked up when it is called.
+SWEEPS = ("soundness", "completeness")

@@ -714,9 +714,10 @@ def _run_repcheck(n: int | None, relation_class: str, mode: str) -> dict:
             f"unknown relation class {relation_class!r}; "
             f"expected {', '.join(classes)}, or {last}"
         ) from None
-    sweep = repcheck_mod.SWEEPS.get(mode) if isinstance(mode, str) else None
-    if sweep is None:
+    if mode not in repcheck_mod.SWEEPS:
         raise RepcheckError(f"unknown mode {mode!r}; expected {' or '.join(repcheck_mod.SWEEPS)}")
+    # Through the module attribute, so a sweep rebound there is the one run.
+    sweep = getattr(repcheck_mod, f"{mode}_sweep")
     out = {"command": "repcheck"}
     out.update(sweep(n, cls).to_json_dict())
     return out

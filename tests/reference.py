@@ -29,6 +29,12 @@ induced choice, transitivity, smoothness and rankedness, with the same
 first-failing witnesses, and the class check built on them. The
 bitmask kernel in analogia.preference must agree with them; see
 test_preference.py.
+
+The choice laws: property_failure visits every (X, Y) pair of subsets,
+nested or not, in ascending mask order, and tests each law on the
+table's sets. check_property, which scans nested pairs only, must give
+the same verdict and the same first witness on every choice table; see
+test_repcheck.py.
 """
 
 from fractions import Fraction
@@ -57,7 +63,7 @@ from analogia.formula import (
     Var,
 )
 from analogia.preference import ChoiceFunction, PreferenceRelation, subsets_of
-from analogia.repcheck import RelationClass
+from analogia.repcheck import PropertyId, RelationClass
 
 
 def reduce_term(t, domain, env):
@@ -399,3 +405,30 @@ def relation_in_class(rel, cls):
     if cls is RelationClass.TRANSITIVE_SMOOTH:
         return is_transitive(rel) and is_smooth(rel)[0]
     return is_ranked(rel)[0]
+
+
+def property_failure(cf, prop):
+    """The first (X, Y) breaking prop over all pairs of subsets, or None.
+
+    Y is None for MuSubset; for MuCUM X is the larger set, as in the
+    law's statement.
+    """
+    table = cf.table
+    subsets = list(subsets_of(cf.carrier))
+    if prop is PropertyId.MU_SUBSET:
+        for xs in subsets:
+            if not table[xs] <= xs:
+                return xs, None
+        return None
+    for xs in subsets:
+        for ys in subsets:
+            if prop is PropertyId.MU_PR:
+                broken = xs <= ys and not table[ys] & xs <= table[xs]
+            elif prop is PropertyId.MU_CUM:
+                broken = table[xs] <= ys <= xs and table[ys] != table[xs]
+            else:
+                meet = table[ys] & xs
+                broken = xs <= ys and bool(meet) and table[xs] != meet
+            if broken:
+                return xs, ys
+    return None

@@ -491,3 +491,39 @@ class TestInducedChoiceCharacterization:
         got = represent(cf, RelationClass.RANKED)
         assert isinstance(got, NotRepresentable)
         assert got.failed_property is None
+
+
+# ====================================================================
+# Law witnesses against the all-pairs scan, on every table at n=3
+# ====================================================================
+
+
+class TestWitnessOrder:
+    """The law scans skip non-nested pairs; the first witness must not move.
+
+    The soundness sweeps find no violations, so the golden digests
+    cannot see the order in which pairs are visited; these tests can.
+    """
+
+    @pytest.mark.parametrize("prop", list(PropertyId), ids=str)
+    def test_check_property_matches_the_all_pairs_scan(self, prop):
+        for cf in choice_oracle.all_tables(ABC):
+            failure = reference.property_failure(cf, prop)
+            assert check_property(cf, prop) == (failure is None, failure), cf.table
+
+    @pytest.mark.parametrize("cls", list(RelationClass), ids=lambda c: c.value)
+    def test_represent_reports_the_first_broken_law_and_its_witness(self, cls):
+        for cf in choice_oracle.all_tables(ABC):
+            failed = witness = None
+            for prop in CLASS_PROPERTIES[cls]:
+                witness = reference.property_failure(cf, prop)
+                if witness is not None:
+                    failed = prop
+                    break
+            got = represent(cf, cls)
+            if failed is None:
+                if isinstance(got, NotRepresentable):
+                    assert (got.failed_property, got.witness) == (None, None)
+            else:
+                assert isinstance(got, NotRepresentable), cf.table
+                assert (got.failed_property, got.witness) == (failed, witness), cf.table

@@ -73,3 +73,19 @@ def test_the_traced_entail_path_reaches_evaluate_and_check_formula(spans, capsys
     assert code == 0, capsys.readouterr().err
     recorded = {rec.names[i] for i in rec.name}
     assert {"formula.evaluate", "formula.check_formula"} <= recorded
+
+
+def test_the_traced_repcheck_path_reaches_both_sweeps(spans, capsys):
+    # The sweep spans and the relations counted under them come from the
+    # wrappers on analogia.repcheck, so a repcheck command must call each
+    # sweep through its module name.
+    import analogia.cli
+
+    rec = spans.SpanRecorder()
+    with spans.Instrument(rec):
+        sound = analogia.cli.main(["--json", "repcheck", "--mode", "soundness", "--n", "2"])
+        complete = analogia.cli.main(["--json", "repcheck", "--mode", "completeness", "--n", "2"])
+    assert (sound, complete) == (0, 1), capsys.readouterr().err
+    recorded = {rec.names[i] for i in rec.name}
+    assert {"repcheck.soundness_sweep", "repcheck.completeness_sweep"} <= recorded
+    assert rec.counters["repcheck.relations_examined"] == 2 * 2 ** (2 * 2 - 2)
