@@ -20,7 +20,11 @@ quantifier whose body does not read its variable is dropped: the
 universe is nonempty, so folding one value over it gives that value.
 Only a quantifier whose body reads its variable loops over the
 universe, and k such nested quantifiers still cost n^k body runs over
-n elements. Atoms read the domain's fact table.
+n elements. An atom whose arguments are variables and constants, one
+variable at least, reads its predicate's row of the domain's fact_rows
+with one get, keyed by one itemgetter over the slots: each constant's
+element sits in a slot of its own past the binders'. Ground atoms and
+atoms with a function term read the fact table itself.
 
 Concrete syntax, shared with the session files:
 
@@ -42,7 +46,12 @@ raises a ParseError there. No position is kept per token: a ParseError
 repeats the scan match by match up to its token and counts the
 newlines before it. Identifiers match kb.IDENT_PATTERN,
 [A-Za-z_][A-Za-z0-9_']*, the same rule Signature holds symbol names to,
-so primed names like x' are fine.
+so primed names like x' are fine. A session text is scanned first by a
+FactLineStream, whose one findall also takes each `fact P(a, b) = v;`
+line with blanks only inside and a truth word for v as one token;
+fact_line reads such a token with one more findall. Its errors carry
+no position, so tokenize reads a text again where that scan or the
+parse over it fails.
 
 Each node class defines its connective once: And, Or and Implies
 subclass one record class with the fields left and right, Forall and
@@ -90,6 +99,7 @@ from .kb import (
     Signature,
     TruthValue,
     Value,
+    _IDENT_RE,
     _instance,
 )
 
@@ -378,7 +388,9 @@ class _Compiler:
 
     def __init__(self, domain: KnowledgeDomain, symbol=lambda name: name):
         self.domain = domain
-        self.env: list[str] = []
+        # A binder's slot is its depth, at most MAX_FORMULA_DEPTH in a
+        # checked sentence; the constants that row atoms read follow.
+        self.env: list[str] = [""] * (MAX_FORMULA_DEPTH + 1)
         self.symbol = symbol
 
     def sentence(self, f: Formula) -> TruthValue:
@@ -428,12 +440,35 @@ class _Compiler:
         return _junction(kind.absorb, a, sa, b, sb)
 
     def atom(self, f: Atom, scope: dict[str, int]):
+        pred = self.symbol(f.predicate)
+        kinds = set(map(type, f.args))
+        if Var in kinds and FuncApp not in kinds:
+            return self.row_atom(pred, f.args, scope)
         args, slots = self.args(f.args, scope)
         get = self.domain.facts.get
-        pred = self.symbol(f.predicate)
         if not slots:
             return get((pred, args), _U), 0
         return (lambda env: get((pred, args(env)), _U)), slots
+
+    def row_atom(self, pred: str, ts: tuple[Term, ...], scope: dict[str, int]):
+        """An atom over variables and constants, read from pred's row of
+        fact_rows: its key comes off env in one itemgetter call, each
+        constant's element put in a slot of its own past the binders."""
+
+        env, slots, indices = self.env, 0, []
+        for t in ts:
+            if type(t) is Var:
+                index = scope[t.name]
+                slots |= 1 << index
+            else:
+                index = len(env)
+                env.append(self.domain.const_interp[self.symbol(t.name)])
+            indices.append(index)
+        row = self.domain.fact_rows.get(pred)
+        if row is None:  # no known fact: unknown wherever the variables point
+            return _U, 0
+        key, get = itemgetter(*indices), row.get
+        return (lambda env: get(key(env), _U)), slots
 
     def quantifier(self, f: Forall | Exists, scope: dict[str, int], depth: int):
         slot = depth
@@ -458,10 +493,9 @@ class _Compiler:
                     unknown = True
             return _U if unknown else rest
 
-        env = self.env  # every closure of the sentence runs on this one list
-        env += [""] * (slot + 1 - len(env))
         slots ^= bit
-        return (fold, slots) if slots else (fold(env), 0)
+        # every closure of the sentence runs on the one list self.env
+        return (fold, slots) if slots else (fold(self.env), 0)
 
 
 def evaluate(f: Formula, domain: KnowledgeDomain) -> TruthValue:
@@ -482,7 +516,8 @@ def evaluate(f: Formula, domain: KnowledgeDomain) -> TruthValue:
 # ====================================================================
 
 # What may sit between tokens: blanks, newlines and comments.
-_GAP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+_BLANK = "[ \t\r\n]"
+_GAP = rf"(?:{_BLANK}+|#[^\n]*)*"
 _GAP_RE = re.compile(_GAP)
 # One token and the gap after it, so each match ends where the next
 # token starts: findall searches, and with the gap first it could
@@ -493,6 +528,23 @@ _GAP_RE = re.compile(_GAP)
 # atomic groups: re has them only from Python 3.11.
 _TOKEN_RE = re.compile(f"({IDENT_PATTERN}|[0-9]+|->|[!&|(){{}},;:.=/]|){_GAP}")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+# The rest of a `fact P(a, b) = v;` line after its keyword: blanks but
+# no comment between its tokens, and a truth word for v.
+_FACT_REST = (
+    rf"{_BLANK}+{IDENT_PATTERN}{_BLANK}*\({_BLANK}*{IDENT_PATTERN}"
+    rf"(?:{_BLANK}*,{_BLANK}*{IDENT_PATTERN})*{_BLANK}*\){_BLANK}*="
+    rf"{_BLANK}*(?:true|false|unknown){_BLANK}*;"
+)
+# _TOKEN_RE with one more token: a whole fact line, whose text starts
+# after the keyword, at a blank, which no other token starts with. The
+# keyword is taken only where a blank follows it, and the empty token
+# only where no blank does, so where the rest of the line does not
+# match the scan backs off and takes the keyword as an identifier.
+_FACT_TOKEN_RE = re.compile(
+    rf"(?:fact(?={_BLANK}))?({_FACT_REST}|{IDENT_PATTERN}|[0-9]+|->|[!&|(){{}},;:.=/]"
+    rf"|(?!{_BLANK})){_GAP}"
+)
 
 
 def tokenize(text: str) -> list[str]:
@@ -602,6 +654,35 @@ class TokenStream:
 
         _, line, col = _where(self.text, self.pos if index is None else index)
         raise ParseError(message, line, col)
+
+
+class FactLineStream(TokenStream):
+    """A TokenStream over a session text in which each fact line that
+    _FACT_REST takes is one token; every other token is tokenize's.
+
+    Nothing but a domain body accepts a fact line token: it starts with
+    a blank, so it is no identifier, number or symbol. fact_line reads
+    it. The token indices are not tokenize's, so no error can be placed:
+    a bad character, or any error, raises a ParseError at line 0, column
+    0, and the caller reads the text again through tokenize for the
+    positioned one.
+    """
+
+    def __init__(self, text: str):
+        tokens = _FACT_TOKEN_RE.findall(text, _GAP_RE.match(text).end())
+        super().__init__(text, tokens)
+        if tokens.index("") < len(tokens) - 1:
+            self.error("unexpected character")
+
+    def error(self, message: str, index: int | None = None):
+        raise ParseError(message, 0, 0)
+
+
+def fact_line(token: str) -> tuple[str, tuple[str, ...], str]:
+    """(predicate, args, value word) of a fact line token."""
+
+    predicate, *args, value = _IDENT_RE.findall(token)
+    return predicate, tuple(args), value
 
 
 # ====================================================================

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import re
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -264,7 +265,9 @@ class KnowledgeDomain(Value):
     are keyed. The universe is stored sorted, so orders derived from it
     are stable. func_interp and facts are keyed by plain (name, args)
     tuples; facts, the one fact table, keeps only known values, and
-    fact_value answers unknown for the rest. Do not mutate the dicts.
+    fact_value answers unknown for the rest. fact_rows, derived from
+    facts on first use, splits it by predicate for the compiled atoms.
+    Do not mutate the dicts.
     """
 
     def __init__(
@@ -344,6 +347,17 @@ class KnowledgeDomain(Value):
             if value.known:
                 table[key] = value
         object.__setattr__(self, "facts", table)
+
+    @cached_property
+    def fact_rows(self) -> dict[str, dict]:
+        """facts split by predicate, made on first use: a predicate's row
+        keys each known value by the atom's argument, or by its argument
+        tuple from arity 2 on, as an itemgetter over the arguments gives it."""
+
+        rows: dict[str, dict] = {}
+        for (pred, args), value in self.facts.items():
+            rows.setdefault(pred, {})[args if len(args) > 1 else args[0]] = value
+        return rows
 
     def fact_value(self, atom: tuple[str, tuple[str, ...]]) -> TruthValue:
         """The value of the atom keyed (predicate, args) in facts."""

@@ -40,6 +40,15 @@ it has no meaning (domains and analogies sort by name) and kept where
 it does (working set, queries, pieces). print_session emits a
 canonical text whose reparse equals the original session. Any syntax
 error, reported with line and column, comes before a semantic error.
+
+parse_session reads the text through a FactLineStream, which takes
+each well-formed fact line as one token, whose parts fact_line takes
+with one findall; every other statement goes through the TokenStream
+parser. Where that read
+raises a ParseError, which has no position there, the text is read
+again through tokenize alone, whose result or positioned error is the
+one returned: both reads give the same statements wherever the first
+one succeeds.
 """
 
 from __future__ import annotations
@@ -60,15 +69,18 @@ from .entailment import best as best_names
 from .entailment import entail
 from .errors import (
     DomainError,
+    ParseError,
     PreferenceError,
     RepcheckError,
     SessionError,
     SignatureError,
 )
 from .formula import (
+    FactLineStream,
     Formula,
     TokenStream,
     check_formula,
+    fact_line,
     ground_atom_formulas,
     parse_formula_stream,
     print_formula,
@@ -238,11 +250,21 @@ def parse_session(text: str) -> Session:
     that mention them. The whole text is read before any domain or
     analogy is built, so a syntax error, a ParseError with line and
     column, wins over every semantic error, which names the offending
-    entity instead. Checks that Session makes are left to it.
+    entity instead. Checks that Session makes are left to it. The
+    module docstring tells how the text is read.
     """
 
     _instance("session text", text, str, SessionError)
-    ts = TokenStream(text, tokenize(text))
+    try:
+        statements = _read_statements(FactLineStream(text))
+    except ParseError:
+        statements = _read_statements(TokenStream(text, tokenize(text)))
+    return _build_session(*statements)
+
+
+def _read_statements(ts: TokenStream) -> tuple[dict[str, list], dict[str, object]]:
+    """The repeatable statements by keyword, and the others, as written."""
+
     lists: dict[str, list] = {"domain": [], "analogy": [], "query": []}
     once: dict[str, object] = {}
     while word := ts.peek():
@@ -257,7 +279,10 @@ def parse_session(text: str) -> Session:
             lists[word].append(parse(ts))
         else:
             once[word] = parse(ts)
+    return lists, once
 
+
+def _build_session(lists: dict[str, list], once: dict[str, object]) -> Session:
     domains = [_build_domain(*raw) for raw in lists["domain"]]
     by_name = _by_name("domain", [(d.signature.name, d) for d in domains])
     for side, end in (("source", 1), ("target", 2)):
@@ -293,12 +318,16 @@ def _parse_domain(ts: TokenStream) -> tuple:
     name = ts.expect_ident()
     ts.expect("{")
     body: dict[str, list] = {"objects": [], "pred": [], "func": [], "fact": [], "interp": []}
+    facts = body["fact"]
     while True:
         at = ts.pos
         word = ts.next()
-        if word == "}":
+        if word[:1].isspace():  # a fact line, read whole by a FactLineStream
+            head, args, value = fact_line(word)
+            facts.append((head, args, _TRUTH_WORDS[value]))
+        elif word == "}":
             return (name, *body.values())
-        if word == "objects":
+        elif word == "objects":
             ts.expect(":")
             body[word] += _parse_names(ts, ";")
         elif word == "pred" or word == "func":

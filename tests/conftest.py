@@ -8,9 +8,12 @@ follows first on x and second on x' agrees everywhere. The Q-images
 are left unsettled on purpose: they are where conjectures come from.
 """
 
+import functools
+import importlib.util
 import inspect
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -27,6 +30,27 @@ from analogia.formula import ground_atom_formulas
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SESSIONS_DIR = ROOT / "sessions"
+
+
+@functools.cache
+def benchmark_pool(variants):
+    """The first variants sessions of each stratum of the benchmark's
+    session pools, by label; perfbench/workloads.py generates them. The
+    dict is shared between callers: copy it before changing it."""
+
+    perfbench = ROOT / "perfbench"
+    for name in ("sessiongen", "workloads"):  # workloads imports sessiongen
+        spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    workloads = module
+    return {
+        f"{workload}-s{s}v{v}": workloads.generate(params, f"{workload}:{s}:{v}")
+        for workload, strata in workloads.SESSION_WORKLOADS.items()
+        for s, params in enumerate(strata)
+        for v in range(variants)
+    }
+
 
 def rebuild(obj, **changes):
     """obj's class called again with obj's constructor arguments, changes

@@ -838,7 +838,7 @@ class TestEvaluate:
 # ====================================================================
 
 ORACLE_SIG = Signature(
-    "o", ("a", "b"), (("P", 1), ("Q", 1), ("R", 2)), (("g", 1), ("h", 2))
+    "o", ("a", "b"), (("P", 1), ("Q", 1), ("R", 2), ("S", 3)), (("g", 1), ("h", 2))
 )
 BINDERS = ("x", "y")
 BINARY = {"and": And, "or": Or, "implies": Implies}
@@ -854,6 +854,11 @@ ORACLE_SHAPES = [
         "exists x. forall y. P(x) -> Q(h(x, b))",  # partly vacuous
         "forall x. (P(a) | !Q(g(b))) -> R(x, a)",  # ground part under a binder
         "exists x. !(P(x) & Q(x)) | (R(x, b) -> P(g(x)))",  # every connective
+        # atoms over variables and constants, read from a predicate's row
+        "forall x. R(x, x)",
+        "exists x. R(a, x) & !R(x, a)",
+        "forall x. exists y. R(x, a) -> S(y, b, x)",
+        "exists x. forall y. S(x, x, a) | S(y, g(x), x)",
     )
 ]
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import analogia.analogy
+import analogia.session as session_module
 
 from analogia import (
     AnalogiaError,
@@ -41,6 +42,8 @@ from analogia.formula import (
     Implies,
     Not,
     Or,
+    FactLineStream,
+    TokenStream,
     Var,
     token_positions,
     tokenize,
@@ -48,7 +51,7 @@ from analogia.formula import (
 from analogia.kb import format_atom
 from analogia.session import SESSION_COMMANDS, resolve_maps, session_preference
 
-from conftest import SESSIONS_DIR, rebuild
+from conftest import SESSIONS_DIR, benchmark_pool, rebuild
 
 MINIMAL = """
 domain S {
@@ -1029,3 +1032,152 @@ class TestTokenEdits:
             assert "Traceback" not in proc.stderr
             if proc.returncode:
                 assert proc.stderr.startswith("error: ")
+
+
+# ====================================================================
+# Fact lines: the read that takes them whole against the token read
+# ====================================================================
+
+
+def fact_line_read(text):
+    """The session read through a FactLineStream alone, with no re-read."""
+
+    return session_module._build_session(*session_module._read_statements(FactLineStream(text)))
+
+
+def token_read(text):
+    """The session read through tokenize alone."""
+
+    ts = TokenStream(text, tokenize(text))
+    return session_module._build_session(*session_module._read_statements(ts))
+
+
+def outcome(read, text):
+    """The session read gives, or its error's class, text and position."""
+
+    try:
+        return read(text)
+    except AnalogiaError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "col", None)
+
+
+def is_parse_error(result):
+    return isinstance(result, tuple) and result[0] is ParseError
+
+
+POOL = benchmark_pool(4)
+READ_TEXTS = {**{p.stem: p.read_text() for p in corpus_files()}, **POOL}
+
+
+@pytest.mark.parametrize("text", READ_TEXTS.values(), ids=READ_TEXTS)
+def test_fact_lines_read_whole_give_the_token_read(text):
+    expected = outcome(token_read, text)
+    assert not is_parse_error(expected)
+    assert outcome(fact_line_read, text) == expected
+    assert outcome(parse_session, text) == expected
+
+
+def test_the_pool_is_read_without_a_re_read():
+    # Every fact line of the generated sessions is taken whole, so the
+    # domain bodies hold no fact keyword token.
+    for text in POOL.values():
+        tokens = FactLineStream(text).tokens
+        assert "fact" not in tokens
+        assert sum(tok[:1].isspace() for tok in tokens) == text.count("fact ")
+
+
+# A session with one slot per place a fact line can be put: the domain
+# body it belongs in, and places that must refuse it. An objects list
+# and a map line read identifiers there.
+FACT_LINE_SESSION = """\
+domain S {{
+  objects: a, {objects}b{fact_object};
+  pred P/1;
+  pred R/2;{fact_pred}
+{body}
+  fact R(a, b) = true;
+}}
+domain T {{
+  objects: c, d;
+  pred Q/1;
+  pred R2/2;
+  fact Q(c) = false;
+}}
+{top}
+analogy m from S to T {{
+  map P -> Q; map R -> R2; map a -> c; {analogy}map b -> d;
+}}
+workingset {{ P(a); {workingset}forall x. R(x, a); }}
+query {query}Q(c);
+"""
+FACT_LINE_PLACES = ("body", "top", "objects", "analogy", "workingset", "query")
+# What may sit between two tokens of a fact line: nothing, blanks of
+# every kind, and a comment, which needs its line end.
+FACT_LINE_GAPS = ("", " ", " ", " ", "\t", "\n", "\r\n", "  # note\n")
+TRUTH_WORDS = ("true", "false", "unknown")
+
+
+@st.composite
+def fact_line_sessions(draw):
+    """FACT_LINE_SESSION with one drawn fact line put in one place, most
+    often a domain body, with a truth word most often."""
+
+    name = st.sampled_from(("a", "b", "fact", "z"))
+    pred = draw(st.sampled_from(("P", "R", "fact")))
+    args = [draw(name) for _ in range(draw(st.integers(1, 2)))]
+    value = draw(st.sampled_from(3 * TRUTH_WORDS + ("maybe", "True", "tru", "1")))
+    tokens = ["fact", pred, "(", args[0]]
+    for arg in args[1:]:
+        tokens += [",", arg]
+    tokens += [")", "=", value, ";"]
+    gaps = [draw(st.sampled_from(FACT_LINE_GAPS)) for _ in tokens[1:]]
+    line = tokens[0] + "".join(gap + tok for gap, tok in zip(gaps, tokens[1:]))
+    place = draw(st.sampled_from(5 * ("body",) + FACT_LINE_PLACES[1:]))
+    slots = dict.fromkeys(FACT_LINE_PLACES, "")
+    slots[place] = f"  {line}" if place == "body" else f"{line}{',' if place == 'objects' else ''} "
+    return FACT_LINE_SESSION.format(
+        fact_object=draw(st.sampled_from(("", ", fact"))),
+        fact_pred=draw(st.sampled_from(("", "\n  pred fact/1;"))),
+        **slots,
+    )
+
+
+class TestFactLines:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(fact_line_sessions())
+    def test_both_reads_agree_on_edited_fact_lines(self, text):
+        expected = outcome(token_read, text)
+        assert outcome(parse_session, text) == expected
+        if not is_parse_error(expected):  # the read that takes lines whole needs no re-read
+            assert outcome(fact_line_read, text) == expected
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "fact P(a) = true;",
+            "fact\tP (a)\r\n=true ;",
+            "fact R( b ,a ) = unknown;",
+            "fact fact(a) = true;",  # well formed, with an undeclared predicate
+        ],
+    )
+    def test_a_well_formed_line_is_one_token(self, line):
+        text = FACT_LINE_SESSION.format(
+            fact_object="", fact_pred="", **{**dict.fromkeys(FACT_LINE_PLACES, ""), "body": line}
+        )
+        assert "fact" not in FactLineStream(text).tokens
+        assert outcome(fact_line_read, text) == outcome(token_read, text)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "fact P(a) = maybe;",  # not a truth word
+            "fact P(a) # note\n = true;",  # a comment inside
+            "fact P(a) = true",  # no semicolon
+        ],
+    )
+    def test_other_lines_are_read_token_by_token(self, line):
+        text = FACT_LINE_SESSION.format(
+            fact_object="", fact_pred="", **{**dict.fromkeys(FACT_LINE_PLACES, ""), "body": line}
+        )
+        assert "fact" in FactLineStream(text).tokens
+        assert outcome(parse_session, text) == outcome(token_read, text)

@@ -15,10 +15,8 @@ small three-valued domains, generated analogies and working sets:
   * working sets with repeated sentences.
 """
 
-import importlib.util
 import itertools
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,7 +49,7 @@ from analogia.formula import ground_atom_formulas
 from analogia.preference import PreferenceRelation
 from analogia.session import resolve_maps
 
-from conftest import SESSIONS_DIR
+from conftest import SESSIONS_DIR, benchmark_pool
 
 SOURCE_CONSTANTS = ("a", "b", "c")
 SOURCE_PREDICATES = (("P", 1), ("Q", 1), ("R", 2))
@@ -276,27 +274,9 @@ def test_closure_drops_combinations_left_with_one_guarded_piece():
 # ====================================================================
 
 
-def _benchmark_pool(variants):
-    """The first variants sessions of each stratum of the benchmark's
-    session pools, by label; perfbench/workloads.py generates them."""
-
-    perfbench = SESSIONS_DIR.parent / "perfbench"
-    for name in ("sessiongen", "workloads"):  # workloads imports sessiongen
-        spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    workloads = module
-    return {
-        f"{workload}-s{s}v{v}": workloads.generate(params, f"{workload}:{s}:{v}")
-        for workload, strata in workloads.SESSION_WORKLOADS.items()
-        for s, params in enumerate(strata)
-        for v in range(variants)
-    }
-
-
 KEYED_SESSIONS = {
     **{p.stem: p.read_text(encoding="utf-8") for p in sorted(SESSIONS_DIR.glob("*.ana"))},
-    **_benchmark_pool(4),
+    **benchmark_pool(4),
 }
 
 
@@ -320,6 +300,9 @@ def test_keyed_images_agree_with_translate(text):
                 continue
             assert tables._image(image) == expected
             assert tables._target_value(image) is evaluate(expected, tables.target)
+            assert tables._target_value(image) is reference.reference_evaluate(
+                expected, tables.target
+            )
 
     injective = [m for m in maps if outcome(tables.preimages, m) is None]
     space = AnalogySpace(
