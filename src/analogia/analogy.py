@@ -31,15 +31,18 @@ All of these read TranslationTables, made once per session and shared
 by every command and the space: each working sentence is checked and
 evaluated once, and its image under an analogy is keyed by the
 sentence's shape and the target symbols the map puts into it, which
-determine the image. TranslationTables.support sorts an analogy's
-working-set positions into the groups once; classify, the augmented
-report and the score read them, and closure derives from its parents'.
+determine the image. An analogy's support is six masks over the
+working-set positions, one per group, made once: a declared analogy's
+by one scan, a closure combination's from its parents' masks with no
+per-sentence work. classify, the augmented report, the score and the
+preference all read them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -137,7 +140,7 @@ class AnalogyPiece(Value):
         object.__setattr__(self, "mapping", mapping)
 
 
-def _check_guards(name: str, pieces: Sequence[AnalogyPiece], constants: Sequence[str]) -> None:
+def _check_guards(name: str, pieces: Sequence[AnalogyPiece], constants: Iterable[str]) -> None:
     """A map's piece-and-guard rules: at least one piece; a single piece
     unguarded; otherwise constant guards, drawn from the source
     constants, that do not overlap."""
@@ -154,10 +157,10 @@ def _check_guards(name: str, pieces: Sequence[AnalogyPiece], constants: Sequence
             raise AnalogyError(
                 f"analogy {name!r}: every piece of a piecewise map needs a constant guard"
             )
-        extra = sorted(g.constants.difference(constants))
+        extra = g.constants.difference(constants)
         if extra:
             raise AnalogyError(
-                f"analogy {name!r}: guard constant {extra[0]!r} is not a source constant"
+                f"analogy {name!r}: guard constant {min(extra)!r} is not a source constant"
             )
     for i, g in enumerate(guards):
         for h in guards[i + 1 :]:
@@ -407,24 +410,52 @@ def check_injective_on(amap: AnalogyMap, formulas: Sequence[Formula]) -> None:
 # Translation tables
 # ====================================================================
 
+def _positions_in(mask: int) -> list[int]:
+    """The positions set in mask, ascending: one step per set bit."""
+
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+def _side_images(images: tuple[int | None, ...], sides: tuple[int, ...], side: int):
+    """The image ids of the sentences on side, or None when two share one."""
+
+    ids = [image for image, s in zip(images, sides) if s == side and image is not None]
+    distinct = set(ids)
+    return distinct if len(distinct) == len(ids) else None
+
+
 class _Table:
     """One analogy's translation of the working set.
 
     images[i] is the image id of the i-th distinct sentence, or None
     when the analogy cannot carry it over; preimages maps each image id
     back to its sentence index once the table is known to be injective.
-    Tables are keyed by analogy name; another map of that name replaces one.
+    masks, once made, are its support_masks. A closure combination a+b@c
+    gets its masks from close and has a split instead of images: a's and
+    b's tables and each sentence's side of c, from which its images are
+    derived on first use. Tables are keyed by analogy name; another map
+    of that name replaces one.
     """
 
-    def __init__(
-        self,
-        analogy: AnalogyMap,
-        images: tuple[int | None, ...],
-        preimages: dict[int, int] | None = None,
-    ):
+    def __init__(self, analogy: AnalogyMap, images=None, split=None):
         self.analogy = analogy
-        self.images = images
-        self.preimages = preimages
+        if images is not None:
+            self.images = images  # a cached_property yields to the instance's own value
+        self.split = split
+        self.masks = self.preimages = None
+
+    @cached_property
+    def images(self) -> tuple[int | None, ...]:
+        a, b, sides = self.split
+        a, b = a.images, b.images
+        return tuple(
+            a[i] if side == 1 else b[i] if side == 2 else None for i, side in enumerate(sides)
+        )
 
 
 class TranslationTables:
@@ -436,14 +467,17 @@ class TranslationTables:
     its shape (every symbol blanked, binders primed as translate primes
     them) and its symbols. A declared analogy's table keys each image by
     (shape id, the target symbols its piece puts in), which determine
-    the image; a sentence no piece carries gets no image. Closure
-    combinations derive their tables from their parents' and key
-    nothing. Each image id keeps the sentence and map it was keyed
-    from. Source values, target values (the sentence compiled for the
-    target through the map) and image formulas, which only the
-    augmented report carries, are each made once, on first use. support
-    is the one place a source value meets a target value. Every analogy
-    given to one instance must run between its source and target.
+    the image; a sentence no piece carries gets no image. Each image id
+    keeps the sentence and map it was keyed from. Source values, target
+    values (the sentence compiled for the target through the map) and
+    image formulas, which only the augmented report carries, are each
+    made once, on first use.
+
+    An analogy's support is six masks over working-set positions, made
+    once (support_masks, whose scan is the one place a source value
+    meets a target value); classify, the augmented report, the score
+    and the preference read them. Every analogy given to one instance
+    must run between its source and target.
     """
 
     def __init__(
@@ -506,27 +540,30 @@ class TranslationTables:
             self._recipes.append((i, piece.mapping.__getitem__))
         return image
 
-    def _injective(self, name: str, ids: tuple[int | None, ...]) -> dict[int, int]:
-        seen: dict[int, int] = {}
-        for i, image in enumerate(ids):
-            if image is None:
-                continue
-            if image in seen:
-                raise AnalogyError(
-                    f"analogy {name!r}: translation is not injective on the "
-                    f"working set ({self.sentences[seen[image]]} and "
-                    f"{self.sentences[i]} share an image)"
-                )
-            seen[image] = i
-        return seen
-
     def preimages(self, amap: AnalogyMap) -> dict[int, int]:
         """Image id to sentence index; raises AnalogyError on a collision."""
 
         table = self._table(amap)
         if table.preimages is None:
-            table.preimages = self._injective(amap.name, table.images)
+            seen: dict[int, int] = {}
+            for i, image in enumerate(table.images):
+                if image is None:
+                    continue
+                if image in seen:
+                    raise AnalogyError(
+                        f"analogy {amap.name!r}: translation is not injective on the "
+                        f"working set ({self.sentences[seen[image]]} and "
+                        f"{self.sentences[i]} share an image)"
+                    )
+                seen[image] = i
+            table.preimages = seen
         return table.preimages
+
+    def check_injective(self, amap: AnalogyMap) -> None:
+        """preimages' check, which close made for its combinations."""
+
+        if self._table(amap).split is None:
+            self.preimages(amap)
 
     def _source_value(self, i: int) -> TruthValue:
         value = self._source_values[i]
@@ -551,44 +588,51 @@ class TranslationTables:
             self._images[image] = f
         return f
 
+    def support_masks(self, amap: AnalogyMap) -> tuple[int, ...]:
+        """support's six groups as masks, bit k for position k. The scan
+        evaluates the source only for entries amap carries over, the
+        target only when the source value is known. A combination a+b@c
+        takes each group from a on the positions close puts on c's side
+        and from b on the other side: a position's group depends only on
+        its source value and image, both taken from that parent. The
+        positions on neither side are untranslatable."""
+
+        return self._masks(self._table(amap))
+
+    def _masks(self, table: _Table) -> tuple[int, ...]:
+        if table.masks is not None:  # a closure combination's, from close
+            return table.masks
+        masks, ids = [0] * 6, table.images
+        for k, i in enumerate(self._positions):
+            image = ids[i]
+            if image is None:
+                group = 0
+            elif not (vs := self._source_value(i)).known:
+                group = 1
+            else:
+                vt = self._target_value(image)
+                group = 2 if not vt.known else 3 if vs is vt else 4 if vs is TruthValue.TRUE else 5
+            masks[group] |= 1 << k
+        table.masks = tuple(masks)
+        return table.masks
+
     def support(self, amap: AnalogyMap) -> tuple[list[int], ...]:
         """amap's working-set positions (indices into formulas) in six
         groups, each in working-set order: untranslatable, not applicable,
         open, positive, negative with the source true, and negative with
-        the source false. The source is evaluated only for entries amap
-        carries over, the target only when the source value is known."""
+        the source false, read off support_masks."""
 
-        groups: tuple[list[int], ...] = ([], [], [], [], [], [])
-        untranslatable, not_applicable, open_, positive, neg_true, neg_false = groups
-        ids = self._table(amap).images
-        for k, i in enumerate(self._positions):
-            image = ids[i]
-            if image is None:
-                untranslatable.append(k)
-                continue
-            vs = self._source_value(i)
-            if not vs.known:
-                not_applicable.append(k)
-                continue
-            vt = self._target_value(image)
-            if not vt.known:
-                open_.append(k)
-            elif vs is vt:
-                positive.append(k)
-            elif vs is TruthValue.TRUE:
-                neg_true.append(k)
-            else:
-                neg_false.append(k)
-        return groups
+        return tuple(map(_positions_in, self.support_masks(amap)))
 
     def classify(self, amap: AnalogyMap) -> SupportReport:
-        untranslatable, not_applicable, open_, positive, neg_true, neg_false = self.support(amap)
+        masks = self.support_masks(amap)
+        untranslatable, not_applicable, open_, positive = map(_positions_in, masks[:4])
         at = self.formulas.__getitem__
         return SupportReport(
             analogy=amap,
             formulas=self.formulas,
             positive=tuple(map(at, positive)),
-            negative=tuple(map(at, sorted(neg_true + neg_false))),
+            negative=tuple(map(at, _positions_in(masks[4] | masks[5]))),
             open=tuple(map(at, open_)),
             not_applicable=tuple(map(at, not_applicable)),
             untranslatable=tuple(map(at, untranslatable)),
@@ -645,49 +689,78 @@ class TranslationTables:
         return suggestions
 
     def close(self, analogies: Sequence[AnalogyMap]) -> tuple[AnalogyMap, ...]:
-        """close_under_combination, deriving (and keeping) each candidate's
-        table from its parents' tables instead of translating again.
+        """close_under_combination, keeping each candidate's table as a
+        split of its parents' tables instead of translating again.
 
         The candidate a+b@c follows a on the sentences that mention
         exactly c and b on those whose constants are a nonempty set
         without c; no piece covers the others. That holds for piecewise
         parents too, since their guards are disjoint and a translation
         depends only on the piece's symbol map, the sentence and the
-        target signature.
+        target signature. So it is injective when a is on c's side, b
+        is on the other and their image sets there, made once per parent
+        and constant, are disjoint. A kept candidate is the map combine
+        builds, from each parent's pieces cut once per constant and side,
+        and its support masks join a's masks on c's side to b's on the
+        other (support_masks).
         """
 
         analogies = _argument("analogies", "iterable", tuple, analogies, AnalogyError)
         out = list(analogies)
-        constants = self.source.signature.constants
-        images = [self._table(a).images for a in analogies]
-        splits = []  # per constant c: its two guards, and which sentences each covers
-        for c in constants:
-            rest = frozenset(constants) - {c}
-            if rest:
-                only_c_guard, rest_guard = Guard.mentions({c}), Guard.mentions(rest)
-                covers = [
-                    (only_c_guard._covers(cs), rest_guard._covers(cs)) for cs in self._constants
-                ]
-                splits.append((c, only_c_guard, rest_guard, covers))
+        constants = frozenset(self.source.signature.constants)
+        tables = [self._table(a) for a in analogies]
+        full = (1 << len(self.formulas)) - 1
+        splits = []  # per constant c: sides, and each parent's images, pieces and masks per side
+        for c in self.source.signature.constants:
+            rest = constants - {c}
+            if not rest:
+                continue
+            # Each sentence's side: 1 if it mentions exactly c, 2 if its
+            # constants are a nonempty set without c, else 0, neither.
+            sides = tuple(
+                1 if cs == {c} else 2 if cs and c not in cs else 0 for cs in self._constants
+            )
+            only_c, without_c = (
+                sum(1 << k for k, i in enumerate(self._positions) if sides[i] == side)
+                for side in (1, 2)
+            )
+            neither = full & ~(only_c | without_c)
+            only_c_guard, rest_guard = Guard.mentions({c}), Guard.mentions(rest)
+            parents = []
+            for a, t in zip(analogies, tables):
+                masks = self._masks(t)
+                on_c = [m & only_c for m in masks]
+                on_c[0] |= neither  # untranslatable: no piece covers these positions
+                parents.append((
+                    (_side_images(t.images, sides, 1), _cut(only_c_guard, a), on_c),
+                    (_side_images(t.images, sides, 2), _cut(rest_guard, a),
+                     [m & without_c for m in masks]),
+                ))
+            splits.append((c, sides, parents))
         taken = {a.name for a in analogies}
-        for a, a_images in zip(analogies, images):
-            for b, b_images in zip(analogies, images):
+        for x, (a, a_table) in enumerate(zip(analogies, tables)):
+            for y, (b, b_table) in enumerate(zip(analogies, tables)):
                 if a.name == b.name:
                     continue
-                for c, only_c_guard, rest_guard, covers in splits:
+                for c, sides, parents in splits:
                     name = f"{a.name}+{b.name}@{c}"
                     if name in taken:
                         continue
-                    ids = tuple(
-                        a_images[i] if only_c else b_images[i] if without_c else None
-                        for i, (only_c, without_c) in enumerate(covers)
+                    (on_c, a_pieces, a_masks), (off_c, b_pieces, b_masks) = (
+                        parents[x][0], parents[y][1]
                     )
+                    if on_c is None or off_c is None or not on_c.isdisjoint(off_c):
+                        continue
+                    pieces = a_pieces + b_pieces
                     try:
-                        preimages = self._injective(name, ids)
-                        combo = combine(a, b, only_c_guard, rest_guard, name=name)
+                        _check_guards(name, pieces, constants)
                     except AnalogyError:
                         continue
-                    self._tables[name] = _Table(combo, ids, preimages)
+                    combo = _checked(
+                        AnalogyMap, name=name, source=a.source, target=a.target, pieces=pieces
+                    )
+                    table = self._tables[name] = _Table(combo, split=(a_table, b_table, sides))
+                    table.masks = tuple(map(or_, a_masks, b_masks))
                     out.append(combo)
                     taken.add(name)
         return tuple(out)
@@ -739,17 +812,17 @@ def combine(
     if not isinstance(name, str):
         raise AnalogyError(f"analogy needs a name, not {name!r}")
 
-    pieces: list[AnalogyPiece] = []
-    for outer, amap in ((first_guard, first), (second_guard, second)):
-        for piece in amap.pieces:
-            merged = outer.intersect(piece.guard)
-            if not merged.constants:
-                continue  # dead guard, can never match
-            pieces.append(_checked(AnalogyPiece, guard=merged, mapping=piece.mapping))
+    pieces = _cut(first_guard, first) + _cut(second_guard, second)
     _check_guards(name, pieces, first.source.signature.constants)
-    return _checked(
-        AnalogyMap, name=name, source=first.source, target=first.target, pieces=tuple(pieces)
-    )
+    return _checked(AnalogyMap, name=name, source=first.source, target=first.target, pieces=pieces)
+
+
+def _cut(outer: Guard, amap: AnalogyMap) -> tuple[AnalogyPiece, ...]:
+    """amap's pieces, each guard cut down by outer; dead guards, which
+    can never match, are dropped."""
+
+    merged = [(outer.intersect(piece.guard), piece.mapping) for piece in amap.pieces]
+    return tuple(_checked(AnalogyPiece, guard=g, mapping=m) for g, m in merged if g.constants)
 
 
 def close_under_combination(

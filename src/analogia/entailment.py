@@ -68,7 +68,7 @@ class AnalogySpace(Value):
             raise EntailmentError("duplicate analogy name in space")
         for a in analogies:
             try:
-                self.tables.preimages(a)
+                self.tables.check_injective(a)
             except AnalogyError as err:
                 raise EntailmentError(str(err)) from err
         carrier = self.preference.carrier

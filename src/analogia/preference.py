@@ -24,7 +24,8 @@ function builds its mask table the same way, for the repcheck laws;
 the repcheck sweeps run the kernel on masks built from edge bitmasks.
 
 The module also derives preferences over analogies from their support
-reports. Dominance prefers a strictly better support profile
+profiles, read from support reports here and from support masks by a
+session. Dominance prefers a strictly better support profile
 (positives a superset, negatives a subset, not both equal). Counting
 scores each analogy by weighted negatives minus weighted positives
 and prefers the lower score; the result is always ranked.
@@ -335,6 +336,32 @@ def _shared_basis(reports: Sequence[SupportReport]) -> tuple[SupportReport, ...]
     return reports
 
 
+def _support_relation(names, profiles, weights=None) -> PreferenceRelation:
+    """The preference over names from each one's (positives, negatives):
+    masks for dominance, counts for the count weights (wp, wn)."""
+
+    if weights is None:
+        edges = (
+            (a, b)
+            for a, (pa, na) in zip(names, profiles)
+            for b, (pb, nb) in zip(names, profiles)
+            if pa | pb == pa and na | nb == nb and (pa != pb or na != nb)
+        )
+    else:
+        wp, wn = weights
+        rank = [wn * n - wp * p for p, n in profiles]
+        # Compare each rank's position among the distinct ranks, not the Fractions.
+        position = {value: i for i, value in enumerate(sorted(set(rank)))}
+        level = [position[value] for value in rank]
+        edges = (
+            (a, b)
+            for a, la in zip(names, level)
+            for b, lb in zip(names, level)
+            if la < lb
+        )
+    return PreferenceRelation(carrier=names, edges=edges)
+
+
 def dominance_preference(reports: Sequence[SupportReport]) -> PreferenceRelation:
     """Prefer strictly better support: more positives, fewer negatives.
 
@@ -345,20 +372,15 @@ def dominance_preference(reports: Sequence[SupportReport]) -> PreferenceRelation
     """
 
     reports = _shared_basis(reports)
-    names = tuple(r.analogy.name for r in reports)
     # A report need not draw its profile from formulas, so index them all.
     index: dict = {}
     for r in reports:
         for f in (*r.positive, *r.negative):
             index.setdefault(f, len(index))
-    profiles = [(mask_of(r.positive, index), mask_of(r.negative, index)) for r in reports]
-    edges = (
-        (a, b)
-        for a, (pa, na) in zip(names, profiles)
-        for b, (pb, nb) in zip(names, profiles)
-        if pa | pb == pa and na | nb == nb and (pa != pb or na != nb)
+    return _support_relation(
+        tuple(r.analogy.name for r in reports),
+        [(mask_of(r.positive, index), mask_of(r.negative, index)) for r in reports],
     )
-    return PreferenceRelation(carrier=names, edges=edges)
 
 
 def check_count_weights(
@@ -388,17 +410,10 @@ def count_preference(
     incomparable, which makes the relation ranked by construction.
     """
 
-    wp, wn = check_count_weights(positive_weight, negative_weight)
+    weights = check_count_weights(positive_weight, negative_weight)
     reports = _shared_basis(reports)
-    names = tuple(r.analogy.name for r in reports)
-    rank = [wn * len(r.negative) - wp * len(r.positive) for r in reports]
-    # Compare each rank's position among the distinct ranks, not the Fractions.
-    position = {value: i for i, value in enumerate(sorted(set(rank)))}
-    level = [position[value] for value in rank]
-    edges = (
-        (a, b)
-        for a, la in zip(names, level)
-        for b, lb in zip(names, level)
-        if la < lb
+    return _support_relation(
+        tuple(r.analogy.name for r in reports),
+        [(len(r.positive), len(r.negative)) for r in reports],
+        weights,
     )
-    return PreferenceRelation(carrier=names, edges=edges)

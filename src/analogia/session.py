@@ -90,12 +90,7 @@ from .kb import (
     KnowledgeDomain, Signature, TruthValue, Value, _check_ident, _instance, _items, _table,
     format_atom,
 )
-from .preference import (
-    PreferenceRelation,
-    check_count_weights,
-    count_preference,
-    dominance_preference,
-)
+from .preference import PreferenceRelation, _support_relation, check_count_weights
 
 PREFERENCE_KINDS = ("dominance", "counts", "explicit")
 SESSION_COMMANDS = ("check", "classify", "report", "best", "entail", "score")
@@ -636,6 +631,9 @@ def resolve_maps(session: Session) -> tuple[AnalogyMap, ...]:
 def session_preference(
     session: Session, maps: Sequence[AnalogyMap]
 ) -> PreferenceRelation:
+    """The explicit edges, or dominance or counts over the maps' support
+    profiles, read off their support masks: no support report is built."""
+
     _check_session(session, "session_preference")
     maps = _items("maps", maps, AnalogyMap, SessionError)
     if session.preference_kind == "explicit":
@@ -643,11 +641,13 @@ def session_preference(
             carrier=tuple(a.name for a in maps),
             edges=session.explicit_edges,
         )
-    reports = [session.tables.classify(a) for a in maps]
+    masks = [session.tables.support_masks(a)[3:] for a in maps]
+    profiles = [(p, neg_true | neg_false) for p, neg_true, neg_false in masks]
+    names = tuple(a.name for a in maps)
     if session.preference_kind == "counts":
-        wp, wn = session.count_weights
-        return count_preference(reports, wp, wn)
-    return dominance_preference(reports)
+        counts = [(p.bit_count(), n.bit_count()) for p, n in profiles]
+        return _support_relation(names, counts, check_count_weights(*session.count_weights))
+    return _support_relation(names, profiles)
 
 
 def resolve_space(session: Session) -> AnalogySpace:
@@ -723,8 +723,8 @@ def run(
         }
     scores = []
     for a in maps:
-        *_, positive, neg_true, neg_false = session.tables.support(a)
-        n_pos, n_r, n_s = len(positive), len(neg_true), len(neg_false)
+        *_, positive, neg_true, neg_false = session.tables.support_masks(a)
+        n_pos, n_r, n_s = positive.bit_count(), neg_true.bit_count(), neg_false.bit_count()
         if n_pos:
             scores.append({"analogy": a.name, **straight_rule(n_pos, n_r, n_s).to_json_dict()})
         else:
