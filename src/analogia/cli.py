@@ -105,7 +105,8 @@ def _json_text(value, newline: str = "\n") -> str:
     """The text of json.dumps(value, indent=2).
 
     With an indent the stdlib encodes in pure Python; this writer makes
-    the same text but escapes strings with the C escaper. newline is a
+    the same text but escapes strings with the C escaper, inline for the
+    str items of a container, which hold most leaves. newline is a
     line break plus the indent of value's own line. Keys must be
     strings, as they are in every document run() returns.
     """
@@ -117,7 +118,9 @@ def _json_text(value, newline: str = "\n") -> str:
             return "{}"
         inner = newline + "  "
         items = [
-            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            encode_basestring_ascii(key) + ": " + (
+                encode_basestring_ascii(item) if isinstance(item, str) else _json_text(item, inner)
+            )
             for key, item in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
@@ -125,7 +128,10 @@ def _json_text(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        items = [_json_text(item, inner) for item in value]
+        items = [
+            encode_basestring_ascii(item) if isinstance(item, str) else _json_text(item, inner)
+            for item in value
+        ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if value is None:
         return "null"

@@ -17,23 +17,30 @@ carrier:
 _carrier is the one check of a carrier, which PreferenceRelation,
 ChoiceFunction and subsets_of share: a sequence of distinct hashable
 items. Choice, smoothness, rankedness and transitivity have one
-implementation, the bitmask kernel below. A relation builds its masks
-when it is made, in the pass that validates its edges, and
-undominated, choice_of and the structural checks read them. A choice
-function builds its mask table the same way, for the repcheck laws;
-the repcheck sweeps run the kernel on masks built from edge bitmasks.
+implementation, the bitmask kernel below. A relation holds its masks,
+the rows of what each item beats and the columns of what beats it, and
+undominated, choice_of and the structural checks read them. A relation
+made from edges builds them in the pass that validates its edges; a
+support relation is built as its masks, and derives its edge set only
+when that is read (eq, hash, repr, better). A choice function builds
+its mask table when it is made, for the repcheck laws; the repcheck
+sweeps run the kernel on masks built from edge bitmasks.
 
 The module also derives preferences over analogies from their support
 profiles, read from support reports here and from support masks by a
 session. Dominance prefers a strictly better support profile
 (positives a superset, negatives a subset, not both equal). Counting
 scores each analogy by weighted negatives minus weighted positives
-and prefers the lower score; the result is always ranked.
+and prefers the lower score; the result is always ranked. Both build
+the relation's masks over groups of equal profiles, with no edge made.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analogy import SupportReport
@@ -58,7 +65,13 @@ def _carrier(carrier) -> tuple[tuple, dict]:
 
 
 class PreferenceRelation(Value):
-    """A strict relation over a finite carrier of item ids."""
+    """A strict relation over a finite carrier of item ids.
+
+    Its fields are the carrier and the edge set. __init__ checks every
+    edge and builds the masks from them; the support preferences make a
+    relation from its masks alone, and its edges are then derived from
+    the rows when first read.
+    """
 
     def __init__(self, carrier: tuple[str, ...], edges: Iterable[tuple[str, str]]):
         carrier, index = _carrier(carrier)
@@ -86,6 +99,14 @@ class PreferenceRelation(Value):
         object.__setattr__(self, "_better", tuple(better))
         object.__setattr__(self, "_dominators", tuple(dominators))
 
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """The pairs the rows hold. A relation made through __init__
+        stores its checked edges here; one made from its rows derives
+        them when they are first read."""
+
+        return frozenset(edges_of(self._better, self.carrier))
+
     def better(self, x: str, y: str) -> bool:
         return (x, y) in self.edges
 
@@ -99,10 +120,33 @@ def mask_of(items: Iterable[str], index: Mapping[str, int]) -> int:
     return mask
 
 
+# Maps the binary digits of a mask, as ASCII, to the bytes 0 and 1.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def members(mask: int, items: Sequence[str]) -> tuple[str, ...]:
     """The items whose positions are set in mask, in items order."""
 
-    return tuple(x for i, x in enumerate(items) if mask >> i & 1)
+    # mask's digits, lowest first, select the items in one C-level pass.
+    return tuple(compress(items, bin(mask)[:1:-1].encode().translate(_BITS)))
+
+
+def edges_of(better: Sequence[int], items: Sequence[str]) -> tuple[tuple[str, str], ...]:
+    """The edges the rows better hold, in edge bitmask order."""
+
+    return tuple((x, y) for x, row in zip(items, better) for y in members(row, items))
+
+
+def sorted_edges(rel: PreferenceRelation) -> list[list[str]]:
+    """[list(e) for e in sorted(rel.edges)], read off the rows, so a
+    relation made from its rows builds no edge set."""
+
+    items, better = rel.carrier, rel._better
+    return [
+        [x, y]
+        for i, x in sorted(enumerate(items), key=itemgetter(1))
+        for y in sorted(members(better[i], items))
+    ]
 
 
 def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]:
@@ -338,28 +382,49 @@ def _shared_basis(reports: Sequence[SupportReport]) -> tuple[SupportReport, ...]
 
 def _support_relation(names, profiles, weights=None) -> PreferenceRelation:
     """The preference over names from each one's (positives, negatives):
-    masks for dominance, counts for the count weights (wp, wn)."""
+    masks for dominance, counts for the count weights (wp, wn).
 
+    The relation is built as its rows, with no edge made. Names with
+    one profile form a group, held as one carrier mask, and every row
+    is an OR of group masks. Dominance compares each pair of distinct
+    profiles once. Counts sorts the distinct ranks: a rank beats every
+    group with a higher rank and is beaten by every group with a lower
+    one. No row holds its own position, as no profile beats itself.
+    """
+
+    carrier, index = _carrier(names)
+    groups: dict = {}
+    for i, profile in enumerate(profiles):
+        groups[profile] = groups.get(profile, 0) | 1 << i
+    keys, masks = list(groups), list(groups.values())
+    beats, beaten = [0] * len(keys), [0] * len(keys)
     if weights is None:
-        edges = (
-            (a, b)
-            for a, (pa, na) in zip(names, profiles)
-            for b, (pb, nb) in zip(names, profiles)
-            if pa | pb == pa and na | nb == nb and (pa != pb or na != nb)
-        )
+        for i, (pa, na) in enumerate(keys):
+            for j, (pb, nb) in enumerate(keys):
+                if i != j and pa | pb == pa and na | nb == nb:
+                    beats[i] |= masks[j]
+                    beaten[j] |= masks[i]
     else:
         wp, wn = weights
-        rank = [wn * n - wp * p for p, n in profiles]
-        # Compare each rank's position among the distinct ranks, not the Fractions.
-        position = {value: i for i, value in enumerate(sorted(set(rank)))}
-        level = [position[value] for value in rank]
-        edges = (
-            (a, b)
-            for a, la in zip(names, level)
-            for b, lb in zip(names, level)
-            if la < lb
-        )
-    return PreferenceRelation(carrier=names, edges=edges)
+        ranks = [wn * n - wp * p for p, n in keys]
+        levels: dict = {}
+        for rank, mask in zip(ranks, masks):
+            levels[rank] = levels.get(rank, 0) | mask
+        lower, seen = {}, 0  # each rank's lower ranks, which beat it
+        for rank in sorted(levels):
+            lower[rank] = seen
+            seen |= levels[rank]
+        for k, rank in enumerate(ranks):
+            beaten[k] = lower[rank]
+            beats[k] = seen & ~(lower[rank] | levels[rank])
+    rows, columns = dict(zip(keys, beats)), dict(zip(keys, beaten))
+    return _checked(
+        PreferenceRelation,
+        carrier=carrier,
+        _index=index,
+        _better=tuple(map(rows.__getitem__, profiles)),
+        _dominators=tuple(map(columns.__getitem__, profiles)),
+    )
 
 
 def dominance_preference(reports: Sequence[SupportReport]) -> PreferenceRelation:

@@ -60,6 +60,7 @@ from .preference import (
     PreferenceRelation,
     _choices,
     choice_of,
+    edges_of,
     members,
     ranked_failure,
     smooth_failure,
@@ -157,12 +158,6 @@ def _relations(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         for _, column_bits in picks:
             packed |= column_bits
         yield tuple(row for row, _ in picks), [packed >> s & full for s in shifts]
-
-
-def _edges_of(better: Sequence[int], items: Sequence[str]) -> tuple[tuple[str, str], ...]:
-    """A relation's edges in edge bitmask order."""
-
-    return tuple((x, y) for x, row in zip(items, better) for y in members(row, items))
 
 
 def _in_class_masks(
@@ -273,7 +268,7 @@ def irreflexive_relations(items: Sequence[str]) -> Iterator[PreferenceRelation]:
     """All strict relations on the items, ascending by edge bitmask."""
 
     items = _argument("items", "an iterable of items", tuple, items, RepcheckError)
-    edges = (_edges_of(better, items) for better, _ in _relations(len(items)))
+    edges = (edges_of(better, items) for better, _ in _relations(len(items)))
     return (PreferenceRelation(carrier=items, edges=e) for e in edges)
 
 
@@ -356,7 +351,7 @@ def represent(
     if found is None:
         return NotRepresentable(failed_property=None, witness=None, searched=searched)
 
-    rel = PreferenceRelation(carrier=items, edges=_edges_of(found, items))
+    rel = PreferenceRelation(carrier=items, edges=edges_of(found, items))
     if not relation_in_class(rel, cls) or choice_of(rel).table != cf.table:
         raise RepcheckError("represent produced a relation that fails verification")
     return rel
@@ -486,7 +481,7 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
             x_set, y_set = _decode(failure, items)
             violations.append(
                 Violation(
-                    relation_edges=_edges_of(better, items),
+                    relation_edges=edges_of(better, items),
                     choice_table=None,
                     property=prop,
                     x_set=x_set,

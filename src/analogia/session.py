@@ -90,7 +90,12 @@ from .kb import (
     KnowledgeDomain, Signature, TruthValue, Value, _check_ident, _instance, _items, _table,
     format_atom,
 )
-from .preference import PreferenceRelation, _support_relation, check_count_weights
+from .preference import (
+    PreferenceRelation,
+    _support_relation,
+    check_count_weights,
+    sorted_edges,
+)
 
 PREFERENCE_KINDS = ("dominance", "counts", "explicit")
 SESSION_COMMANDS = ("check", "classify", "report", "best", "entail", "score")
@@ -632,7 +637,9 @@ def session_preference(
     session: Session, maps: Sequence[AnalogyMap]
 ) -> PreferenceRelation:
     """The explicit edges, or dominance or counts over the maps' support
-    profiles, read off their support masks: no support report is built."""
+    profiles, read off their support masks: no support report is built,
+    and a dominance or counts relation is built as its masks, with no
+    edge made until something reads its edges."""
 
     _check_session(session, "session_preference")
     maps = _items("maps", maps, AnalogyMap, SessionError)
@@ -704,7 +711,7 @@ def run(
             return {
                 "command": "best",
                 "carrier": list(space.preference.carrier),
-                "edges": [list(e) for e in sorted(space.preference.edges)],
+                "edges": sorted_edges(space.preference),
                 "best": sorted(best_names(space)),
             }
         verdicts = [entail(space, q).to_json_dict() for q in session.queries]

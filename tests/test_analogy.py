@@ -26,6 +26,8 @@ from analogia.analogy import (
     AnalogyPiece,
     Guard,
     TranslationTables,
+    _check_guards,
+    _cut,
     augmented_report,
     check_injective_on,
     classify,
@@ -49,7 +51,7 @@ from analogia.formula import (
 )
 from analogia.session import resolve_maps
 
-from conftest import SESSIONS_DIR
+from conftest import SESSIONS_DIR, benchmark_pool
 
 T = TruthValue.TRUE
 F = TruthValue.FALSE
@@ -808,11 +810,40 @@ def rebuilt_combination(first, second, c, constants):
     return AnalogyMap(f"{first.name}+{second.name}@{c}", first.source, first.target, tuple(pieces))
 
 
+# Two piecewise maps whose guards miss c, so their cut on c's side is
+# empty, beside a flat map: candidates of one, two and three pieces.
+GUARDS_MISS_C = """
+domain S {
+  objects: a, b, c;
+  pred P/1;
+  fact P(a) = true; fact P(b) = false; fact P(c) = true;
+}
+domain T {
+  objects: x, y, z;
+  pred Q/1; pred R/1;
+  fact Q(x) = true; fact R(y) = true; fact Q(z) = true;
+}
+source S;
+target T;
+closure on;
+workingset atoms;
+analogy flat from S to T { map P -> Q; map a -> x; map b -> y; map c -> z; }
+analogy split from S to T {
+  piece when mentions {a} { map P -> R; map a -> x; }
+  piece when mentions {b} { map P -> Q; map b -> y; }
+}
+analogy swap from S to T {
+  piece when mentions {a} { map P -> Q; map a -> y; }
+  piece when mentions {b} { map P -> R; map b -> x; }
+}
+"""
+
 CLOSURE_SESSIONS = {
     "closure.ana": (SESSIONS_DIR / "closure.ana").read_text(),
     "combi.ana": (SESSIONS_DIR / "combi.ana").read_text(),
     "generated-1": generated_closure_session(1),
     "generated-2": generated_closure_session(2),
+    "guards-miss-c": GUARDS_MISS_C,
 }
 
 
@@ -843,6 +874,39 @@ class TestClosureBuildsCheckedMaps:
         assert [m.name for m in closed[len(declared):]] == [m.name for m in expected]
         assert closed[len(declared):] == tuple(expected)
         assert expected
+
+
+PIECE_COUNT_SESSIONS = {
+    **{p.name: p.read_text() for p in sorted(SESSIONS_DIR.glob("*.ana"))},
+    **benchmark_pool(4),
+    "guards-miss-c": GUARDS_MISS_C,
+}
+
+
+@pytest.mark.parametrize("text", PIECE_COUNT_SESSIONS.values(), ids=PIECE_COUNT_SESSIONS)
+def test_close_needs_only_the_piece_count(text):
+    """close keeps a candidate when at least two of its cut pieces
+    survive; combine's full guard check decides every candidate alike."""
+
+    session = parse_session(text)
+    declared = session.analogies
+    constants = frozenset(session.source.signature.constants)
+    counts = set()
+    for a in declared:
+        for b in declared:
+            if a.name == b.name:
+                continue
+            for c in constants if len(constants) > 1 else ():
+                pieces = _cut(Guard.mentions({c}), a) + _cut(Guard.mentions(constants - {c}), b)
+                try:
+                    _check_guards("candidate", pieces, constants)
+                    checked = True
+                except AnalogyError:
+                    checked = False
+                assert (len(pieces) >= 2) == checked
+                counts.add(len(pieces))
+    if text is GUARDS_MISS_C:
+        assert counts == {1, 2, 3}
 
 
 class TestCloseUnderCombination:

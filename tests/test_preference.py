@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from analogia import (
     PreferenceError,
@@ -19,11 +19,13 @@ from analogia.formula import ground_atom_formulas
 from analogia.preference import (
     ChoiceFunction,
     PreferenceRelation,
+    _support_relation,
     choice_masks,
     choice_of,
     is_ranked,
     is_smooth,
     is_transitive,
+    sorted_edges,
     subsets_of,
     undominated,
 )
@@ -564,3 +566,68 @@ class TestCountPreference:
         dom = dominance_preference(reports)
         cnt = count_preference(reports)
         assert dom.edges <= cnt.edges
+
+
+# ====================================================================
+# The support relation built as masks
+# ====================================================================
+
+
+def pairwise_relation(names, profiles, weights):
+    """The support preference from its definition, one pair at a time,
+    through the edge-checking constructor."""
+
+    if weights is None:  # (positives, negatives) masks
+
+        def beats(a, b):
+            return a != b and a[0] & b[0] == b[0] and a[1] & b[1] == a[1]
+
+    else:  # (positives, negatives) counts
+        wp, wn = weights
+
+        def beats(a, b):
+            return wn * a[1] - wp * a[0] < wn * b[1] - wp * b[0]
+
+    edges = [
+        (x, y)
+        for x, a in zip(names, profiles)
+        for y, b in zip(names, profiles)
+        if beats(a, b)
+    ]
+    return PreferenceRelation(names, edges)
+
+
+SUPPORT_WEIGHTS = [None, (Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(1, 3))]
+
+
+class TestSupportRelation:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        # Sixteen profiles over up to twelve names: ties are common.
+        profiles=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12),
+        weights=st.sampled_from(SUPPORT_WEIGHTS),
+    )
+    @example(profiles=[], weights=None)
+    @example(profiles=[], weights=SUPPORT_WEIGHTS[2])
+    @example(profiles=[(1, 2)], weights=None)
+    @example(profiles=[(1, 2)], weights=SUPPORT_WEIGHTS[1])
+    @example(profiles=[(3, 0)] * 5 + [(0, 3)] * 4, weights=None)
+    def test_masks_match_the_pairwise_definition(self, profiles, weights):
+        # Carrier order is not name order, so best's sort has work to do.
+        names = tuple(f"m{len(profiles) - i}" for i in range(len(profiles)))
+        got = _support_relation(names, profiles, weights)
+        want = pairwise_relation(names, profiles, weights)
+        assert got._index == want._index
+        assert got._better == want._better
+        assert got._dominators == want._dominators
+        assert sorted_edges(got) == [list(e) for e in sorted(want.edges)]
+        assert "edges" not in got.__dict__
+        assert got.edges == want.edges
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert got == want
+
+    @pytest.mark.parametrize("weights", SUPPORT_WEIGHTS)
+    def test_duplicate_name_rejected(self, weights):
+        with pytest.raises(PreferenceError, match="^duplicate carrier item$"):
+            _support_relation(("a", "b", "a"), [(1, 0), (0, 1), (1, 1)], weights)

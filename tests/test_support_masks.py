@@ -5,7 +5,8 @@ working set; a closure combination's are derived from its parents'
 masks. Both paths, and the preference that reads the masks instead of
 support reports, are checked here against the scan path and the
 per-call reference on every bundled session and on four variants of
-each benchmark pool stratum.
+each benchmark pool stratum. The preference is built as its masks:
+best lists its edges off them, and entail never makes an edge.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 import reference
 from analogia import TranslationTables, entail, parse_session, resolve_space, run
 from analogia.errors import AnalogyError
+from analogia.preference import PreferenceRelation
 from analogia.session import resolve_maps, session_preference
 
 from conftest import SESSIONS_DIR, benchmark_pool, rebuild
@@ -97,11 +99,45 @@ def test_session_preference_agrees_with_the_reference(text):
         ranked = rebuild(session, preference_kind=kind, count_weights=weights)
         got = session_preference(ranked, maps)
         if kind == "dominance":
-            assert got == reference.dominance_preference(reports)
+            want = reference.dominance_preference(reports)
         elif kind == "counts":
-            assert got == reference.count_preference(reports, *weights)
+            want = reference.count_preference(reports, *weights)
         else:
             assert got.edges == frozenset(session.explicit_edges)
+            want = PreferenceRelation(got.carrier, session.explicit_edges)
+        assert got == want
+        assert (got._better, got._dominators) == (want._better, want._dominators)
+
+
+RANKED_BY_SUPPORT = {
+    "closure": (SESSIONS_DIR / "closure.ana").read_text(encoding="utf-8"),
+    **benchmark_pool(4),
+}
+
+
+@pytest.mark.parametrize("text", RANKED_BY_SUPPORT.values(), ids=RANKED_BY_SUPPORT)
+def test_entail_builds_no_edge(text):
+    """A dominance or counts preference is built as its masks; the space
+    and every entail query read only those, so no edge set is made."""
+
+    session = parse_session(text)
+    assert session.preference_kind in ("dominance", "counts")
+    space = resolve_space(session)
+    for query in session.queries:
+        entail(space, query)
+    assert "edges" not in space.preference.__dict__
+
+
+@pytest.mark.parametrize("text", SESSIONS.values(), ids=SESSIONS)
+def test_best_lists_the_sorted_edges(text):
+    """best writes its edges off the masks, in the order sorting the
+    relation's edge set gives."""
+
+    session = parse_session(text)
+    doc = run(session, "best")
+    rel = resolve_space(session).preference
+    assert doc["edges"] == [list(e) for e in sorted(rel.edges)]
+    assert doc["carrier"] == list(rel.carrier)
 
 
 def test_the_space_builds_no_combination_images():
