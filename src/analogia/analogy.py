@@ -70,6 +70,7 @@ from .formula import (
 )
 from .kb import (
     KnowledgeDomain, Signature, TruthValue, Value, _argument, _checked, _instance, _items,
+    members,
 )
 
 # ====================================================================
@@ -410,17 +411,6 @@ def check_injective_on(amap: AnalogyMap, formulas: Sequence[Formula]) -> None:
 # Translation tables
 # ====================================================================
 
-def _positions_in(mask: int) -> list[int]:
-    """The positions set in mask, ascending: one step per set bit."""
-
-    positions = []
-    while mask:
-        low = mask & -mask
-        positions.append(low.bit_length() - 1)
-        mask ^= low
-    return positions
-
-
 def _side_images(images: tuple[int | None, ...], sides: tuple[int, ...], side: int):
     """The image ids of the sentences on side, or None when two share one."""
 
@@ -616,34 +606,36 @@ class TranslationTables:
         table.masks = tuple(masks)
         return table.masks
 
-    def support(self, amap: AnalogyMap) -> tuple[list[int], ...]:
+    def support(self, amap: AnalogyMap) -> tuple[tuple[int, ...], ...]:
         """amap's working-set positions (indices into formulas) in six
         groups, each in working-set order: untranslatable, not applicable,
         open, positive, negative with the source true, and negative with
         the source false, read off support_masks."""
 
-        return tuple(map(_positions_in, self.support_masks(amap)))
+        indices = range(len(self.formulas))
+        return tuple(members(mask, indices) for mask in self.support_masks(amap))
 
     def classify(self, amap: AnalogyMap) -> SupportReport:
-        masks = self.support_masks(amap)
-        untranslatable, not_applicable, open_, positive = map(_positions_in, masks[:4])
-        at = self.formulas.__getitem__
+        masks, formulas, positions = self.support_masks(amap), self.formulas, self._positions
+        untranslatable, not_applicable, open_, positive = (members(m, formulas) for m in masks[:4])
         return SupportReport(
             analogy=amap,
-            formulas=self.formulas,
-            positive=tuple(map(at, positive)),
-            negative=tuple(map(at, _positions_in(masks[4] | masks[5]))),
-            open=tuple(map(at, open_)),
-            not_applicable=tuple(map(at, not_applicable)),
-            untranslatable=tuple(map(at, untranslatable)),
-            conjectures={at(k): self._source_value(self._positions[k]) for k in open_},
+            formulas=formulas,
+            positive=positive,
+            negative=members(masks[4] | masks[5], formulas),
+            open=open_,
+            not_applicable=not_applicable,
+            untranslatable=untranslatable,
+            conjectures=dict(zip(open_, map(self._source_value, members(masks[2], positions)))),
         )
 
     def augmented_report(self, amap: AnalogyMap) -> AugmentedReport:
-        _, _, open_, positive, neg_true, neg_false = self.support(amap)
         ids, formulas, positions = self._table(amap).images, self.formulas, self._positions
+        open_, positive, neg_true, neg_false = (
+            members(mask, range(len(formulas))) for mask in self.support_masks(amap)[2:]
+        )
 
-        def pairs(group: list[int]) -> tuple[tuple[Formula, Formula], ...]:
+        def pairs(group: tuple[int, ...]) -> tuple[tuple[Formula, Formula], ...]:
             return tuple((formulas[k], self._image(ids[positions[k]])) for k in group)
 
         return AugmentedReport(

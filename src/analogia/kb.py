@@ -20,6 +20,10 @@ refuses an argument that is not a collection of the expected kind,
 and _items is the one check of each element of a collection argument
 ("universe must hold names, not 1").
 
+members is the one decoder of a mask: the items at its set positions,
+in order. The preference kernel, repcheck and the translation tables
+all read their subset and support masks through it.
+
 Value is the base of every record in the package. A record's fields
 are its __init__'s parameters, in order; __init__ makes the record's
 checks and stores each field with object.__setattr__. Two records are
@@ -37,7 +41,7 @@ import re
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, SignatureError
 
@@ -170,6 +174,17 @@ def _checked(cls, **fields):
     return obj
 
 
+# Maps the binary digits of a mask, as ASCII, to the bytes 0 and 1.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def members(mask: int, items: Sequence) -> tuple:
+    """The items whose positions are set in mask, in items order."""
+
+    # mask's digits, lowest first, select the items in one C-level pass.
+    return tuple(itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BITS)))
+
+
 class Signature(Value):
     """Symbol inventory of a domain.
 
@@ -215,12 +230,16 @@ class Signature(Value):
         object.__setattr__(self, "_kinds", kinds)
 
     def kind_of(self, symbol: str) -> str | None:
-        entry = self._kinds.get(symbol)
-        return entry[0] if entry else None
+        try:
+            return self._kinds.get(symbol, (None,))[0]
+        except TypeError:
+            raise SignatureError(f"symbol must be hashable, not {type(symbol).__name__}") from None
 
     def arity_of(self, symbol: str) -> int | None:
-        entry = self._kinds.get(symbol)
-        return entry[1] if entry else None
+        try:
+            return self._kinds.get(symbol, (None, None))[1]
+        except TypeError:
+            raise SignatureError(f"symbol must be hashable, not {type(symbol).__name__}") from None
 
     def symbols(self) -> frozenset[str]:
         return frozenset(self._kinds)
@@ -362,7 +381,10 @@ class KnowledgeDomain(Value):
     def fact_value(self, atom: tuple[str, tuple[str, ...]]) -> TruthValue:
         """The value of the atom keyed (predicate, args) in facts."""
 
-        return self.facts.get(atom, TruthValue.UNKNOWN)
+        try:
+            return self.facts.get(atom, TruthValue.UNKNOWN)
+        except TypeError:
+            raise DomainError(f"atom must be hashable, not {type(atom).__name__}") from None
 
 
 def make_domain(

@@ -16,15 +16,17 @@ carrier:
 
 _carrier is the one check of a carrier, which PreferenceRelation,
 ChoiceFunction and subsets_of share: a sequence of distinct hashable
-items. Choice, smoothness, rankedness and transitivity have one
-implementation, the bitmask kernel below. A relation holds its masks,
-the rows of what each item beats and the columns of what beats it, and
-undominated, choice_of and the structural checks read them. A relation
-made from edges builds them in the pass that validates its edges; a
-support relation is built as its masks, and derives its edge set only
-when that is read (eq, hash, repr, better). A choice function builds
-its mask table when it is made, for the repcheck laws; the repcheck
-sweeps run the kernel on masks built from edge bitmasks.
+items. _pool is the one check of a subset of it, which undominated and
+ChoiceFunction.choose share. Choice, smoothness, rankedness and
+transitivity have one implementation, the bitmask kernel below. A
+relation holds its masks, the rows of what each item beats and the
+columns of what beats it, and better, undominated, choice_of and the
+structural checks read them. A relation made from edges builds them in
+the pass that validates its edges; a support relation is built as its
+masks, and derives its edge set only when that is read (eq, hash,
+repr). A choice function builds its mask table when it is made, for
+the repcheck laws; the repcheck sweeps run the kernel on masks built
+from edge bitmasks.
 
 The module also derives preferences over analogies from their support
 profiles, read from support reports here and from support masks by a
@@ -39,13 +41,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analogy import SupportReport
 from .errors import PreferenceError
-from .kb import Value, _argument, _checked, _instance, _items
+from .kb import Value, _argument, _checked, _instance, _items, members
 
 CHOICE_CAP = 4
 
@@ -108,7 +109,14 @@ class PreferenceRelation(Value):
         return frozenset(edges_of(self._better, self.carrier))
 
     def better(self, x: str, y: str) -> bool:
-        return (x, y) in self.edges
+        """Whether x beats y, read off x's row; False for an item
+        outside the carrier."""
+
+        try:
+            i, j = self._index.get(x), self._index.get(y)
+        except TypeError:
+            raise PreferenceError("carrier items must be hashable") from None
+        return i is not None and j is not None and bool(self._better[i] >> j & 1)
 
 
 def mask_of(items: Iterable[str], index: Mapping[str, int]) -> int:
@@ -118,17 +126,6 @@ def mask_of(items: Iterable[str], index: Mapping[str, int]) -> int:
     for x in items:
         mask |= 1 << index[x]
     return mask
-
-
-# Maps the binary digits of a mask, as ASCII, to the bytes 0 and 1.
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def members(mask: int, items: Sequence[str]) -> tuple[str, ...]:
-    """The items whose positions are set in mask, in items order."""
-
-    # mask's digits, lowest first, select the items in one C-level pass.
-    return tuple(compress(items, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 def edges_of(better: Sequence[int], items: Sequence[str]) -> tuple[tuple[str, str], ...]:
@@ -149,14 +146,22 @@ def sorted_edges(rel: PreferenceRelation) -> list[list[str]]:
     ]
 
 
+def _pool(items: Iterable[str], carrier: Iterable[str]) -> frozenset[str]:
+    """items as a frozenset of carrier items, or a PreferenceError: the
+    one check of a subset argument."""
+
+    pool = _argument("items", "an iterable of carrier items", frozenset, items, PreferenceError)
+    extra = pool.difference(carrier)
+    if extra:
+        raise PreferenceError(f"item {sorted(extra)[0]!r} is not in the carrier")
+    return pool
+
+
 def undominated(rel: PreferenceRelation, items: Iterable[str]) -> frozenset[str]:
     """The choice set: members of items beaten by no other member."""
 
-    pool = _argument("items", "an iterable of carrier items", frozenset, items, PreferenceError)
     index = _instance("rel", rel, PreferenceRelation, PreferenceError)._index
-    extra = pool.difference(index)
-    if extra:
-        raise PreferenceError(f"item {sorted(extra)[0]!r} is not in the carrier")
+    pool = _pool(items, index)
     mask = mask_of(pool, index)
     dominators = rel._dominators
     return frozenset(x for x in pool if not dominators[index[x]] & mask)
@@ -194,7 +199,7 @@ class ChoiceFunction(Value):
             raise PreferenceError(
                 f"choice table has {len(self.table)} entries, expected {expected}"
             )
-        # The chosen mask of each subset mask, as choice_masks lays them out,
+        # The chosen mask of each subset mask, as the kernel lays them out,
         # built while checking the entries; not part of eq, hash or repr.
         masks = [0] * expected
         for k, v in self.table.items():
@@ -204,7 +209,7 @@ class ChoiceFunction(Value):
         object.__setattr__(self, "_masks", tuple(masks))
 
     def choose(self, items: Iterable[str]) -> frozenset[str]:
-        return self.table[frozenset(items)]
+        return self.table[_pool(items, self.carrier)]
 
 
 def choice_of(rel: PreferenceRelation) -> ChoiceFunction:
@@ -266,13 +271,12 @@ def is_ranked(rel: PreferenceRelation) -> tuple[bool, tuple[str, str, str] | Non
 # a subset is a mask over it. A relation is held as better[i] = mask of
 # the elements i beats, with dominators[j] = mask of the elements
 # beating j as the transpose. The induced choice is a table indexed by
-# subset mask; mask_of and members convert between subsets and masks.
-# It takes one recurrence over the subsets in mask order: beaten[xs],
-# the elements some member of xs beats, is beaten[xs without its
-# lowest member] | better[that member], one OR per subset, and the
-# chosen members are xs & ~beaten[xs], as no element beats itself.
-# _choices reads the rows, better; choice_masks takes dominators and
-# transposes them first.
+# subset mask; mask_of and kb's members convert between subsets and
+# masks. _choices streams it from the rows, better, in one recurrence
+# over the subsets in mask order: beaten[xs], the elements some member
+# of xs beats, is beaten[xs without its lowest member] | better[that
+# member], one OR per subset, and the chosen members are
+# xs & ~beaten[xs], as no element beats itself.
 # Every scan ascends through indices and masks, which is carrier order
 # and subsets_of order, so the first failure found is the same witness
 # an element-wise scan would report. The functions above read the
@@ -281,20 +285,9 @@ def is_ranked(rel: PreferenceRelation) -> tuple[bool, tuple[str, str, str] | Non
 # ====================================================================
 
 
-def choice_masks(dominators: Sequence[int]) -> tuple[int, ...]:
-    """The induced choice: for each subset mask, its undominated members."""
-
-    n = len(dominators)
-    better = [0] * n
-    for y, column in enumerate(dominators):
-        for x in range(n):
-            if column >> x & 1:
-                better[x] |= 1 << y
-    return tuple(_choices(better))
-
-
 def _choices(better: Sequence[int]) -> Iterator[int]:
-    """choice_masks as a stream, from the rows of the relation."""
+    """The induced choice as a stream: for each subset mask, in mask
+    order, its undominated members."""
 
     beaten = [0] * (1 << len(better))
     yield 0

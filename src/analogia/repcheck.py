@@ -41,7 +41,8 @@ needs carriers with duplicated elements, which is out of scope here.
 The induced choice and the class checks come from the preference
 module's bitmask kernel, the one implementation behind choice_of,
 is_smooth, is_ranked and is_transitive; this module adds the laws and
-the enumeration. A choice function, like a relation, builds its masks
+the enumeration, one walk over a class's relations for both sweeps
+and represent. A choice function, like a relation, builds its masks
 when it is made. All enumeration is in ascending bitmask order, so
 witnesses and violation lists are deterministic.
 """
@@ -51,17 +52,16 @@ from __future__ import annotations
 import functools
 import itertools
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import RepcheckError
-from .kb import Value, _argument, _instance
+from .kb import Value, _argument, _instance, members
 from .preference import (
     ChoiceFunction,
     PreferenceRelation,
     _choices,
     choice_of,
     edges_of,
-    members,
     ranked_failure,
     smooth_failure,
     transitive_masks,
@@ -110,20 +110,21 @@ CLASS_PROPERTIES: dict[RelationClass, tuple[PropertyId, ...]] = {
 def relation_in_class(rel: PreferenceRelation, cls: RelationClass) -> bool:
     _instance("rel", rel, PreferenceRelation, RepcheckError)
     _instance("cls", cls, RelationClass, RepcheckError)
-    return _in_class_masks(rel._better, rel._dominators, _choices(rel._better), cls)
+    return _in_class(rel._better, rel._dominators, cls)
 
 
 # ====================================================================
 # Bitmask internals
 #
 # Subsets, relations and choice tables are masks as in the preference
-# module's bitmask kernel, whose choice, class checks and members codec
-# everything here uses; relations and choice functions arrive with
-# their masks built. The sweeps enumerate relations with _relations
-# alone: an irreflexive relation on n elements is one edge bitmask with
-# a bit per ordered pair of distinct indices, and relations come in
-# ascending edge bitmask order. The laws quantify over nested pairs
-# only: X a subset of Y for MuPR and MuEq, Y a subset of X for MuCUM.
+# module's bitmask kernel and decoded by kb's members; relations and
+# choice functions arrive with their masks built. An irreflexive
+# relation on n elements is one edge bitmask with a bit per ordered
+# pair of distinct indices. _members, the one walk the sweeps and
+# represent read, takes _relations in ascending edge bitmask order and
+# builds the induced choice of a class member only, after the class
+# test. The laws quantify over nested pairs only: X a subset of Y for
+# MuPR and MuEq, Y a subset of X for MuCUM.
 # _nested holds, per carrier size, each mask's supersets and subsets in
 # ascending order, so a law scans 3^n pairs instead of 4^n and still
 # meets them in ascending (X, Y) order, which keeps the first witness.
@@ -150,7 +151,7 @@ def _relations(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
             options.append((row, packed))
         rows.append(options)
     full = (1 << n) - 1
-    shifts = range(0, n * n, n)
+    shifts = [n * j for j in range(n)]
     # Element 0's bits are the lowest, so it varies fastest.
     for picks in itertools.product(*reversed(rows)):
         picks = picks[::-1]
@@ -160,17 +161,24 @@ def _relations(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         yield tuple(row for row, _ in picks), [packed >> s & full for s in shifts]
 
 
-def _in_class_masks(
-    better: Sequence[int], dominators: Sequence[int], mu: Iterable[int],
-    cls: RelationClass,
-) -> bool:
-    """The class test; mu, the induced choice, may be a stream."""
+def _in_class(better: Sequence[int], dominators: Sequence[int], cls: RelationClass) -> bool:
+    """The class test. Only smoothness reads the induced choice, as a
+    stream, and only once transitivity has passed."""
 
     if cls is RelationClass.ALL:
         return True
     if cls is RelationClass.TRANSITIVE_SMOOTH:
-        return transitive_masks(better) and smooth_failure(dominators, mu) is None
+        return transitive_masks(better) and smooth_failure(dominators, _choices(better)) is None
     return ranked_failure(better, dominators) is None
+
+
+def _members(n: int, cls: RelationClass) -> Iterator[tuple]:
+    """(better, dominators, induced choice) of every relation of the
+    class on n elements, in ascending edge bitmask order."""
+
+    for better, dominators in _relations(n):
+        if _in_class(better, dominators, cls):
+            yield better, dominators, tuple(_choices(better))
 
 
 # Built on first use for each carrier size; bounded so that a table for
@@ -333,10 +341,7 @@ def represent(
             break
 
     searched, found = 0, None
-    for better, dominators in _relations(n):
-        mu = tuple(_choices(better))
-        if not _in_class_masks(better, dominators, mu, cls):
-            continue
+    for better, _, mu in _members(n, cls):
         searched += 1
         if mu == cf._masks:
             found = better
@@ -451,7 +456,7 @@ def _check_n(n: int, cap: int, mode: str) -> None:
 def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
     """Check the class's laws on every irreflexive relation of size n.
 
-    All 2^(n^2 - n) irreflexive relations are enumerated; those in the
+    All 2^(n^2 - n) irreflexive relations are examined; those in the
     class have their induced choice tabulated and every promised law
     checked. The transitive count is recorded so that the effect of
     transitivity on MuSubset and MuPR stays visible as data.
@@ -461,15 +466,10 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
     _instance("cls", cls, RelationClass, RepcheckError)
     items = ITEMS[:n]
     props = CLASS_PROPERTIES[cls]
-    examined = 0
     considered = 0
     transitive = 0
     violations: list[Violation] = []
-    for better, dominators in _relations(n):
-        examined += 1
-        mu = tuple(_choices(better))
-        if not _in_class_masks(better, dominators, mu, cls):
-            continue
+    for better, _, mu in _members(n, cls):
         considered += 1
         # The smooth class test has already found every member transitive.
         if cls is RelationClass.TRANSITIVE_SMOOTH or transitive_masks(better):
@@ -492,18 +492,10 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
         mode="soundness",
         relation_class=cls,
         n=n,
-        examined=examined,
+        examined=1 << (n * n - n),
         considered=considered,
         violations=tuple(violations),
         stats={"transitive": transitive},
-    )
-
-
-def _choice_entries(
-    table: Sequence[int], items: Sequence[str]
-) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
-    return tuple(
-        (members(xs, items), members(chosen, items)) for xs, chosen in enumerate(table)
     )
 
 
@@ -525,26 +517,21 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
     _instance("cls", cls, RelationClass, RepcheckError)
     items = ITEMS[:n]
     props = CLASS_PROPERTIES[cls]
-    stat = {
-        RelationClass.ALL: "representable_transitive",
-        RelationClass.TRANSITIVE_SMOOTH: "representable_smooth_any",
-    }.get(cls)
-
-    representable: set[tuple[int, ...]] = set()
-    subclass: set[tuple[int, ...]] = set()
-    for better, dominators in _relations(n):
-        mu = tuple(_choices(better))
-        if cls is RelationClass.TRANSITIVE_SMOOTH:
-            # One smoothness test serves both the class and its stat.
-            reaches = smooth_failure(dominators, mu) is None
-            in_class = reaches and transitive_masks(better)
-        else:
-            reaches = cls is RelationClass.ALL and transitive_masks(better)
-            in_class = _in_class_masks(better, dominators, mu, cls)
-        if in_class:
-            representable.add(mu)
-        if reaches:
-            subclass.add(mu)
+    representable = {mu for _, _, mu in _members(n, cls)}
+    # Each broader class's stat walks class all with its subclass's test.
+    stat, subclass = None, set()
+    if cls is RelationClass.ALL:
+        stat = "representable_transitive"
+        subclass = {
+            mu for better, _, mu in _members(n, RelationClass.ALL) if transitive_masks(better)
+        }
+    elif cls is RelationClass.TRANSITIVE_SMOOTH:
+        stat = "representable_smooth_any"
+        subclass = {
+            mu
+            for _, dominators, mu in _members(n, RelationClass.ALL)
+            if smooth_failure(dominators, mu) is None
+        }
 
     examined = 0
     passing = 0
@@ -567,7 +554,10 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
             violations.append(
                 Violation(
                     relation_edges=None,
-                    choice_table=_choice_entries(table, items),
+                    choice_table=tuple(
+                        (members(xs, items), members(chosen, items))
+                        for xs, chosen in enumerate(table)
+                    ),
                     property=None,
                     x_set=None,
                     y_set=None,

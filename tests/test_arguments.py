@@ -17,14 +17,22 @@ from analogia.analogy import (
     combine,
     translate,
 )
-from analogia.errors import AnalogyError, FormulaError, PreferenceError, SessionError
+from analogia.errors import (
+    AnalogyError,
+    DomainError,
+    FormulaError,
+    PreferenceError,
+    SessionError,
+    SignatureError,
+)
 from analogia.formula import ground_atom_formulas, parse_formula, tokenize
-from analogia.preference import subsets_of
+from analogia.preference import PreferenceRelation, choice_of, subsets_of
 from analogia.session import resolve_maps, session_preference
 
 from conftest import SESSIONS_DIR
 
 SMOKE = parse_session((SESSIONS_DIR / "smoke.ana").read_text(encoding="utf-8"))
+CHOICE = choice_of(PreferenceRelation(("a", "b"), ()))
 
 
 @pytest.mark.parametrize(
@@ -39,6 +47,29 @@ SMOKE = parse_session((SESSIONS_DIR / "smoke.ana").read_text(encoding="utf-8"))
         ),
         # Refused at the call, not at the first next().
         (lambda: subsets_of([["a"]]), PreferenceError, "carrier items must be hashable"),
+        (
+            lambda: CHOICE.choose(5),
+            PreferenceError,
+            "items must be an iterable of carrier items, not int",
+        ),
+        # A str would split into its characters.
+        (
+            lambda: CHOICE.choose("ab"),
+            PreferenceError,
+            "items must be an iterable of carrier items, not str",
+        ),
+        (lambda: CHOICE.choose(["z"]), PreferenceError, "item 'z' is not in the carrier"),
+        (
+            lambda: SMOKE.source.signature.kind_of([]),
+            SignatureError,
+            "symbol must be hashable, not list",
+        ),
+        (
+            lambda: SMOKE.source.signature.arity_of([]),
+            SignatureError,
+            "symbol must be hashable, not list",
+        ),
+        (lambda: SMOKE.source.fact_value([]), DomainError, "atom must be hashable, not list"),
         (
             lambda: translate(5, parse_formula("P(a)")),
             AnalogyError,
@@ -78,6 +109,12 @@ SMOKE = parse_session((SESSIONS_DIR / "smoke.ana").read_text(encoding="utf-8"))
         "ground_atom_formulas",
         "subsets_of",
         "subsets_of unhashable",
+        "choose int",
+        "choose str",
+        "choose outside the carrier",
+        "kind_of unhashable",
+        "arity_of unhashable",
+        "fact_value unhashable",
         "translate",
         "classify",
         "check_injective_on",

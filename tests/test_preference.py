@@ -20,7 +20,6 @@ from analogia.preference import (
     ChoiceFunction,
     PreferenceRelation,
     _support_relation,
-    choice_masks,
     choice_of,
     is_ranked,
     is_smooth,
@@ -98,6 +97,12 @@ class TestPreferenceRelation:
         r = rel(("a", "b"))
         assert r.better("a", "b")
         assert not r.better("b", "a")
+        assert not r.better("a", "a")
+        # Outside the carrier nothing beats anything.
+        assert not r.better("z", "b") and not r.better("a", "z")
+        for x, y in ((["a"], "b"), ("a", ["b"])):
+            with pytest.raises(PreferenceError, match="^carrier items must be hashable$"):
+                r.better(x, y)
 
     def test_two_cycles_are_allowed(self):
         r = rel(("a", "b"), ("b", "a"))
@@ -265,7 +270,7 @@ class TestChoiceFunction:
     def test_masks_are_built_however_the_choice_is_made(self):
         for n in range(4):
             for r in all_relations(ABC[:n]):
-                want = choice_masks(r._dominators)
+                want = reference.choice_of(r)._masks
                 cf = choice_of(r)
                 assert cf._masks == want
                 assert ChoiceFunction(cf.carrier, cf.table)._masks == want
@@ -621,6 +626,9 @@ class TestSupportRelation:
         assert got._better == want._better
         assert got._dominators == want._dominators
         assert sorted_edges(got) == [list(e) for e in sorted(want.edges)]
+        for x in names:
+            for y in names:
+                assert got.better(x, y) == ((x, y) in want.edges)
         assert "edges" not in got.__dict__
         assert got.edges == want.edges
         assert hash(got) == hash(want)

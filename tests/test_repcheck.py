@@ -14,6 +14,7 @@ from analogia.preference import (
 )
 from analogia.repcheck import (
     CLASS_PROPERTIES,
+    _members,
     NotRepresentable,
     PropertyId,
     RelationClass,
@@ -130,6 +131,23 @@ class TestIrreflexiveRelations:
         rels = list(irreflexive_relations(AB))
         assert rels[0].edges == frozenset()
         assert rels[-1].edges == {("a", "b"), ("b", "a")}
+
+
+class TestMembers:
+    @pytest.mark.parametrize("cls", list(RelationClass))
+    @pytest.mark.parametrize("n", range(4))
+    def test_walk_yields_exactly_the_class_in_edge_order(self, n, cls):
+        """The sweeps' walk: the relations the oracle admits, in
+        irreflexive_relations order, each with its masks and the
+        oracle's induced choice."""
+
+        want = [
+            (rel._better, rel._dominators, reference.choice_of(rel)._masks)
+            for rel in irreflexive_relations(ABC[:n])
+            if reference.relation_in_class(rel, cls)
+        ]
+        got = [(better, tuple(columns), mu) for better, columns, mu in _members(n, cls)]
+        assert got == want
 
 
 class TestRelationInClass:
