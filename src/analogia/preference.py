@@ -148,12 +148,17 @@ def sorted_edges(rel: PreferenceRelation) -> list[list[str]]:
 
 def _pool(items: Iterable[str], carrier: Iterable[str]) -> frozenset[str]:
     """items as a frozenset of carrier items, or a PreferenceError: the
-    one check of a subset argument."""
+    one check of a subset argument. It names the least outside item, or
+    the one with the least repr when the outside items do not sort."""
 
     pool = _argument("items", "an iterable of carrier items", frozenset, items, PreferenceError)
     extra = pool.difference(carrier)
     if extra:
-        raise PreferenceError(f"item {sorted(extra)[0]!r} is not in the carrier")
+        try:
+            first = sorted(extra)[0]
+        except TypeError:
+            first = min(extra, key=repr)
+        raise PreferenceError(f"item {first!r} is not in the carrier")
     return pool
 
 

@@ -30,21 +30,26 @@ conditions the laws do not imply:
 
 A relation's edges are fixed by its picks from pairs, so the base
 relation is the only candidate; given MuPR, S and gamma make its
-choice equal the table. For the ranked class B stays a condition on
-the relation, since no pure choice law replacing it is settled here.
-The sweep does not test S, gamma or B; it searches relations, and the
-tests check that its violations are exactly the law-obeying tables
-failing one of them. Such representation gaps are reported as
-violations rather than papered over; closing them without S and gamma
-needs carriers with duplicated elements, which is out of scope here.
+choice equal the table. represent therefore builds the base relation
+and checks it, with no search. For the ranked class B stays a
+condition on the relation, since no pure choice law replacing it is
+settled here. The sweep does not test S, gamma or B; it walks the
+class's relations, and the tests check that its violations are
+exactly the law-obeying tables failing one of them. Such
+representation gaps are reported as violations rather than papered
+over; closing them without S and gamma needs carriers with duplicated
+elements, which is out of scope here.
 
-The induced choice and the class checks come from the preference
-module's bitmask kernel, the one implementation behind choice_of,
-is_smooth, is_ranked and is_transitive; this module adds the laws and
-the enumeration, one walk over a class's relations for both sweeps
-and represent. A choice function, like a relation, builds its masks
-when it is made. All enumeration is in ascending bitmask order, so
-witnesses and violation lists are deterministic.
+The smooth class is exactly the strict partial orders: on a finite
+carrier every transitive irreflexive relation is smooth, so its class
+test is transitivity alone. The induced choice and the class checks
+come from the preference module's bitmask kernel, the one
+implementation behind choice_of, is_smooth, is_ranked and
+is_transitive; this module adds the laws and the enumeration, one walk
+over a class's relations for both sweeps. A choice function, like a
+relation, builds its masks when it is made. All enumeration is in
+ascending bitmask order, so witnesses and violation lists are
+deterministic.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ from .preference import (
 ITEMS = ("a", "b", "c", "d")
 SOUNDNESS_MAX_N = 4
 COMPLETENESS_MAX_N = 3
-REPRESENT_MAX_N = 3
 
 
 class PropertyId(Enum):
@@ -120,11 +124,11 @@ def relation_in_class(rel: PreferenceRelation, cls: RelationClass) -> bool:
 # module's bitmask kernel and decoded by kb's members; relations and
 # choice functions arrive with their masks built. An irreflexive
 # relation on n elements is one edge bitmask with a bit per ordered
-# pair of distinct indices. _members, the one walk the sweeps and
-# represent read, takes _relations in ascending edge bitmask order and
-# builds the induced choice of a class member only, after the class
-# test. The laws quantify over nested pairs only: X a subset of Y for
-# MuPR and MuEq, Y a subset of X for MuCUM.
+# pair of distinct indices. _members, the one walk the two sweeps
+# read, takes _relations in ascending edge bitmask order and builds the
+# induced choice of a class member only, after the class test. The
+# laws quantify over nested pairs only: X a subset of Y for MuPR and
+# MuEq, Y a subset of X for MuCUM.
 # _nested holds, per carrier size, each mask's supersets and subsets in
 # ascending order, so a law scans 3^n pairs instead of 4^n and still
 # meets them in ascending (X, Y) order, which keeps the first witness.
@@ -162,13 +166,15 @@ def _relations(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
 
 
 def _in_class(better: Sequence[int], dominators: Sequence[int], cls: RelationClass) -> bool:
-    """The class test. Only smoothness reads the induced choice, as a
-    stream, and only once transitivity has passed."""
+    """The class test, which reads no choice. A transitive relation is
+    smooth on a finite carrier: below an unchosen element, a chain of
+    ever better elements ends at a chosen one, which beats it by
+    transitivity. So the smooth class test is transitivity alone."""
 
     if cls is RelationClass.ALL:
         return True
     if cls is RelationClass.TRANSITIVE_SMOOTH:
-        return transitive_masks(better) and smooth_failure(dominators, _choices(better)) is None
+        return transitive_masks(better)
     return ranked_failure(better, dominators) is None
 
 
@@ -284,14 +290,14 @@ class NotRepresentable(Value):
     """Negative answer from represent, with the reason when one is known.
 
     failed_property is the first required law the choice function
-    breaks, or None when it obeys all of them and the exhaustive
-    search over searched candidate relations still found no match.
+    breaks, or None when it obeys all of them and its base relation,
+    the only candidate, lies outside the class or induces another
+    choice.
     """
 
-    def __init__(self, failed_property: PropertyId | None, witness: Witness | None, searched: int):
+    def __init__(self, failed_property: PropertyId | None, witness: Witness | None):
         object.__setattr__(self, "failed_property", failed_property)
         object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "searched", searched)
 
     def to_json_dict(self) -> dict:
         return {
@@ -300,7 +306,6 @@ class NotRepresentable(Value):
                 self.failed_property.value if self.failed_property else None
             ),
             "witness": _witness_json(self.witness),
-            "searched": self.searched,
         }
 
 
@@ -317,48 +322,33 @@ def _witness_json(witness: Witness | None):
 def represent(
     cf: ChoiceFunction, cls: RelationClass
 ) -> PreferenceRelation | NotRepresentable:
-    """Search for a class relation whose induced choice equals cf.
+    """The class relation whose induced choice equals cf, if there is one.
 
-    The class's laws are checked first; the exhaustive search runs
-    either way, and a match for a law-breaking choice function is an
-    internal incoherence and raises. A returned relation is verified
-    to reproduce cf exactly and to lie in the class.
+    The only candidate is cf's base relation, where y beats x exactly
+    when x is not in cf({x, y}); it is returned when it lies in the
+    class and its induced choice is cf. The class's laws are checked
+    first, and a law-breaking cf that its base relation represents is
+    an internal incoherence and raises. choice_of refuses a carrier
+    above its CHOICE_CAP.
     """
 
     _instance("cf", cf, ChoiceFunction, RepcheckError)
     _instance("cls", cls, RelationClass, RepcheckError)
-    items = tuple(cf.carrier)
-    n = len(items)
-    if n > REPRESENT_MAX_N:
-        raise RepcheckError(
-            f"carrier of size {n} exceeds the representation search cap {REPRESENT_MAX_N}"
-        )
+    items, masks = cf.carrier, cf._masks
     failed = witness = None
     for prop in CLASS_PROPERTIES[cls]:
-        failure = _property_failure(cf._masks, n, prop)
+        failure = _property_failure(masks, len(items), prop)
         if failure is not None:
             failed, witness = prop, _decode(failure, items, frozenset)
             break
 
-    searched, found = 0, None
-    for better, _, mu in _members(n, cls):
-        searched += 1
-        if mu == cf._masks:
-            found = better
-            break
-
+    pairs = itertools.permutations(range(len(items)), 2)
+    base = [(items[j], items[i]) for i, j in pairs if not masks[1 << i | 1 << j] >> i & 1]
+    rel = PreferenceRelation(items, base)
+    if choice_of(rel)._masks != masks or not relation_in_class(rel, cls):
+        return NotRepresentable(failed_property=failed, witness=witness)
     if failed is not None:
-        if found is not None:
-            raise RepcheckError(
-                f"relation represents a choice function violating {failed.value}"
-            )
-        return NotRepresentable(failed_property=failed, witness=witness, searched=searched)
-    if found is None:
-        return NotRepresentable(failed_property=None, witness=None, searched=searched)
-
-    rel = PreferenceRelation(carrier=items, edges=edges_of(found, items))
-    if not relation_in_class(rel, cls) or choice_of(rel).table != cf.table:
-        raise RepcheckError("represent produced a relation that fails verification")
+        raise RepcheckError(f"relation represents a choice function violating {failed.value}")
     return rel
 
 
@@ -471,9 +461,7 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
     violations: list[Violation] = []
     for better, _, mu in _members(n, cls):
         considered += 1
-        # The smooth class test has already found every member transitive.
-        if cls is RelationClass.TRANSITIVE_SMOOTH or transitive_masks(better):
-            transitive += 1
+        transitive += transitive_masks(better)
         for prop in props:
             failure = _property_failure(mu, n, prop)
             if failure is None:
@@ -518,13 +506,13 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
     items = ITEMS[:n]
     props = CLASS_PROPERTIES[cls]
     representable = {mu for _, _, mu in _members(n, cls)}
-    # Each broader class's stat walks class all with its subclass's test.
+    # The stat under class all is what the transitive relations, which
+    # are the smooth class, reach; under class smooth, what the smooth
+    # relations of class all reach, transitive or not.
     stat, subclass = None, set()
     if cls is RelationClass.ALL:
         stat = "representable_transitive"
-        subclass = {
-            mu for better, _, mu in _members(n, RelationClass.ALL) if transitive_masks(better)
-        }
+        subclass = {mu for _, _, mu in _members(n, RelationClass.TRANSITIVE_SMOOTH)}
     elif cls is RelationClass.TRANSITIVE_SMOOTH:
         stat = "representable_smooth_any"
         subclass = {

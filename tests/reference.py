@@ -354,7 +354,11 @@ def undominated(rel, items):
     pool = frozenset(items)
     extra = pool - set(rel.carrier)
     if extra:
-        raise PreferenceError(f"item {sorted(extra)[0]!r} is not in the carrier")
+        try:
+            first = sorted(extra)[0]
+        except TypeError:
+            first = min(extra, key=repr)
+        raise PreferenceError(f"item {first!r} is not in the carrier")
     return frozenset(
         x for x in pool if not any((y, x) in rel.edges for y in pool if y != x)
     )

@@ -26,7 +26,7 @@ from analogia.errors import (
     SignatureError,
 )
 from analogia.formula import ground_atom_formulas, parse_formula, tokenize
-from analogia.preference import PreferenceRelation, choice_of, subsets_of
+from analogia.preference import PreferenceRelation, choice_of, subsets_of, undominated
 from analogia.session import resolve_maps, session_preference
 
 from conftest import SESSIONS_DIR
@@ -59,6 +59,13 @@ CHOICE = choice_of(PreferenceRelation(("a", "b"), ()))
             "items must be an iterable of carrier items, not str",
         ),
         (lambda: CHOICE.choose(["z"]), PreferenceError, "item 'z' is not in the carrier"),
+        # Outside items that do not sort are named by the least repr.
+        (lambda: CHOICE.choose(["z", 1]), PreferenceError, "item 'z' is not in the carrier"),
+        (
+            lambda: undominated(PreferenceRelation(("a", "b"), ()), ["z", 1]),
+            PreferenceError,
+            "item 'z' is not in the carrier",
+        ),
         (
             lambda: SMOKE.source.signature.kind_of([]),
             SignatureError,
@@ -112,6 +119,8 @@ CHOICE = choice_of(PreferenceRelation(("a", "b"), ()))
         "choose int",
         "choose str",
         "choose outside the carrier",
+        "choose outside items unsorted",
+        "undominated outside items unsorted",
         "kind_of unhashable",
         "arity_of unhashable",
         "fact_value unhashable",

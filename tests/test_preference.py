@@ -130,6 +130,15 @@ class TestUndominated:
         with pytest.raises(PreferenceError, match="not in the carrier"):
             undominated(rel(), ("zz",))
 
+    @pytest.mark.parametrize(
+        "items, named",
+        [(("zz", "y"), "'y'"), (("a", 2, 1.5), "1.5"), (("z", 1, ("b",)), "'z'")],
+    )
+    def test_the_oracle_names_the_same_outside_item(self, items, named):
+        for check in (undominated, reference.undominated):
+            with pytest.raises(PreferenceError, match=f"^item {named} is not in the carrier$"):
+                check(rel(), items)
+
     @pytest.mark.parametrize("items", [[["a"]], 5, [{"a"}], "ab"])
     def test_items_that_are_not_hashable_items_rejected(self, items):
         with pytest.raises(PreferenceError, match="iterable of carrier items"):

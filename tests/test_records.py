@@ -173,8 +173,8 @@ CASES = {
         False,
     ),
     "NotRepresentable": (
-        lambda: NotRepresentable(failed_property=None, witness=None, searched=3),
-        "NotRepresentable(failed_property=None, witness=None, searched=3)",
+        lambda: NotRepresentable(failed_property=None, witness=None),
+        "NotRepresentable(failed_property=None, witness=None)",
         True,
     ),
     "Violation": (

@@ -1,9 +1,10 @@
-"""Relation/choice correspondence: law checks, search, and sweeps."""
+"""Relation/choice correspondence: law checks, representation, and sweeps."""
 
 import pytest
 
-from analogia import RepcheckError, run
+from analogia import PreferenceError, RepcheckError, run
 from analogia.preference import (
+    CHOICE_CAP,
     ChoiceFunction,
     PreferenceRelation,
     choice_of,
@@ -31,6 +32,7 @@ import reference
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
+ABCD = ("a", "b", "c", "d")
 A_OVER_B = PreferenceRelation(ABC, frozenset({("a", "b")}))
 
 
@@ -149,6 +151,16 @@ class TestMembers:
         got = [(better, tuple(columns), mu) for better, columns, mu in _members(n, cls)]
         assert got == want
 
+    def test_smooth_class_is_the_transitive_relations_at_n4(self):
+        """Every strict partial order on a finite carrier is smooth, so the
+        smooth walk is the transitive relations, each smooth by the oracle."""
+
+        transitive = [rel for rel in irreflexive_relations(ABCD) if reference.is_transitive(rel)]
+        assert len(transitive) == 219
+        assert all(reference.is_smooth(rel)[0] for rel in transitive)
+        walk = _members(4, RelationClass.TRANSITIVE_SMOOTH)
+        assert [better for better, _, _ in walk] == [rel._better for rel in transitive]
+
 
 class TestRelationInClass:
     def test_all_admits_everything(self):
@@ -167,7 +179,7 @@ class TestRelationInClass:
 
 
 # ====================================================================
-# Representation search
+# Representation by the base relation
 # ====================================================================
 
 
@@ -176,7 +188,20 @@ class TestRepresent:
         for rel in irreflexive_relations(AB):
             got = represent(choice_of(rel), RelationClass.ALL)
             assert isinstance(got, PreferenceRelation)
+            assert got == rel
             assert choice_of(got).table == choice_of(rel).table
+
+    @pytest.mark.parametrize("cls", list(RelationClass), ids=lambda c: c.value)
+    def test_a_class_relation_is_the_only_one_inducing_its_choice_at_n4(self, cls):
+        """Picks from pairs fix the edges, so represent gives back each
+        class relation from its choice, and nothing for any other."""
+
+        for rel in irreflexive_relations(ABCD):
+            got = represent(choice_of(rel), cls)
+            if relation_in_class(rel, cls):
+                assert got == rel
+            else:
+                assert isinstance(got, NotRepresentable), rel.edges
 
     def test_search_respects_the_class(self):
         two_cycle = PreferenceRelation(AB, {("a", "b"), ("b", "a")})
@@ -188,7 +213,6 @@ class TestRepresent:
         assert isinstance(got, NotRepresentable)
         assert got.failed_property is PropertyId.MU_CUM
         assert got.witness == (fs("a", "b"), fs("a"))
-        assert got.searched == 3
 
     def test_constant_empty_choice_obeys_the_laws_but_has_no_relation(self):
         """The smallest representation gap: every law holds, nothing fits.
@@ -204,7 +228,6 @@ class TestRepresent:
         assert isinstance(got, NotRepresentable)
         assert got.failed_property is None
         assert got.witness is None
-        assert got.searched == 1
 
     def test_law_breaking_choice_reports_the_first_broken_law(self):
         cf = table_cf(AB, a=("b",), b=("b",), ab=("a", "b"))
@@ -212,7 +235,6 @@ class TestRepresent:
         assert isinstance(got, NotRepresentable)
         assert got.failed_property is PropertyId.MU_SUBSET
         assert got.witness == (fs("a"), None)
-        assert got.searched == 4
 
     def test_not_representable_json_shape(self):
         got = represent(constant_empty(("a",)), RelationClass.ALL)
@@ -220,21 +242,19 @@ class TestRepresent:
             "representable": False,
             "failed_property": None,
             "witness": None,
-            "searched": 1,
         }
         broken = represent(table_cf(AB, a=("b",), b=("b",)), RelationClass.ALL)
         assert broken.to_json_dict() == {
             "representable": False,
             "failed_property": "MuSubset",
             "witness": {"X": ["a"], "Y": None},
-            "searched": 4,
         }
 
     def test_carrier_cap(self):
-        wide = ChoiceFunction(
-            tuple("abcd"), {xs: frozenset() for xs in subsets_of(tuple("abcd"))}
-        )
-        with pytest.raises(RepcheckError, match="cap"):
+        items = tuple("abcde")
+        assert len(items) == CHOICE_CAP + 1
+        wide = ChoiceFunction(items, {xs: frozenset() for xs in subsets_of(items)})
+        with pytest.raises(PreferenceError, match="cap"):
             represent(wide, RelationClass.ALL)
 
 
@@ -468,6 +488,13 @@ CHARACTERIZATION_EXPECTED = {
     RelationClass.RANKED: (159, 43, 37),
 }
 
+MU_EMPTY_EXPECTED = {
+    # class: (law-obeying tables meeting mu-empty, of those represented) at n=3
+    RelationClass.ALL: (49, 25),
+    RelationClass.TRANSITIVE_SMOOTH: (22, 19),
+    RelationClass.RANKED: (13, 13),
+}
+
 
 class TestInducedChoiceCharacterization:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -492,6 +519,20 @@ class TestInducedChoiceCharacterization:
         meet_s_gamma = sum(1 for _, failed in judged if failed in (None, "B"))
         meet_all = sum(1 for _, failed in judged if failed is None)
         assert (len(judged), meet_s_gamma, meet_all) == CHARACTERIZATION_EXPECTED[cls]
+
+    @pytest.mark.parametrize("cls", list(RelationClass), ids=lambda c: c.value)
+    def test_pinned_mu_empty_counts_at_n3(self, cls):
+        """mu-empty: cf(X) is nonempty for every nonempty X. The represented
+        tables are those of the acyclic relations (25), the strict partial
+        orders (19) and the strict weak orders (13)."""
+
+        meets = [
+            cf
+            for cf, _ in choice_oracle.law_obeying_tables(ABC, cls)
+            if all(picked for xs, picked in cf.table.items() if xs)
+        ]
+        represented = sum(isinstance(represent(cf, cls), PreferenceRelation) for cf in meets)
+        assert (len(meets), represented) == MU_EMPTY_EXPECTED[cls]
 
     def test_ranked_laws_do_not_settle_b(self):
         """A ranked-law table meeting S and gamma whose only relation is unranked.
