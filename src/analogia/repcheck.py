@@ -10,8 +10,8 @@ functions are in play, quantified over subsets X and Y of the carrier:
   MuEq      X subset of Y and cf(Y) meet X nonempty implies
             cf(X) = cf(Y) meet X.
 
-The soundness sweep enumerates every irreflexive relation on a small
-carrier and confirms that the laws promised for its class hold: all
+The soundness sweep enumerates the relations of a class on a small
+carrier and confirms that the laws promised for the class hold: all
 relations give MuSubset and MuPR, transitive smooth relations add
 MuCUM, ranked relations add MuEq.
 
@@ -33,23 +33,25 @@ relation is the only candidate; given MuPR, S and gamma make its
 choice equal the table. represent therefore builds the base relation
 and checks it, with no search. For the ranked class B stays a
 condition on the relation, since no pure choice law replacing it is
-settled here. The sweep does not test S, gamma or B; it walks the
-class's relations, and the tests check that its violations are
-exactly the law-obeying tables failing one of them. Such
-representation gaps are reported as violations rather than papered
-over; closing them without S and gamma needs carriers with duplicated
-elements, which is out of scope here.
+settled here. The completeness sweep generates the law-obeying tables
+and decides each in the same way; it does not test S, gamma or B
+apart, and the tests check that its violations are exactly the
+law-obeying tables failing one of them. Such representation gaps are
+reported as violations rather than papered over; closing them without
+S and gamma needs carriers with duplicated elements, which is out of
+scope here.
 
 The smooth class is exactly the strict partial orders: on a finite
 carrier every transitive irreflexive relation is smooth, so its class
 test is transitivity alone. The induced choice and the class checks
 come from the preference module's bitmask kernel, the one
 implementation behind choice_of, is_smooth, is_ranked and
-is_transitive; this module adds the laws and the enumeration, one walk
-over a class's relations for both sweeps. A choice function, like a
-relation, builds its masks when it is made. All enumeration is in
-ascending bitmask order, so witnesses and violation lists are
-deterministic.
+is_transitive; this module adds the laws and the enumeration. Each
+sweep generates the objects it judges: the soundness sweep a class's
+relations, the completeness sweep the tables obeying a class's laws.
+A choice function, like a relation, builds its masks when it is made.
+All enumeration is in ascending bitmask order, so witnesses and
+violation lists are deterministic.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ from typing import Iterator, Sequence
 from .errors import RepcheckError
 from .kb import Value, _argument, _instance, members
 from .preference import (
+    CHOICE_CAP,
     ChoiceFunction,
     PreferenceRelation,
     _choices,
-    choice_of,
     edges_of,
     ranked_failure,
     smooth_failure,
@@ -124,11 +126,14 @@ def relation_in_class(rel: PreferenceRelation, cls: RelationClass) -> bool:
 # module's bitmask kernel and decoded by kb's members; relations and
 # choice functions arrive with their masks built. An irreflexive
 # relation on n elements is one edge bitmask with a bit per ordered
-# pair of distinct indices. _members, the one walk the two sweeps
-# read, takes _relations in ascending edge bitmask order and builds the
-# induced choice of a class member only, after the class test. The
-# laws quantify over nested pairs only: X a subset of Y for MuPR and
-# MuEq, Y a subset of X for MuCUM.
+# pair of distinct indices. _members, the soundness sweep's relations,
+# walks _relations for class all and generates the strict partial
+# orders (_posets) or the ranked relations (_modular) for the others,
+# in ascending edge bitmask order either way. _law_tables, the
+# completeness sweep's tables, backtracks over the subsets and yields
+# the law-obeying tables only, and _base reads a table's base
+# relation. The laws quantify over nested pairs only: X a subset of Y
+# for MuPR and MuEq, Y a subset of X for MuCUM.
 # _nested holds, per carrier size, each mask's supersets and subsets in
 # ascending order, so a law scans 3^n pairs instead of 4^n and still
 # meets them in ascending (X, Y) order, which keeps the first witness.
@@ -178,13 +183,111 @@ def _in_class(better: Sequence[int], dominators: Sequence[int], cls: RelationCla
     return ranked_failure(better, dominators) is None
 
 
+def _closed(rows: Sequence[int]) -> list[int]:
+    """The masks over len(rows) elements that hold each member's row."""
+
+    reach = [0] * (1 << len(rows))
+    closed = [0]
+    for xs in range(1, len(reach)):
+        low = xs & -xs
+        reach[xs] = reach[xs ^ low] | rows[low.bit_length() - 1]
+        if not reach[xs] & ~xs:
+            closed.append(xs)
+    return closed
+
+
+def _posets(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(better, dominators) of every strict partial order on n elements,
+    in ascending edge bitmask order.
+
+    Element k joins each order on 0 .. k-1 with a down-closed set A that
+    it beats and an up-closed set B that beats it, every member of B
+    beating every member of A, which keeps the order transitive."""
+
+    orders = [((), ())]
+    for k in range(n):
+        bit = 1 << k
+        grown = []
+        for better, dominators in orders:
+            ups = _closed(dominators)
+            for below in _closed(better):
+                # The members of B must lie among those beating all of A.
+                common = bit - 1
+                for a in members(below, range(k)):
+                    common &= dominators[a]
+                for above in ups:
+                    if above & ~common:
+                        continue
+                    rows = (row | bit if above >> i & 1 else row for i, row in enumerate(better))
+                    columns = (c | bit if below >> i & 1 else c for i, c in enumerate(dominators))
+                    grown.append(((*rows, below), (*columns, above)))
+        orders = grown
+    # Edge bitmask order is the rows' order from the last element's down.
+    return sorted(orders, key=lambda order: order[0][::-1])
+
+
+def _modular(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(better, dominators) of every ranked relation on n elements, in
+    ascending edge bitmask order.
+
+    The incomparable pairs of a ranked relation are twins, so they
+    partition the carrier into blocks with no edge inside, and each two
+    blocks are joined one way, the other way or both ways."""
+
+    square, full, index = n * n, (1 << n) - 1, range(n)
+
+    # An edge i -> j is bit n*i + j of the rows, above bit n*j + i of the
+    # columns, so the sum of a relation's edges, one int, orders as its
+    # rows from the last element's down.
+    def edges(winners: int, losers: int) -> int:
+        return sum(
+            1 << square + n * i + j | 1 << n * j + i
+            for i in members(winners, index)
+            for j in members(losers, index)
+        )
+
+    # Each set partition as block masks: element i joins a block or
+    # opens a new one, an empty block at the end.
+    partitions = [()]
+    for i in index:
+        partitions = [
+            (*blocks[:b], block | 1 << i, *blocks[b + 1 :])
+            for blocks in partitions
+            for b, block in enumerate((*blocks, 0))
+        ]
+    packed = []
+    for blocks in partitions:
+        ways = []
+        for p, q in itertools.combinations(blocks, 2):
+            there, back = edges(p, q), edges(q, p)
+            ways.append((there, back, there | back))
+        # Two pairs of blocks share no edge, so a sum is their union.
+        packed += map(sum, itertools.product(*ways))
+    packed.sort()
+    rows = [square + n * i for i in index]
+    columns = [n * j for j in index]
+    return (
+        (tuple(v >> s & full for s in rows), tuple(v >> s & full for s in columns))
+        for v in packed
+    )
+
+
 def _members(n: int, cls: RelationClass) -> Iterator[tuple]:
     """(better, dominators, induced choice) of every relation of the
-    class on n elements, in ascending edge bitmask order."""
+    class on n elements, in ascending edge bitmask order.
 
-    for better, dominators in _relations(n):
-        if _in_class(better, dominators, cls):
-            yield better, dominators, tuple(_choices(better))
+    Class all walks every relation; the smooth and ranked classes
+    generate theirs, the strict partial orders and the ranked
+    relations."""
+
+    if cls is RelationClass.ALL:
+        chosen = _relations(n)
+    elif cls is RelationClass.TRANSITIVE_SMOOTH:
+        chosen = _posets(n)
+    else:
+        chosen = _modular(n)
+    for better, dominators in chosen:
+        yield better, dominators, tuple(_choices(better))
 
 
 # Built on first use for each carrier size; bounded so that a table for
@@ -247,12 +350,60 @@ def _decode(failure: tuple[int, int | None], items: Sequence[str], kind=tuple):
     return kind(members(x_mask, items)), y_set
 
 
-def _all_choice_tables(n: int) -> Iterator[tuple[int, ...]]:
-    """Every table with cf(X) a subset of X, ascending lexicographically."""
+def _law_tables(n: int, cls: RelationClass) -> Iterator[tuple[int, ...]]:
+    """Every table on n elements obeying the class's laws, ascending
+    lexicographically.
+
+    cf(Y) is assigned for Y in ascending mask order, so every proper
+    subset of Y is assigned first. MuPR leaves as picks the members of
+    Y that no subset one smaller rejects, which also keeps cf(Y) a
+    subset of Y; a member rejected further down was rejected on every
+    step up, by MuPR. MuCUM or MuEq is checked against the assigned
+    subsets. The picks ascend through the submasks, so the tables come
+    in the order of a walk over every table with cf(X) a subset of X."""
 
     size = 1 << n
-    submasks = [[s for s in range(m + 1) if s & m == s] for m in range(size)]
-    yield from itertools.product(*submasks)
+    subsets = _nested(n)[1]
+    cum = cls is RelationClass.TRANSITIVE_SMOOTH
+    eq = cls is RelationClass.RANKED
+    table = [0] * size
+
+    def fill(ys: int) -> Iterator[tuple[int, ...]]:
+        if ys == size:
+            yield tuple(table)
+            return
+        rejected = 0
+        rest = ys
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            below = ys ^ low
+            rejected |= below & ~table[below]
+        for chosen in subsets[ys & ~rejected]:
+            # MuCUM: each proper subset holding cf(Y) picks cf(Y).
+            if cum and any(table[chosen | s] != chosen for s in subsets[ys & ~chosen][:-1]):
+                continue
+            # MuEq: each proper subset meeting cf(Y) picks that meet.
+            if eq and chosen and any(
+                table[xs] != chosen & xs for xs in subsets[ys][:-1] if chosen & xs
+            ):
+                continue
+            table[ys] = chosen
+            yield from fill(ys + 1)
+
+    return fill(0)
+
+
+def _base(table: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """(better, dominators) of the table's base relation, where y beats
+    x exactly when x is not picked from the pair {x, y}."""
+
+    better, dominators = [0] * n, [0] * n
+    for x, y in itertools.permutations(range(n), 2):
+        if not table[1 << x | 1 << y] >> x & 1:
+            better[y] |= 1 << x
+            dominators[x] |= 1 << y
+    return better, dominators
 
 
 # ====================================================================
@@ -326,15 +477,19 @@ def represent(
 
     The only candidate is cf's base relation, where y beats x exactly
     when x is not in cf({x, y}); it is returned when it lies in the
-    class and its induced choice is cf. The class's laws are checked
-    first, and a law-breaking cf that its base relation represents is
-    an internal incoherence and raises. choice_of refuses a carrier
-    above its CHOICE_CAP.
+    class and its induced choice is cf. A carrier above CHOICE_CAP is
+    refused first. The class's laws are checked next, and a
+    law-breaking cf that its base relation represents is an internal
+    incoherence and raises.
     """
 
     _instance("cf", cf, ChoiceFunction, RepcheckError)
     _instance("cls", cls, RelationClass, RepcheckError)
     items, masks = cf.carrier, cf._masks
+    if len(items) > CHOICE_CAP:
+        raise RepcheckError(
+            f"carrier of size {len(items)} exceeds the tabulation cap {CHOICE_CAP}"
+        )
     failed = witness = None
     for prop in CLASS_PROPERTIES[cls]:
         failure = _property_failure(masks, len(items), prop)
@@ -342,14 +497,12 @@ def represent(
             failed, witness = prop, _decode(failure, items, frozenset)
             break
 
-    pairs = itertools.permutations(range(len(items)), 2)
-    base = [(items[j], items[i]) for i, j in pairs if not masks[1 << i | 1 << j] >> i & 1]
-    rel = PreferenceRelation(items, base)
-    if choice_of(rel)._masks != masks or not relation_in_class(rel, cls):
+    better, dominators = _base(masks, len(items))
+    if tuple(_choices(better)) != masks or not _in_class(better, dominators, cls):
         return NotRepresentable(failed_property=failed, witness=witness)
     if failed is not None:
         raise RepcheckError(f"relation represents a choice function violating {failed.value}")
-    return rel
+    return PreferenceRelation(items, edges_of(better, items))
 
 
 # ====================================================================
@@ -396,9 +549,11 @@ class Violation(Value):
 class SweepResult(Value):
     """Outcome of one exhaustive sweep.
 
-    examined counts every enumerated object (relations for soundness,
-    choice tables for completeness); considered counts the ones the
-    mode actually judges (in-class relations, law-obeying tables).
+    examined counts the objects a full walk would enumerate: every
+    irreflexive relation for soundness, every table with cf(X) a
+    subset of X for completeness. The sweeps generate only the objects
+    they judge, so examined is computed; considered counts those (the
+    class's relations, the law-obeying tables).
     stats carries auxiliary counts that are recorded but not asserted.
     """
 
@@ -444,12 +599,13 @@ def _check_n(n: int, cap: int, mode: str) -> None:
 
 
 def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
-    """Check the class's laws on every irreflexive relation of size n.
+    """Check the class's laws on every class relation of size n.
 
-    All 2^(n^2 - n) irreflexive relations are examined; those in the
-    class have their induced choice tabulated and every promised law
-    checked. The transitive count is recorded so that the effect of
-    transitivity on MuSubset and MuPR stays visible as data.
+    examined is the count of all 2^(n^2 - n) irreflexive relations; the
+    class's relations, walked or generated by _members, have their
+    induced choice tabulated and every promised law checked. The
+    transitive count is recorded so that the effect of transitivity on
+    MuSubset and MuPR stays visible as data.
     """
 
     _check_n(n, SOUNDNESS_MAX_N, "soundness")
@@ -490,11 +646,11 @@ def soundness_sweep(n: int, cls: RelationClass) -> SweepResult:
 def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
     """Hunt for law-obeying choice functions no class relation induces.
 
-    Every table with cf(X) a subset of X is enumerated. Tables that
-    break a required law are skipped after confirming no class
-    relation induces them (anything else would contradict soundness
-    and raises). Law-obeying tables must match some class relation's
-    induced choice; each one that does not becomes a violation. The
+    The tables obeying the class's laws are generated, in the ascending
+    lexicographic order of all tables with cf(X) a subset of X, and
+    examined counts those, 2^(n * 2^(n-1)). A law-obeying table is
+    represented when its base relation, the only candidate, induces it
+    and lies in the class; each other one becomes a violation. The
     stats record how many law-obeying tables are representable at all,
     and for the broader classes how far smaller subclasses reach:
     transitive relations under class all, smooth but not necessarily
@@ -504,39 +660,29 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
     _check_n(n, COMPLETENESS_MAX_N, "completeness")
     _instance("cls", cls, RelationClass, RepcheckError)
     items = ITEMS[:n]
-    props = CLASS_PROPERTIES[cls]
-    representable = {mu for _, _, mu in _members(n, cls)}
     # The stat under class all is what the transitive relations, which
     # are the smooth class, reach; under class smooth, what the smooth
     # relations of class all reach, transitive or not.
-    stat, subclass = None, set()
+    stat = None
     if cls is RelationClass.ALL:
         stat = "representable_transitive"
-        subclass = {mu for _, _, mu in _members(n, RelationClass.TRANSITIVE_SMOOTH)}
     elif cls is RelationClass.TRANSITIVE_SMOOTH:
         stat = "representable_smooth_any"
-        subclass = {
-            mu
-            for _, dominators, mu in _members(n, RelationClass.ALL)
-            if smooth_failure(dominators, mu) is None
-        }
 
-    examined = 0
     passing = 0
     represented = 0
     reached = 0
     violations: list[Violation] = []
-    for table in _all_choice_tables(n):
-        examined += 1
-        if any(_property_failure(table, n, p) is not None for p in props):
-            if table in representable:
-                raise RepcheckError(
-                    "a class relation induces a choice function that breaks the class laws"
-                )
-            continue
+    for table in _law_tables(n, cls):
         passing += 1
-        reached += table in subclass
-        if table in representable:
+        better, dominators = _base(table, n)
+        induced = tuple(_choices(better)) == table
+        if induced and stat:
+            if cls is RelationClass.ALL:
+                reached += transitive_masks(better)
+            else:
+                reached += smooth_failure(dominators, table) is None
+        if induced and _in_class(better, dominators, cls):
             represented += 1
         else:
             violations.append(
@@ -559,7 +705,7 @@ def completeness_sweep(n: int, cls: RelationClass) -> SweepResult:
         mode="completeness",
         relation_class=cls,
         n=n,
-        examined=examined,
+        examined=1 << (n << (n - 1)),
         considered=passing,
         violations=tuple(violations),
         stats=stats,

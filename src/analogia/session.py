@@ -79,6 +79,7 @@ from .formula import (
     FactLineStream,
     Formula,
     TokenStream,
+    _where,
     check_formula,
     fact_line,
     ground_atom_formulas,
@@ -226,6 +227,15 @@ class Session(Value):
         return self.domain(self.target_name)
 
 
+class _Redeclared(SessionError):
+    """A name declared twice; parse_session adds where."""
+
+    def __init__(self, kind: str, name: str):
+        super().__init__(f"{kind} {name!r} is declared twice")
+        self.kind = kind
+        self.name = name
+
+
 def _by_name(kind: str, named: list[tuple[str, object]]) -> dict:
     """{name: value}; in the order given, the first name seen twice is
     an error (sorted input so reports the least such name)."""
@@ -233,7 +243,7 @@ def _by_name(kind: str, named: list[tuple[str, object]]) -> dict:
     by_name: dict = {}
     for name, value in named:
         if name in by_name:
-            raise SessionError(f"{kind} {name!r} is declared twice")
+            raise _Redeclared(kind, name)
         by_name[name] = value
     return by_name
 
@@ -259,7 +269,29 @@ def parse_session(text: str) -> Session:
         statements = _read_statements(FactLineStream(text))
     except ParseError:
         statements = _read_statements(TokenStream(text, tokenize(text)))
-    return _build_session(*statements)
+    try:
+        return _build_session(*statements)
+    except _Redeclared as err:
+        line, col = _second_declaration(text, err.kind, err.name)
+        raise SessionError(f"line {line}, column {col}: {err}") from None
+
+
+def _second_declaration(text: str, kind: str, name: str) -> tuple[int, int]:
+    """Line and column of name in the second kind statement declaring it.
+
+    The statements of a text that has been read are read again through
+    tokenize, whose token indices place a token, so only an error pays
+    for positions.
+    """
+
+    ts = TokenStream(text, tokenize(text))
+    starts = []
+    while word := ts.next():
+        at = ts.pos
+        statement = _STATEMENTS[word](ts)
+        if word == kind and statement[0] == name:
+            starts.append(at)
+    return _where(text, starts[1])[1:]
 
 
 def _read_statements(ts: TokenStream) -> tuple[dict[str, list], dict[str, object]]:

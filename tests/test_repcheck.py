@@ -2,7 +2,7 @@
 
 import pytest
 
-from analogia import PreferenceError, RepcheckError, run
+from analogia import RepcheckError, run
 from analogia.preference import (
     CHOICE_CAP,
     ChoiceFunction,
@@ -15,7 +15,9 @@ from analogia.preference import (
 )
 from analogia.repcheck import (
     CLASS_PROPERTIES,
+    _law_tables,
     _members,
+    _nested,
     NotRepresentable,
     PropertyId,
     RelationClass,
@@ -161,6 +163,66 @@ class TestMembers:
         walk = _members(4, RelationClass.TRANSITIVE_SMOOTH)
         assert [better for better, _, _ in walk] == [rel._better for rel in transitive]
 
+    @pytest.mark.parametrize(
+        "cls", [RelationClass.TRANSITIVE_SMOOTH, RelationClass.RANKED], ids=lambda c: c.value
+    )
+    def test_generated_members_are_the_class_in_edge_order_at_n4(self, cls):
+        """The posets and the ranked relations are generated, not
+        filtered; they must still be the oracle's class, in walk order."""
+
+        want = [
+            (rel._better, rel._dominators, reference.choice_of(rel)._masks)
+            for rel in irreflexive_relations(ABCD)
+            if reference.relation_in_class(rel, cls)
+        ]
+        got = [(tuple(better), tuple(columns), mu) for better, columns, mu in _members(4, cls)]
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "cls, counts",
+        [
+            # Labelled posets, OEIS A001035.
+            (RelationClass.TRANSITIVE_SMOOTH, [1, 1, 3, 19, 219]),
+            # Set partitions with one of three orientations per pair of
+            # blocks: the sum over k of S(n, k) * 3^C(k, 2).
+            (RelationClass.RANKED, [1, 1, 4, 37, 913]),
+        ],
+        ids=["smooth", "ranked"],
+    )
+    def test_generated_member_counts(self, cls, counts):
+        assert [sum(1 for _ in _members(n, cls)) for n in range(5)] == counts
+
+
+class TestLawTables:
+    @pytest.mark.parametrize("cls", list(RelationClass), ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generator_is_the_filtered_walk_in_order(self, n, cls):
+        """Backtracking over the laws yields exactly the law-obeying
+        tables of the brute-force list, in its order."""
+
+        want = [
+            cf._masks
+            for cf in choice_oracle.all_tables(ABC[:n])
+            if choice_oracle.obeys_laws(cf, cls)
+        ]
+        assert list(_law_tables(n, cls)) == want
+
+    @pytest.mark.parametrize(
+        "cls, count",
+        [
+            # Under MuPR an element picked from Y is picked from each
+            # subset of Y holding it, and elements pick independently:
+            # each a down-set of the others' subsets, M(3)^4 = 20^4
+            # with M the Dedekind numbers.
+            (RelationClass.ALL, 160_000),
+            (RelationClass.TRANSITIVE_SMOOTH, 596),
+            (RelationClass.RANKED, 19_429),
+        ],
+        ids=lambda v: getattr(v, "value", v),
+    )
+    def test_pinned_counts_at_n4(self, cls, count):
+        assert sum(1 for _ in _law_tables(4, cls)) == count
+
 
 class TestRelationInClass:
     def test_all_admits_everything(self):
@@ -254,8 +316,10 @@ class TestRepresent:
         items = tuple("abcde")
         assert len(items) == CHOICE_CAP + 1
         wide = ChoiceFunction(items, {xs: frozenset() for xs in subsets_of(items)})
-        with pytest.raises(PreferenceError, match="cap"):
+        cached = _nested.cache_info()
+        with pytest.raises(RepcheckError, match=f"exceeds the tabulation cap {CHOICE_CAP}$"):
             represent(wide, RelationClass.ALL)
+        assert _nested.cache_info() == cached
 
 
 # ====================================================================
@@ -533,6 +597,30 @@ class TestInducedChoiceCharacterization:
         ]
         represented = sum(isinstance(represent(cf, cls), PreferenceRelation) for cf in meets)
         assert (len(meets), represented) == MU_EMPTY_EXPECTED[cls]
+
+    @pytest.mark.parametrize(
+        "cls, expected",
+        [
+            (RelationClass.TRANSITIVE_SMOOTH, {"S": 111, "gamma": 266, "B": 0}),
+            (RelationClass.RANKED, {"S": 8207, "gamma": 9985, "B": 324}),
+        ],
+        ids=["smooth", "ranked"],
+    )
+    def test_unrepresented_tables_fail_a_condition_at_n4(self, cls, expected):
+        """A2 one size beyond the completeness sweep's cap. represent
+        decides a table by its base relation, as the sweep does; among
+        the law tables at n=4 it refuses exactly those that fail S,
+        gamma or B under the set-based oracle."""
+
+        subsets = list(subsets_of(ABCD))
+        failures = dict.fromkeys(choice_oracle.CONDITIONS, 0)
+        for masks in _law_tables(4, cls):
+            cf = ChoiceFunction(ABCD, {subsets[xs]: subsets[c] for xs, c in enumerate(masks)})
+            failed = choice_oracle.first_failed_condition(cf, cls)
+            assert isinstance(represent(cf, cls), NotRepresentable) == (failed is not None)
+            if failed:
+                failures[failed] += 1
+        assert failures == expected
 
     def test_ranked_laws_do_not_settle_b(self):
         """A ranked-law table meeting S and gamma whose only relation is unranked.

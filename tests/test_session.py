@@ -560,6 +560,24 @@ class TestSessionValidation:
         with pytest.raises(SessionError, match="declared twice"):
             parse_session(text)
 
+    def test_duplicate_domain_names_the_second_declaration(self):
+        text = "domain S { objects: a; }\nsource S;\n  domain S { objects: b; }\ntarget S;"
+        with pytest.raises(SessionError) as exc:
+            parse_session(text)
+        assert type(exc.value) is SessionError
+        assert str(exc.value) == "line 3, column 10: domain 'S' is declared twice"
+
+    def test_duplicate_analogy_names_the_second_declaration(self):
+        """combi.ana with its analogy 'second', on line 40, renamed."""
+
+        text = (SESSIONS_DIR / "combi.ana").read_text()
+        renamed = text.replace("analogy second from", "analogy first from")
+        assert renamed.splitlines()[39].startswith("analogy first from")
+        with pytest.raises(SessionError) as exc:
+            parse_session(renamed)
+        assert type(exc.value) is SessionError
+        assert str(exc.value) == "line 40, column 9: analogy 'first' is declared twice"
+
 
 # ====================================================================
 # Canonical printing
